@@ -8,6 +8,7 @@ every key can be overridden by a flag, and --seed is mandatory.
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import click
 
@@ -197,30 +198,24 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
     """Run the full sweep; writes results.csv, fit.csv and figure3_<d>.dat."""
     cfg_file = _parse_config_file(config_path) if config_path else {}
 
-    def pick(flag, key, conv, default):
+    def pick(flag, key, conv):
         if flag is not None:
             return conv(flag)
         if key in cfg_file:
             return conv(cfg_file[key])
-        return default
+        return None
 
-    design_list = pick(designs, "designs", _int_list, (1,))
-    noise_grids = dict(xp.DEFAULT_NOISE_GRIDS)
-    noise_override = pick(noise_grid, "noise_grid", _float_list, None)
+    # pass only the values given, so ExperimentConfig holds every default
+    given = {field: pick(flag, field, conv) for field, flag, conv in (
+        ("designs", designs, _int_list), ("n_grid", n_grid, _int_list),
+        ("p_grid", p_grid, _int_list), ("replications", replications, int),
+        ("folds", folds, int), ("test_samples", test_samples, int), ("jobs", jobs, int))}
+    cfg = xp.ExperimentConfig(master_seed=seed,
+                              **{k: v for k, v in given.items() if v is not None})
+    noise_override = pick(noise_grid, "noise_grid", _float_list)
     if noise_override:
-        for d in design_list:
-            noise_grids[d] = noise_override
-    cfg = xp.ExperimentConfig(
-        designs=design_list,
-        n_grid=pick(n_grid, "n_grid", _int_list, (50, 100, 200)),
-        p_grid=pick(p_grid, "p_grid", _int_list, (30, 60, 125, 250, 500, 1000)),
-        noise_grids=noise_grids,
-        replications=pick(replications, "replications", int, 50),
-        folds=pick(folds, "folds", int, 10),
-        master_seed=seed,
-        test_samples=pick(test_samples, "test_samples", int, 10_000),
-        jobs=pick(jobs, "jobs", int, 1),
-    )
+        cfg = replace(cfg, noise_grids={**cfg.noise_grids,
+                                        **{d: noise_override for d in cfg.designs}})
     result = xp.run_sweep(cfg)
     import os
     os.makedirs(out_dir, exist_ok=True)

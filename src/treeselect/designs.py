@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
@@ -46,6 +46,12 @@ class Dataset:
             raise ValueError("need at least one observation")
         if X.shape[1] < 2:
             raise ValueError("need at least two feature columns")
+        # a finite sum implies finite entries, without an n x p temporary;
+        # only a sum that overflows needs the entrywise check
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = X.sum()
+        if not np.isfinite(total) and not np.isfinite(X).all():
+            raise ValueError("features must be finite (no NaN or infinity)")
         if y.shape != (X.shape[0],):
             raise ValueError("label vector length must match the row count")
         if not np.isin(y, (0, 1)).all():
@@ -268,13 +274,17 @@ def load_dataset(path) -> Dataset:
         ycol = header.index("y")
         xcols = [j for j in range(len(header)) if j != ycol]
         X_rows, y_rows = [], []
-        for row in reader:
+        for r, row in enumerate(reader, start=1):
             if not row:
                 continue
-            X_rows.append([float(row[j]) for j in xcols])
-            y_rows.append(int(float(row[ycol])))
+            if len(row) != len(header):
+                raise ValueError(f"row {r} has {len(row)} cells, the header has {len(header)}")
+            try:
+                X_rows.append([float(row[j]) for j in xcols])
+                label = float(row[ycol])
+            except ValueError as exc:
+                raise ValueError(f"row {r}: {exc}") from None
+            if label not in (0.0, 1.0):
+                raise ValueError(f"row {r}: label {row[ycol]!r} is not 0 or 1")
+            y_rows.append(int(label))
     return Dataset(np.asarray(X_rows), np.asarray(y_rows))
-
-
-def with_seed(spec: DesignSpec, seed: int) -> DesignSpec:
-    return replace(spec, seed=seed)

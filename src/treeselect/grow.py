@@ -1,4 +1,4 @@
-"""CART-style recursive growing with misclassification count as impurity.
+"""CART-style greedy growing with misclassification count as impurity.
 
 A node is split only when some (variable, midpoint) cut strictly reduces
 the total misclassification count of the node under majority labelling.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Dataset
-from .tree import Internal, Leaf, TreeClassifier
+from .tree import Internal, Leaf, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
@@ -98,69 +98,42 @@ def best_split(data: Dataset, rows, min_node_size: int = 1) -> Split | None:
     return Split(var0 + 1, threshold, ll, rl, best_err)
 
 
-class _Node:
-    __slots__ = ("rows", "label", "split", "var", "threshold", "left", "right")
-
-    def __init__(self, rows, label):
-        self.rows = rows
-        self.label = label
-        self.split = None
-        self.var = None
-        self.threshold = None
-        self.left = None
-        self.right = None
-
-
 def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassifier:
     """Grow until no split strictly reduces the misclassification count or
     the leaf budget is exhausted.  With a leaf budget, nodes are expanded
     best-first by error reduction (ties by creation order)."""
     if limits is None:
         limits = GrowLimits()
-    rows = np.arange(data.n)
     n1 = int(data.y.sum())
     label, _ = _majority(data.n - n1, n1)
-    root = _Node(rows, label)
+    # growth-order arena: the two children of a split are appended after it
+    nodes: list = [Leaf(label)]
+    labels = [label]
+    rows_at = [np.arange(data.n)]
+    heap: list = []  # (-error reduction, node index, split)
 
-    counter = 0
-    heap: list = []
-
-    def consider(node: _Node):
-        nonlocal counter
-        split = best_split(data, node.rows, limits.min_node_size)
+    def consider(i: int):
+        rows = rows_at[i]
+        split = best_split(data, rows, limits.min_node_size)
         if split is not None:
-            ysub = data.y[node.rows]
-            parent_err = min(int(ysub.sum()), ysub.size - int(ysub.sum()))
-            node.split = split
-            heapq.heappush(heap, (-(parent_err - split.err_count), counter, node))
-            counter += 1
+            n1 = int(data.y[rows].sum())
+            parent_err = min(n1, rows.size - n1)
+            heapq.heappush(heap, (-(parent_err - split.err_count), i, split))
 
-    consider(root)
+    consider(0)
     n_leaves = 1
     while heap and (limits.max_leaves is None or n_leaves < limits.max_leaves):
-        _, _, node = heapq.heappop(heap)
-        split = node.split
-        right_mask = data.X[node.rows, split.var - 1] > split.threshold
-        node.var, node.threshold = split.var, split.threshold
-        node.left = _Node(node.rows[~right_mask], split.left_label)
-        node.right = _Node(node.rows[right_mask], split.right_label)
-        node.rows = None
+        _, i, split = heapq.heappop(heap)
+        rows = rows_at[i]
+        right = data.X[rows, split.var - 1] > split.threshold
+        left = len(nodes)
+        nodes[i] = Internal(split.var, split.threshold, left, left + 1)
+        nodes += [Leaf(split.left_label), Leaf(split.right_label)]
+        labels += [split.left_label, split.right_label]
+        rows_at += [rows[~right], rows[right]]
+        rows_at[i] = None
         n_leaves += 1
-        consider(node.left)
-        consider(node.right)
+        consider(left)
+        consider(left + 1)
 
-    nodes: list = []
-
-    def freeze(nd: _Node) -> int:
-        idx = len(nodes)
-        nodes.append(None)
-        if nd.left is None:
-            nodes[idx] = Leaf(nd.label)
-        else:
-            li = freeze(nd.left)
-            ri = freeze(nd.right)
-            nodes[idx] = Internal(nd.var, nd.threshold, li, ri)
-        return idx
-
-    freeze(root)
-    return TreeClassifier(tuple(nodes))
+    return preorder_tree(nodes, [False] * len(nodes), labels)

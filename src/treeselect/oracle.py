@@ -237,7 +237,7 @@ def _materialize(tree: TreeClassifier, pattern, data: Dataset
             nodes[arena_idx] = Internal(nd.var, nd.threshold, li, ri)
         return arena_idx
 
-    go(tree.root, pattern, np.arange(data.n))
+    go(0, pattern, np.arange(data.n))
     return TreeClassifier(tuple(nodes)), err_total
 
 
@@ -246,7 +246,7 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen,
                              ) -> tuple[TreeClassifier, Fraction | float]:
     """Enumerate every pruned subtree (with re-optimized leaf labels) and
     return the penalized-cost minimizer; ties go to the smallest tree."""
-    patterns = _prunings(tree, tree.root)
+    patterns = _prunings(tree, 0)
     if len(patterns) > cap:
         raise ResourceCapError(f"{len(patterns)} pruned subtrees exceeds the cap of {cap}")
     best = None

@@ -122,10 +122,6 @@ class GeyPenalty:
         return self.c2 * p * lp * (1.0 + math.log(n / lp)) * k / n
 
 
-PenaltySpec = (LinearPenalty | MarginAdaptivePenalty | VCPenalty
-               | MinCombinedPenalty | NobelPenalty | GeyPenalty)
-
-
 def penalty_value(spec, k: int, n: int, p: int) -> float:
     if k < 1 or n < 1 or p < 2:
         raise ValueError("require k >= 1, n >= 1, p >= 2")

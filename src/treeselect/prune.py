@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import numpy as np
-
 from .designs import Dataset
-from .tree import Internal, Leaf, TreeClassifier, is_pruned_subtree
+from .tree import (Internal, Leaf, TreeClassifier, is_pruned_subtree, node_counts,
+                   preorder_tree)
 
 __all__ = ["PrunedSequence", "weakest_link", "prune_with_penalty", "best_in_sequence",
            "subtree_at_alpha", "sequence_to_csv"]
@@ -56,117 +55,57 @@ class PrunedSequence:
         return tuple(t.n_leaves for t in self.subtrees)
 
 
-class _MutableTree:
-    """Working copy used during pruning; nodes keyed by arena index."""
-
-    def __init__(self, tree: TreeClassifier, data: Dataset):
-        self.data = data
-        self.root = tree.root
-        self.kind = {}       # idx -> "leaf" | "internal"
-        self.node = dict(enumerate(tree.nodes))
-        self.counts = {}     # idx -> (n0, n1) of rows reaching the node
-        stack = [(tree.root, np.arange(data.n))]
-        while stack:
-            i, rows = stack.pop()
-            ysub = data.y[rows]
-            self.counts[i] = (int(ysub.size - ysub.sum()), int(ysub.sum()))
-            nd = tree.nodes[i]
-            if isinstance(nd, Leaf):
-                self.kind[i] = "leaf"
-            else:
-                self.kind[i] = "internal"
-                right = data.X[rows, nd.var - 1] > nd.threshold
-                stack.append((nd.left, rows[~right]))
-                stack.append((nd.right, rows[right]))
-
-    def node_err(self, i: int) -> int:
-        return min(self.counts[i])
-
-    def leaf_label(self, i: int) -> int:
-        n0, n1 = self.counts[i]
-        return 0 if n0 >= n1 else 1
-
-    def stats(self, i: int) -> tuple[int, int]:
-        """(leaf count, total leaf error count) of the current subtree at i."""
-        if self.kind[i] == "leaf":
-            return 1, self.node_err(i)
-        nd = self.node[i]
-        ll, le = self.stats(nd.left)
-        rl, re = self.stats(nd.right)
-        return ll + rl, le + re
-
-    def internal_nodes(self) -> list[int]:
-        out = []
-        stack = [self.root]
-        while stack:
-            i = stack.pop()
-            if self.kind[i] == "internal":
-                out.append(i)
-                stack.append(self.node[i].left)
-                stack.append(self.node[i].right)
-        return out
-
-    def collapse(self, i: int):
-        self.kind[i] = "leaf"
-
-    def freeze(self) -> TreeClassifier:
-        nodes: list = []
-
-        def go(i) -> int:
-            idx = len(nodes)
-            nodes.append(None)
-            if self.kind[i] == "leaf":
-                nodes[idx] = Leaf(self.leaf_label(i))
-            else:
-                nd = self.node[i]
-                li = go(nd.left)
-                ri = go(nd.right)
-                nodes[idx] = Internal(nd.var, nd.threshold, li, ri)
-            return idx
-
-        go(self.root)
-        return TreeClassifier(tuple(nodes))
-
-
 def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
     """Nested subtree/alpha sequence by repeatedly collapsing all internal
     nodes of minimal link strength g(t) = (risk increase)/(leaves saved)."""
-    work = _MutableTree(tree, data)
-    n = data.n
+    nodes, n = tree.nodes, data.n
+    n0, n1 = node_counts(tree, data)
+    err = [min(a, b) for a, b in zip(n0, n1)]  # errors of each node as a leaf
+    labels = [0 if a >= b else 1 for a, b in zip(n0, n1)]
+    internal = [i for i, nd in enumerate(nodes) if isinstance(nd, Internal)]
+    # collapsed[i]: node i is not an internal node of the current subtree
+    collapsed = [isinstance(nd, Leaf) for nd in nodes]
 
-    def link_strengths() -> dict[int, Fraction]:
-        out = {}
-        for i in work.internal_nodes():
-            leaves, err = work.stats(i)
-            out[i] = Fraction(work.node_err(i) - err, n * (leaves - 1))
-        return out
+    def link_strengths() -> tuple[dict[int, Fraction], int]:
+        """g(t) of every internal node of the current subtree, and the
+        subtree's error count; children come after parents, so one reverse
+        sweep gives (leaves, error) of every subtree."""
+        leaves = [1] * len(nodes)
+        errs = list(err)
+        g = {}
+        for i in reversed(internal):
+            if not collapsed[i]:
+                nd = nodes[i]
+                leaves[i] = leaves[nd.left] + leaves[nd.right]
+                errs[i] = errs[nd.left] + errs[nd.right]
+                g[i] = Fraction(err[i] - errs[i], n * (leaves[i] - 1))
+        return g, errs[0]
 
-    def collapse_all(targets: set[int]):
-        # collapsing an ancestor subsumes its tied descendants
+    def collapse(targets):
         for i in targets:
-            if work.kind[i] == "internal":
-                work.collapse(i)
+            collapsed[i] = True
+        # mark whole subtrees, so collapsing an ancestor subsumes its tied descendants
+        for i in internal:
+            if collapsed[i]:
+                collapsed[nodes[i].left] = collapsed[nodes[i].right] = True
 
     # collapse zero-gain links so the first element is the smallest
     # optimizer at alpha = 0
-    while True:
-        g = link_strengths()
-        zeros = {i for i, v in g.items() if v == 0}
-        if not zeros:
-            break
-        collapse_all(zeros)
+    g, total = link_strengths()
+    while zeros := [i for i, v in g.items() if v == 0]:
+        collapse(zeros)
+        g, total = link_strengths()
 
-    subtrees = [work.freeze()]
+    subtrees = [preorder_tree(nodes, collapsed, labels)]
     alphas = [Fraction(0)]
-    errors = [work.stats(work.root)[1]]
-
-    while work.kind[work.root] == "internal":
-        g = link_strengths()
+    errors = [total]
+    while g:
         gmin = min(g.values())
-        collapse_all({i for i, v in g.items() if v == gmin})
-        subtrees.append(work.freeze())
+        collapse([i for i, v in g.items() if v == gmin])
+        g, total = link_strengths()
+        subtrees.append(preorder_tree(nodes, collapsed, labels))
         alphas.append(gmin)
-        errors.append(work.stats(work.root)[1])
+        errors.append(total)
 
     return PrunedSequence(tuple(subtrees), tuple(alphas), tuple(errors), n)
 

@@ -1,13 +1,22 @@
 """Binary tree classifiers: prediction, risks, and the pruned-subtree order.
 
-Trees are immutable index-based arenas: node 0 is the root, internal nodes
-carry a (variable, threshold) rule with 1-based variable indices, leaves
-carry a 0/1 label.  The routing convention is strict: x moves Right iff
-x[var] > threshold, so equality goes Left.
+A tree is an immutable arena of `Leaf` and `Internal` nodes.  Node 0 is the
+root, internal nodes carry a (variable, threshold) rule with 1-based
+variable indices, and leaves carry a 0/1 label.  `TreeClassifier` checks the
+arena invariant once, at construction: every child index lies after its
+parent's index and inside the arena, and every node other than the root has
+exactly one parent.  So the arena is one tree with every node reachable from
+node 0, and a sweep in index order meets every parent before its children;
+no walk here needs recursion.
+
+`leaf_assignment` is the one vectorised router; `predict_batch` and the
+per-node training counts read its result.  The routing convention is strict:
+x moves Right iff x[var] > threshold, so equality goes Left.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -25,6 +34,8 @@ __all__ = [
     "empirical_risk",
     "misclass_count",
     "loss_estimate",
+    "node_counts",
+    "preorder_tree",
     "is_pruned_subtree",
     "tree_to_text",
     "tree_from_text",
@@ -49,22 +60,32 @@ class Internal:
 
 @dataclass(frozen=True)
 class TreeClassifier:
-    """Immutable tree classifier stored as a node arena rooted at index 0."""
+    """Immutable tree classifier stored as a checked node arena rooted at 0."""
 
     nodes: tuple
-    root: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        for node in self.nodes:
+        nodes = tuple(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        if not nodes:
+            raise ValueError("a tree needs at least one node")
+        parents = [0] * len(nodes)
+        for i, node in enumerate(nodes):
             if isinstance(node, Leaf):
                 if node.label not in (0, 1):
                     raise ValueError("leaf labels must be 0 or 1")
             elif isinstance(node, Internal):
                 if node.var < 1:
                     raise ValueError("variable indices are 1-based")
+                for child in (node.left, node.right):
+                    if not i < child < len(nodes):
+                        raise ValueError(f"node {i}: child index {child} must lie "
+                                         f"after the node and inside the arena")
+                    parents[child] += 1
             else:
                 raise TypeError("nodes must be Leaf or Internal")
+        if any(count != 1 for count in parents[1:]):
+            raise ValueError("every node but the root needs exactly one parent")
 
     @property
     def n_leaves(self) -> int:
@@ -76,13 +97,11 @@ class TreeClassifier:
 
     @property
     def depth(self) -> int:
-        def go(i):
-            nd = self.nodes[i]
-            if isinstance(nd, Leaf):
-                return 0
-            return 1 + max(go(nd.left), go(nd.right))
-
-        return go(self.root)
+        depth = [0] * len(self.nodes)
+        for i, nd in enumerate(self.nodes):
+            if isinstance(nd, Internal):
+                depth[nd.left] = depth[nd.right] = depth[i] + 1
+        return max(depth)
 
     def max_var(self) -> int:
         return max((nd.var for nd in self.nodes if isinstance(nd, Internal)), default=0)
@@ -91,7 +110,7 @@ class TreeClassifier:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 1 or x.shape[0] < self.max_var():
             raise ValueError("feature vector too short for this tree")
-        i = self.root
+        i = 0
         while True:
             nd = self.nodes[i]
             if isinstance(nd, Leaf):
@@ -99,29 +118,16 @@ class TreeClassifier:
             i = nd.right if x[nd.var - 1] > nd.threshold else nd.left
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] < self.max_var():
-            raise ValueError("feature matrix too narrow for this tree")
-        out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            i, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            nd = self.nodes[i]
-            if isinstance(nd, Leaf):
-                out[rows] = nd.label
-            else:
-                right = X[rows, nd.var - 1] > nd.threshold
-                stack.append((nd.left, rows[~right]))
-                stack.append((nd.right, rows[right]))
-        return out
+        labels = np.array([nd.label if isinstance(nd, Leaf) else -1 for nd in self.nodes])
+        return labels[self.leaf_assignment(X)]
 
     def leaf_assignment(self, X: np.ndarray) -> np.ndarray:
         """Arena index of the leaf each row lands in."""
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] < self.max_var():
+            raise ValueError("feature matrix too narrow for this tree")
         out = np.empty(X.shape[0], dtype=np.int64)
-        stack = [(self.root, np.arange(X.shape[0]))]
+        stack = [(0, np.arange(X.shape[0]))]
         while stack:
             i, rows = stack.pop()
             if rows.size == 0:
@@ -142,6 +148,47 @@ def leaf(label: int = 0) -> TreeClassifier:
 
 def stump(var: int, threshold: float, left_label: int, right_label: int) -> TreeClassifier:
     return TreeClassifier((Internal(var, threshold, 1, 2), Leaf(left_label), Leaf(right_label)))
+
+
+def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[int]]:
+    """(n0, n1): how many rows of each label reach each node of the tree."""
+    size = len(tree.nodes)
+    leaves = tree.leaf_assignment(data.X)
+    ones = np.bincount(leaves[data.y == 1], minlength=size)
+    n0 = (np.bincount(leaves, minlength=size) - ones).tolist()
+    n1 = ones.tolist()
+    # children come after their parents, so a reverse sweep fills parents last
+    for i in range(size - 1, -1, -1):
+        nd = tree.nodes[i]
+        if isinstance(nd, Internal):
+            n0[i] = n0[nd.left] + n0[nd.right]
+            n1[i] = n1[nd.left] + n1[nd.right]
+    return n0, n1
+
+
+def preorder_tree(nodes, collapsed, labels) -> TreeClassifier:
+    """The tree an arena describes once every node i with collapsed[i] set
+    is made a leaf, as a pre-order arena; every node i that ends up a leaf
+    gets labels[i].  `nodes` must satisfy the arena invariant."""
+    source: list[int] = []  # arena index of each emitted node, in pre-order
+    children: list = []     # emitted [left, right] of each emitted internal node
+    stack = [(0, None, 0)]  # (arena index, emitted parent, side)
+    while stack:
+        i, parent, side = stack.pop()
+        if parent is not None:
+            children[parent][side] = len(source)
+        nd = nodes[i]
+        if isinstance(nd, Internal) and not collapsed[i]:
+            stack.append((nd.right, len(source), 1))
+            stack.append((nd.left, len(source), 0))
+            children.append([0, 0])
+        else:
+            children.append(None)
+        source.append(i)
+    return TreeClassifier(tuple(
+        Leaf(labels[i]) if kids is None
+        else Internal(nodes[i].var, nodes[i].threshold, kids[0], kids[1])
+        for i, kids in zip(source, children)))
 
 
 def misclass_count(tree: TreeClassifier, data: Dataset) -> int:
@@ -165,31 +212,36 @@ def loss_estimate(tree: TreeClassifier, spec: DesignSpec, m: int, seed: int) -> 
 
 def is_pruned_subtree(a: TreeClassifier, b: TreeClassifier) -> bool:
     """True iff a results from collapsing internal nodes of b, ignoring labels."""
-
-    def match(ia: int, ib: int) -> bool:
+    stack = [(0, 0)]
+    while stack:
+        ia, ib = stack.pop()
         na = a.nodes[ia]
         if isinstance(na, Leaf):
-            return True
+            continue
         nb = b.nodes[ib]
-        if isinstance(nb, Leaf):
+        if isinstance(nb, Leaf) or na.var != nb.var or na.threshold != nb.threshold:
             return False
-        if na.var != nb.var or na.threshold != nb.threshold:
-            return False
-        return match(na.left, nb.left) and match(na.right, nb.right)
-
-    return match(a.root, b.root)
+        stack.append((na.left, nb.left))
+        stack.append((na.right, nb.right))
+    return True
 
 
 def tree_to_text(tree: TreeClassifier) -> str:
     """Pre-order textual form: node(j, s, left, right) / leaf(label)."""
-
-    def go(i):
-        nd = tree.nodes[i]
+    parts = []
+    stack: list = [0]  # arena indices still to write, and closing text
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        nd = tree.nodes[item]
         if isinstance(nd, Leaf):
-            return f"leaf({nd.label})"
-        return f"node({nd.var}, {nd.threshold!r}, {go(nd.left)}, {go(nd.right)})"
-
-    return go(tree.root)
+            parts.append(f"leaf({nd.label})")
+        else:
+            parts.append(f"node({nd.var}, {nd.threshold!r}, ")
+            stack += [")", nd.right, ", ", nd.left]
+    return "".join(parts)
 
 
 _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
@@ -198,7 +250,6 @@ _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
 def tree_from_text(text: str) -> TreeClassifier:
     tokens = _TOKEN.findall(text)
     pos = 0
-    nodes: list = []
 
     def expect(tok):
         nonlocal pos
@@ -214,35 +265,41 @@ def tree_from_text(text: str) -> TreeClassifier:
         pos += 1
         return tok
 
-    def parse() -> int:
-        nonlocal pos
+    nodes: list = []  # pre-order: Leaf, or [var, threshold, left, right]
+    open_nodes: list[int] = []  # internal nodes whose right child is not done
+    while True:
         kind = take()
-        idx = len(nodes)
-        nodes.append(None)  # reserve arena slot in pre-order
+        done = len(nodes)
         if kind == "leaf":
             expect("(")
-            label = int(take())
+            nodes.append(Leaf(int(take())))
             expect(")")
-            nodes[idx] = Leaf(label)
         elif kind == "node":
             expect("(")
             var = int(take())
             expect(",")
             threshold = float(take())
+            if not math.isfinite(threshold):
+                raise ValueError(f"threshold {threshold!r} is not finite")
             expect(",")
-            left = parse()
-            expect(",")
-            right = parse()
-            expect(")")
-            nodes[idx] = Internal(var, threshold, left, right)
+            nodes.append([var, threshold, None, None])
+            open_nodes.append(done)
+            continue  # its left subtree follows
         else:
             raise ValueError(f"unexpected token {kind!r}")
-        return idx
-
-    root = parse()
+        # the subtree at `done` is complete: close every parent it completes
+        while open_nodes and nodes[open_nodes[-1]][2] is not None:
+            parent = open_nodes.pop()
+            nodes[parent][3] = done
+            expect(")")
+            done = parent
+        if not open_nodes:
+            break
+        nodes[open_nodes[-1]][2] = done
+        expect(",")
     if pos != len(tokens):
         raise ValueError("trailing tokens after tree text")
-    return TreeClassifier(tuple(nodes), root)
+    return TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd) for nd in nodes))
 
 
 @dataclass(frozen=True)
@@ -283,12 +340,12 @@ def shape_of(tree: TreeClassifier) -> tuple:
             return LEAF_SHAPE
         return (go(nd.left), go(nd.right))
 
-    return go(tree.root)
+    return go(0)
 
 
 def descriptor_of(tree: TreeClassifier) -> ClassDescriptor:
     variables = []
-    queue = [tree.root]
+    queue = [0]
     while queue:
         nd = tree.nodes[queue.pop(0)]
         if isinstance(nd, Internal):

@@ -143,6 +143,7 @@ def test_criterion_7_design_analytics():
     report(7, f"Monte Carlo risk of the optimal rule matches analytics ({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_8_figure3_reproduction():
     t0 = time.time()
     cfg = ExperimentConfig(designs=(1,), n_grid=(50, 100, 200),

@@ -158,3 +158,28 @@ def test_dataset_invariants():
         Dataset(np.zeros((3, 2)), np.array([0, 1, 2]))
     with pytest.raises(ValueError):
         Dataset(np.zeros((3, 2)), np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    X = np.zeros((3, 2))
+    X[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(X, np.array([0, 1, 0]))
+
+
+def test_dataset_accepts_values_whose_sum_overflows():
+    X = np.full((3, 2), 1e308)
+    assert Dataset(X, np.array([0, 1, 0])).n == 3
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1.0,2.0,0\n3.0,4.0,0.7\n", "row 2: label '0.7'"),  # label not 0 or 1
+    ("1.0,2.0,0\n3.0,4.0\n", "row 2 has 2 cells"),      # short row
+    ("1.0,2.0,0,9.0\n", "row 1 has 4 cells"),           # extra cell
+])
+def test_csv_rejects_malformed_rows(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,y\n" + body)
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path)

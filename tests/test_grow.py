@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treeselect import Dataset, GrowLimits, best_split, empirical_risk, grow_maximal
-from treeselect.tree import tree_to_text
+from treeselect import (Dataset, GrowLimits, best_split, empirical_risk, grow_maximal,
+                        weakest_link)
+from treeselect.tree import Internal, tree_to_text
 
 from conftest import random_dataset
 
@@ -121,3 +124,55 @@ def test_invalid_limits():
         GrowLimits(max_leaves=0)
     with pytest.raises(ValueError):
         GrowLimits(min_node_size=0)
+
+
+@st.composite
+def tied_datasets(draw):
+    """Small datasets whose features take few values, so ties are common."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(2, 3))
+    values = st.integers(-3, 3).map(float)
+    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Dataset(X, y)
+
+
+leaf_budgets = st.none() | st.integers(1, 8)
+
+
+def _grow_and_prune(data, max_leaves):
+    seq = weakest_link(grow_maximal(data, GrowLimits(max_leaves=max_leaves)), data)
+    return seq, [tree_to_text(t) for t in seq.subtrees]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.randoms(use_true_random=False))
+def test_grow_and_prune_row_permutation_invariant(data, max_leaves, rnd):
+    perm = list(range(data.n))
+    rnd.shuffle(perm)
+    seq, texts = _grow_and_prune(data, max_leaves)
+    pseq, ptexts = _grow_and_prune(data.subset(perm), max_leaves)
+    assert ptexts == texts
+    assert pseq.alphas == seq.alphas
+    assert pseq.error_counts == seq.error_counts
+
+
+def _structure(tree):
+    """Nodes with the thresholds left out."""
+    return [(nd.var, nd.left, nd.right) if isinstance(nd, Internal) else nd
+            for nd in tree.nodes]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.integers(0, 2),
+       st.sampled_from([np.exp, lambda v: v ** 3, lambda v: 2.0 * v - 7.0]))
+def test_grow_and_prune_invariant_under_monotone_transform(data, max_leaves, col, fn):
+    col = min(col, data.p - 1)
+    X = data.X.copy()
+    X[:, col] = fn(X[:, col])
+    seq, _ = _grow_and_prune(data, max_leaves)
+    tseq, _ = _grow_and_prune(Dataset(X, data.y), max_leaves)
+    assert [_structure(t) for t in tseq.subtrees] == [_structure(t) for t in seq.subtrees]
+    assert tseq.error_counts == seq.error_counts
+    assert tseq.alphas == seq.alphas

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from treeselect import (Dataset, DesignSpec, TreeClassifier, empirical_risk,
-                        is_pruned_subtree, leaf, loss_estimate, stump,
-                        tree_from_text, tree_to_text)
+                        grow_maximal, is_pruned_subtree, leaf, loss_estimate,
+                        stump, tree_from_text, tree_to_text, weakest_link)
 from treeselect.tree import Internal, Leaf, descriptor_of, tree_from_class
 
 
@@ -130,7 +132,7 @@ def _random_pruning(tree, rng):
             nodes[idx] = Internal(nd.var, nd.threshold, li, ri)
         return idx
 
-    go(tree.root, False)
+    go(0, False)
     return TreeClassifier(tuple(nodes))
 
 
@@ -164,7 +166,9 @@ def test_serialization_exact_floats():
 
 
 def test_malformed_text_rejected():
-    for bad in ["node(1, 0.5, leaf(0))", "tree(1)", "leaf(2, 3)", ""]:
+    for bad in ["node(1, 0.5, leaf(0))", "tree(1)", "leaf(2, 3)", "",
+                "node(1, nan, leaf(0), leaf(1))", "node(1, inf, leaf(0), leaf(1))",
+                "node(1, -inf, leaf(0), leaf(1))"]:
         with pytest.raises(ValueError):
             tree_from_text(bad)
 
@@ -176,3 +180,55 @@ def test_descriptor_round_trip():
     assert desc.size == 3
     rebuilt = tree_from_class(desc, [0.5, 1.5], [0, 1, 0])
     assert tree_to_text(rebuilt) == tree_to_text(t)
+
+
+@pytest.mark.parametrize("nodes", [
+    (Internal(1, 0.0, 0, 0),),                                  # cycle through the root
+    (Internal(1, 0.0, 1, 5), Leaf(0)),                          # child out of range
+    (Internal(1, 0.0, 2, 3), Leaf(0), Internal(1, 1.0, 1, 4),   # child before its parent
+     Leaf(1), Leaf(0)),
+    (Internal(1, 0.0, 1, 2), Internal(2, 0.0, 3, 4),            # shared children
+     Internal(2, 1.0, 3, 4), Leaf(0), Leaf(1)),
+    (Leaf(0), Leaf(1), Leaf(1)),                                # unreachable nodes
+])
+def test_malformed_arena_rejected(nodes):
+    with pytest.raises(ValueError):
+        TreeClassifier(nodes)
+
+
+def _frame_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_deep_trees_need_no_recursion():
+    # staircase: label runs of length 1..81 along x1 grow a tree of depth 80
+    y = np.concatenate([np.full(k, k % 2) for k in range(1, 82)])
+    X = np.column_stack([np.arange(y.size, dtype=np.float64), np.zeros(y.size)])
+    stairs = Dataset(X, y)
+    # caterpillar of depth 200: every right child splits again
+    depth = 200
+    text = "".join(f"node(1, {k}.5, leaf({k % 2}), " for k in range(depth))
+    text += "leaf(0)" + ")" * depth
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 60)
+    try:
+        grown = grow_maximal(stairs)
+        seq = weakest_link(grown, stairs)
+        caterpillar = tree_from_text(text)
+        back = tree_to_text(caterpillar)
+        caterpillar_depth = caterpillar.depth
+        nested = is_pruned_subtree(leaf(0), caterpillar) and is_pruned_subtree(
+            caterpillar, caterpillar)
+        labels = caterpillar.predict_batch(np.column_stack([np.arange(depth + 1.0),
+                                                            np.zeros(depth + 1)]))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert grown.depth == 80 and grown.n_leaves == 81
+    assert seq.error_counts[0] == 0 and seq.subtrees[-1].n_leaves == 1
+    assert back == text
+    assert caterpillar_depth == depth
+    assert nested
+    assert labels.tolist() == [k % 2 for k in range(depth)] + [0]
