@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -32,14 +32,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Dataset:
-    """n rows of p real features with 0/1 labels."""
+    """n rows of p real features with 0/1 labels.
+
+    ``order`` is the presort that tree growing starts from: row j holds the
+    row indices that sort feature column j, ties by row index (a stable
+    argsort).  It is computed on first use, cached and read-only.  A
+    ``subset`` taken with strictly increasing rows from a dataset whose
+    order is already cached inherits it by filtering, so the CV folds of
+    one dataset share a single sort.  Writing to ``X`` after the order is
+    cached makes it stale; ``grow_maximal`` checks for that and raises.
+    """
 
     X: np.ndarray  # (n, p) float64
     y: np.ndarray  # (n,) int
+    _order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D array")
         if X.shape[0] < 1:
@@ -54,10 +64,11 @@ class Dataset:
             raise ValueError("features must be finite (no NaN or infinity)")
         if y.shape != (X.shape[0],):
             raise ValueError("label vector length must match the row count")
-        if not np.isin(y, (0, 1)).all():
+        # check the raw values: a cast first would turn 0.7 into a valid 0
+        if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", np.asarray(y, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -67,8 +78,28 @@ class Dataset:
     def p(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def order(self) -> np.ndarray:
+        """(p, n) stable argsort of each feature column, computed once."""
+        if self._order is None:
+            self._set_order(np.argsort(self.X.T, axis=1, kind="stable"))
+        return self._order
+
+    def _set_order(self, order: np.ndarray) -> None:
+        order.flags.writeable = False
+        object.__setattr__(self, "_order", order)
+
     def subset(self, rows) -> "Dataset":
-        return Dataset(self.X[rows], self.y[rows])
+        rows = np.arange(self.n)[rows]
+        child = Dataset(self.X[rows], self.y[rows])
+        if self._order is not None and np.all(rows[1:] > rows[:-1]):
+            # rank is monotone in the row index, so filtering the parent's
+            # order keeps ties by row index: a stable argsort of the child
+            rank = np.full(self.n, -1, dtype=self._order.dtype)
+            rank[rows] = np.arange(rows.size)
+            ranked = rank[self._order]
+            child._set_order(ranked[ranked >= 0].reshape(self.p, rows.size))
+        return child
 
 
 @dataclass(frozen=True)

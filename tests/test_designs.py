@@ -173,6 +173,64 @@ def test_dataset_accepts_values_whose_sum_overflows():
     assert Dataset(X, np.array([0, 1, 0])).n == 3
 
 
+@pytest.mark.parametrize("labels", [[0.7, 1.0], [0.0, 2.0], [-1, 1], ["0", "1"]])
+def test_dataset_rejects_labels_other_than_0_or_1(labels):
+    with pytest.raises(ValueError, match="labels"):
+        Dataset(np.zeros((2, 2)), labels)
+
+
+@pytest.mark.parametrize("labels", [[0, 1], [False, True], np.array([1, 0], dtype=np.uint8)])
+def test_dataset_accepts_integer_and_bool_labels(labels):
+    d = Dataset(np.zeros((2, 2)), labels)
+    assert d.y.dtype == np.int64
+    assert d.y.tolist() == [int(v) for v in labels]
+
+
+def _tied_dataset(seed, n=40, p=3):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.integers(-2, 3, size=(n, p)).astype(float),
+                   rng.integers(0, 2, size=n))
+
+
+def _stable_argsort(X):
+    return np.argsort(X.T, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dataset_order_is_a_stable_argsort(seed):
+    d = _tied_dataset(seed)
+    assert d.order.shape == (d.p, d.n)
+    assert np.array_equal(d.order, _stable_argsort(d.X))
+    assert d.order is d.order  # computed once
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_inherits_order_for_increasing_rows(seed):
+    d = _tied_dataset(seed)
+    rows = np.flatnonzero(np.random.default_rng(seed + 10).random(d.n) < 0.6)
+    d.order
+    child = d.subset(rows)
+    assert child._order is not None  # filtered from the parent, not sorted
+    assert np.array_equal(child.order, _stable_argsort(d.X[rows]))
+
+
+def test_subset_sorts_lazily_for_other_rows():
+    d = _tied_dataset(0)
+    d.order
+    for rows in ([3, 1, 2], [1, 1, 2]):
+        child = d.subset(rows)
+        assert child._order is None
+        assert np.array_equal(child.order, _stable_argsort(d.X[rows]))
+
+
+def test_dataset_order_is_read_only():
+    d = _tied_dataset(0)
+    with pytest.raises(ValueError):
+        d.order[0, 0] = 1
+    with pytest.raises(ValueError):
+        d.subset(np.arange(5)).order[0, 0] = 1
+
+
 @pytest.mark.parametrize("body,message", [
     ("1.0,2.0,0\n3.0,4.0,0.7\n", "row 2: label '0.7'"),  # label not 0 or 1
     ("1.0,2.0,0\n3.0,4.0\n", "row 2 has 2 cells"),      # short row

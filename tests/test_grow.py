@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from treeselect import (Dataset, GrowLimits, best_split, empirical_risk, grow_maximal,
                         weakest_link)
+from treeselect.grow import Split
 from treeselect.tree import Internal, tree_to_text
 
 from conftest import random_dataset
@@ -119,6 +120,34 @@ def test_every_split_strictly_reduces_errors():
     assert t.n_leaves - 1 <= int(min((d.y == 0).sum(), (d.y == 1).sum())) * 2 + d.n
 
 
+def test_grow_rejects_features_changed_after_the_order_is_cached():
+    d = random_dataset(np.random.default_rng(5), 30, 3)
+    d.order
+    d.X[d.order[0, 0], 0] = 100.0  # the smallest value of x1 becomes the largest
+    with pytest.raises(ValueError, match="order"):
+        grow_maximal(d)
+
+
+def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
+    # grow passes each node a partition of its parent's order; every one
+    # must equal a fresh stable sort of the node's rows
+    from treeselect import grow
+    seen = []
+
+    def spy(data, rows, min_node_size=1, order=None):
+        seen.append((np.sort(rows), order))
+        return best_split(data, rows, min_node_size, order)
+
+    monkeypatch.setattr(grow, "best_split", spy)
+    d = random_dataset(np.random.default_rng(6), 60, 3)
+    d.X[:, 1] = np.round(d.X[:, 1])  # ties
+    grow_maximal(d)
+    assert len(seen) > 3
+    for rows, order in seen:
+        fresh = rows[np.argsort(d.X[rows].T, axis=1, kind="stable")]
+        assert np.array_equal(order, fresh)
+
+
 def test_invalid_limits():
     with pytest.raises(ValueError):
         GrowLimits(max_leaves=0)
@@ -176,3 +205,65 @@ def test_grow_and_prune_invariant_under_monotone_transform(data, max_leaves, col
     assert [_structure(t) for t in tseq.subtrees] == [_structure(t) for t in seq.subtrees]
     assert tseq.error_counts == seq.error_counts
     assert tseq.alphas == seq.alphas
+
+
+_BIG = np.iinfo(np.int64).max
+
+
+def _reference_best_split(data, rows, min_node_size=1):
+    """The split search with a fresh sort at every node, kept as the
+    independent reference for the presorted one."""
+    rows = np.asarray(rows)
+    X = data.X[rows]
+    y = data.y[rows]
+    m = y.size
+    n1 = int(y.sum())
+    parent_err = min(m - n1, n1)
+    if parent_err == 0 and n1 in (0, m):
+        return None
+    if m < 2 * min_node_size or m < 2:
+        return None
+
+    order = np.argsort(X, axis=0, kind="stable")
+    svals = np.take_along_axis(X, order, axis=0)
+    sy = y[order]
+    ones = np.cumsum(sy, axis=0)
+
+    left_n = np.arange(1, m, dtype=np.int64)[:, None]
+    left_ones = ones[:-1]
+    left_err = np.minimum(left_ones, left_n - left_ones)
+    right_ones = n1 - left_ones
+    right_n = m - left_n
+    right_err = np.minimum(right_ones, right_n - right_ones)
+    err = left_err + right_err
+
+    valid = svals[1:] > svals[:-1]
+    if min_node_size > 1:
+        valid = valid & (left_n >= min_node_size) & (right_n >= min_node_size)
+    err = np.where(valid, err, _BIG)
+
+    flat = err.T.ravel()
+    best = int(np.argmin(flat))
+    best_err = int(flat[best])
+    if best_err >= parent_err:
+        return None
+    var0, i = divmod(best, m - 1)
+    threshold = float((svals[i, var0] + svals[i + 1, var0]) / 2.0)
+    lo = int(left_ones[i, var0])
+    ll = 0 if i + 1 - lo >= lo else 1
+    rl = 0 if m - i - 1 - (n1 - lo) >= n1 - lo else 1
+    return Split(var0 + 1, threshold, ll, rl, best_err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_presorted_best_split_matches_reference(data, min_node_size, rnd):
+    rows = np.array(sorted(rnd.sample(range(data.n), rnd.randint(1, data.n))))
+    expected = _reference_best_split(data, rows, min_node_size)
+    assert best_split(data, rows, min_node_size) == expected
+    # the order grow hands a node: the dataset's order filtered by membership
+    member = np.zeros(data.n, dtype=bool)
+    member[rows] = True
+    order = data.order[member[data.order]].reshape(data.p, -1)
+    assert best_split(data, rnd.sample(list(rows), len(rows)), min_node_size,
+                      order) == expected
