@@ -7,6 +7,7 @@ every key can be overridden by a flag, and --seed is mandatory.
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import replace
 
@@ -38,8 +39,14 @@ def _build_penalty(penalty, alpha, kappa, c1, c2):
     return GeyPenalty(c2=c2)
 
 
-def _limits(max_leaves, min_node_size):
-    return GrowLimits(max_leaves=max_leaves, min_node_size=min_node_size)
+def _emit_tree(tree, out):
+    """Write the tree's text to the --out path, or echo it when none is given."""
+    text = tree_to_text(tree)
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        click.echo(text)
 
 
 penalty_options = [
@@ -87,15 +94,10 @@ def simulate(design, n, p, noise, seed, out):
 def grow(data_path, max_leaves, min_node_size, out):
     """Grow the maximal tree on a CSV dataset."""
     data = load_dataset(data_path)
-    tree = grow_maximal(data, _limits(max_leaves, min_node_size))
-    text = tree_to_text(tree)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
-    click.echo(f"leaves={tree.n_leaves} training_risk={empirical_risk(tree, data):.6f}",
-               err=False)
+    tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves,
+                                         min_node_size=min_node_size))
+    _emit_tree(tree, out)
+    click.echo(f"leaves={tree.n_leaves} training_risk={empirical_risk(tree, data):.6f}")
 
 
 @main.command()
@@ -112,7 +114,8 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
         with open(tree_path) as fh:
             tree = tree_from_text(fh.read())
     else:
-        tree = grow_maximal(data, _limits(max_leaves, min_node_size))
+        tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves,
+                                             min_node_size=min_node_size))
     seq = weakest_link(tree, data)
     sequence_to_csv(seq, out)
     click.echo(f"sequence of {len(seq.subtrees)} subtrees written to {out}")
@@ -128,13 +131,9 @@ def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, 
     """Penalized tree selection over the pruned sequence."""
     data = load_dataset(data_path)
     spec = _build_penalty(penalty, alpha, kappa, c1, c2)
-    tree, cost = select_tree(data, spec, _limits(max_leaves, min_node_size))
-    text = tree_to_text(tree)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    tree, cost = select_tree(data, spec, GrowLimits(max_leaves=max_leaves,
+                                                    min_node_size=min_node_size))
+    _emit_tree(tree, out)
     click.echo(f"leaves={tree.n_leaves} penalized_cost={cost!r}")
 
 
@@ -148,12 +147,7 @@ def cv(data_path, folds, rule, seed, out):
     """Cross-validated tuning of the linear penalty weight."""
     data = load_dataset(data_path)
     alpha, tree = cv_select_alpha(data, CVConfig(folds=folds, rule=rule, seed=seed))
-    text = tree_to_text(tree)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    _emit_tree(tree, out)
     click.echo(f"alpha={alpha!r} leaves={tree.n_leaves}")
 
 
@@ -217,7 +211,6 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
                                         **{d: noise_override for d in cfg.designs}})
     result = xp.run_sweep(cfg)
-    import os
     os.makedirs(out_dir, exist_ok=True)
     xp.write_results_csv(result, os.path.join(out_dir, "results.csv"))
     xp.write_fit_csv(xp.fit_alpha_vs_logp(result), os.path.join(out_dir, "fit.csv"))

@@ -199,46 +199,47 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray,
     return len(seen)
 
 
-def _prunings(tree: TreeClassifier, idx: int) -> list:
-    """All pruning patterns of the subtree at idx: None collapses the node,
-    (l, r) keeps it with pruned children."""
-    nd = tree.nodes[idx]
-    if isinstance(nd, Leaf):
-        return [None]
-    out = [None]
-    for l in _prunings(tree, nd.left):
-        for r in _prunings(tree, nd.right):
-            out.append((l, r))
-    return out
+def _prunings(tree: TreeClassifier) -> list:
+    """All pruning patterns of the tree: None collapses a node, (l, r) keeps
+    it with pruned children.  One reverse sweep of the arena (children
+    follow their parent) builds each node's list from its children's."""
+    below: dict = {}
+    for idx in range(len(tree.nodes) - 1, -1, -1):
+        nd = tree.nodes[idx]
+        out = [None]
+        if isinstance(nd, Internal):
+            lefts, rights = below.pop(nd.left), below.pop(nd.right)
+            out += [(l, r) for l in lefts for r in rights]
+        below[idx] = out
+    return below[0]
 
 
 def _materialize(tree: TreeClassifier, pattern, data: Dataset
                  ) -> tuple[TreeClassifier, int]:
-    """Build the pruned subtree with majority leaf labels; returns the tree
-    and its training misclassification count."""
+    """Build the pruned subtree in pre-order with majority leaf labels;
+    returns the tree and its training misclassification count."""
     nodes: list = []
     err_total = 0
-
-    def go(idx: int, pat, rows) -> int:
-        nonlocal err_total
-        arena_idx = len(nodes)
-        nodes.append(None)
-        ysub = data.y[rows]
-        n1 = int(ysub.sum())
-        n0 = ysub.size - n1
+    # (tree index, pattern, rows reaching it, arena parent, child slot)
+    stack = [(0, pattern, np.arange(data.n), None, 0)]
+    while stack:
+        idx, pat, rows, parent, slot = stack.pop()
+        if parent is not None:
+            nodes[parent][slot] = len(nodes)
         if pat is None:
-            nodes[arena_idx] = Leaf(0 if n0 >= n1 else 1)
+            n1 = int(data.y[rows].sum())
+            n0 = rows.size - n1
+            nodes.append(Leaf(0 if n0 >= n1 else 1))
             err_total += min(n0, n1)
         else:
             nd = tree.nodes[idx]
             right = data.X[rows, nd.var - 1] > nd.threshold
-            li = go(nd.left, pat[0], rows[~right])
-            ri = go(nd.right, pat[1], rows[right])
-            nodes[arena_idx] = Internal(nd.var, nd.threshold, li, ri)
-        return arena_idx
-
-    go(0, pattern, np.arange(data.n))
-    return TreeClassifier(tuple(nodes)), err_total
+            # right is pushed first so the left subtree is laid out first
+            stack.append((nd.right, pat[1], rows[right], len(nodes), 3))
+            stack.append((nd.left, pat[0], rows[~right], len(nodes), 2))
+            nodes.append([nd.var, nd.threshold, None, None])
+    return (TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
+                                 for nd in nodes)), err_total)
 
 
 def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen,
@@ -246,7 +247,7 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen,
                              ) -> tuple[TreeClassifier, Fraction | float]:
     """Enumerate every pruned subtree (with re-optimized leaf labels) and
     return the penalized-cost minimizer; ties go to the smallest tree."""
-    patterns = _prunings(tree, 0)
+    patterns = _prunings(tree)
     if len(patterns) > cap:
         raise ResourceCapError(f"{len(patterns)} pruned subtrees exceeds the cap of {cap}")
     best = None

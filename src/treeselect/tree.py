@@ -315,32 +315,33 @@ class ClassDescriptor:
     variables: tuple
 
     def __post_init__(self):
-        if len(self.variables) != _internal_count(self.configuration):
+        if len(self.variables) != _leaf_count(self.configuration) - 1:
             raise ValueError("variable list length must equal internal-node count")
 
     @property
     def size(self) -> int:
-        return _leaf_count(self.configuration)
+        return len(self.variables) + 1  # checked against the shape on construction
 
 
 def _leaf_count(shape) -> int:
-    if shape == LEAF_SHAPE:
-        return 1
-    return _leaf_count(shape[0]) + _leaf_count(shape[1])
-
-
-def _internal_count(shape) -> int:
-    return _leaf_count(shape) - 1
+    count, stack = 0, [shape]
+    while stack:
+        shape = stack.pop()
+        if shape == LEAF_SHAPE:
+            count += 1
+        else:
+            stack.extend(shape)
+    return count
 
 
 def shape_of(tree: TreeClassifier) -> tuple:
-    def go(i):
+    # children follow their parent in the arena: one reverse sweep
+    shapes = [LEAF_SHAPE] * len(tree.nodes)
+    for i in range(len(tree.nodes) - 1, -1, -1):
         nd = tree.nodes[i]
-        if isinstance(nd, Leaf):
-            return LEAF_SHAPE
-        return (go(nd.left), go(nd.right))
-
-    return go(0)
+        if isinstance(nd, Internal):
+            shapes[i] = (shapes[nd.left], shapes[nd.right])
+    return shapes[0]
 
 
 def descriptor_of(tree: TreeClassifier) -> ClassDescriptor:

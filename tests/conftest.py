@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from treeselect import Dataset
+from treeselect.verify import random_dataset  # noqa: F401  (tests import it from here)
 
 
 @pytest.fixture
@@ -14,14 +15,3 @@ def line_dataset():
         return Dataset(X, np.asarray(labels))
 
     return make
-
-
-def random_dataset(rng, n, p, ensure_both_labels=True):
-    X = rng.standard_normal((n, p))
-    y = rng.integers(0, 2, size=n)
-    if ensure_both_labels:
-        if y.sum() == 0:
-            y[0] = 1
-        elif y.sum() == n:
-            y[0] = 0
-    return Dataset(X, y)

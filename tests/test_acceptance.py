@@ -1,115 +1,58 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-report.  The Figure-3 reproduction (criterion 8) dominates the runtime
-(a few minutes single-threaded).
+report.  Criteria 1-5 run the oracle checks of `treeselect.verify`, the
+same ones `treeselect verify` runs.  The Figure-3 reproduction
+(criterion 8) dominates the runtime (a few minutes single-threaded).
 """
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from treeselect import (DesignSpec, GrowLimits, LinearPenalty,
-                        MarginAdaptivePenalty, bayes_predict, bayes_risk,
-                        brute_force_best_subtree, catalan, class_count,
-                        enumerate_classes, exhaustive_select, generate,
-                        grow_maximal, penalty_value, select_tree,
-                        shattering_count, subtree_at_alpha, weakest_link)
+from treeselect import (DesignSpec, MarginAdaptivePenalty, bayes_predict,
+                        bayes_risk, generate, penalty_value, verify)
 from treeselect.experiment import ExperimentConfig, fit_alpha_vs_logp, run_sweep
-from treeselect.oracle import enumerate_shapes
-from treeselect.prune import best_in_sequence
-
-from conftest import random_dataset
 
 
 def report(num, detail):
     print(f"\n[PASS] criterion {num}: {detail}")
 
 
-def test_criterion_1_counting_lemmas():
+def passes(num, *checks, within=math.inf):
+    """Run `verify` checks, assert that each passes and that together they
+    take less than `within` seconds, and print the criterion's report."""
     t0 = time.time()
-    assert [catalan(k) for k in range(1, 8)] == [1, 1, 2, 5, 14, 42, 132]
-    for k in range(1, 8):
-        assert catalan(k) == len(enumerate_shapes(k))
-    for p in range(2, 5):
-        for k in range(1, 5):
-            assert len(enumerate_classes(p, k).classes) == class_count(p, k)
+    details = []
+    for check in checks:
+        ok, detail = check()
+        assert ok, detail
+        details.append(detail)
     elapsed = time.time() - t0
-    assert elapsed < 1.0
-    report(1, f"counting lemmas exact ({elapsed:.2f}s)")
+    assert elapsed < within
+    report(num, f"{'; '.join(details)} ({elapsed:.2f}s)")
+
+
+def test_criterion_1_counting_lemmas():
+    passes(1, verify.check_catalan, verify.check_class_counts, within=1.0)
 
 
 def test_criterion_2_entropy_bound():
-    t0 = time.time()
-    rng = np.random.default_rng(20260823)
-    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k).classes]
-    checked = 0
-    for _ in range(100):
-        n = int(rng.integers(1, 7))
-        X = rng.standard_normal((n, 2))
-        for desc in classes:
-            count = shattering_count(desc, X)
-            assert math.log(count) <= desc.size * math.log(2 * n) + 1e-12
-            checked += 1
-    elapsed = time.time() - t0
-    assert elapsed < 30.0
-    report(2, f"ln(shattering) <= k*ln(2n) on {checked} class/sample pairs ({elapsed:.1f}s)")
+    passes(2, verify.check_entropy_bound, within=30.0)
 
 
-@pytest.fixture(scope="module")
-def pruning_instances():
-    rng = np.random.default_rng(424242)
-    out = []
-    for _ in range(200):
-        n = int(rng.integers(4, 13))
-        data = random_dataset(rng, n, 2)
-        tree = grow_maximal(data, GrowLimits(max_leaves=6))
-        out.append((data, tree, weakest_link(tree, data)))
-    return out
+def test_criterion_3_pruning_optimality():
+    passes(3, verify.check_pruning_oracle, within=120.0)
 
 
-def test_criterion_3_pruning_optimality(pruning_instances):
-    t0 = time.time()
-    rng = np.random.default_rng(7)
-    comparisons = 0
-    for data, tree, seq in pruning_instances:
-        for _ in range(50):
-            alpha = Fraction(int(rng.integers(0, 50)), int(rng.integers(50, 150)))
-            idx = subtree_at_alpha(seq, alpha)
-            cost = Fraction(seq.error_counts[idx], data.n) + alpha * seq.sizes[idx]
-            _, best = brute_force_best_subtree(tree, data, lambda k: alpha * k)
-            assert cost == best
-            comparisons += 1
-    elapsed = time.time() - t0
-    assert elapsed < 120.0
-    report(3, f"weakest link optimal in {comparisons} exact comparisons ({elapsed:.1f}s)")
-
-
-def test_criterion_4_subadditive_penalty(pruning_instances):
-    rng = np.random.default_rng(11)
-    for data, tree, seq in pruning_instances:
-        c = float(rng.uniform(0.02, 0.5))
-        pen = lambda k: c * math.sqrt(k)
-        _, cost = best_in_sequence(seq, pen)
-        _, best = brute_force_best_subtree(tree, data, pen)
-        assert float(cost) == float(best)
-    report(4, f"sqrt-penalty selection matches brute force on {len(pruning_instances)} instances")
+def test_criterion_4_subadditive_penalty():
+    passes(4, verify.check_subadditive)
 
 
 def test_criterion_5_heuristic_vs_exhaustive():
-    rng = np.random.default_rng(55)
-    equal = 0
-    for _ in range(100):
-        data = random_dataset(rng, 8, 2)
-        spec = LinearPenalty(float(rng.uniform(0.05, 0.5)))
-        _, cost_ex = exhaustive_select(data, spec, k_max=3)
-        _, cost_h = select_tree(data, spec, GrowLimits(max_leaves=3))
-        assert cost_ex <= cost_h + 1e-12
-        equal += abs(cost_ex - cost_h) <= 1e-12
-    report(5, f"exhaustive never beaten; equality rate {equal}/100 (diagnostic)")
+    passes(5, verify.check_exhaustive_vs_heuristic)
 
 
 def test_criterion_6_kappa1_collapse():

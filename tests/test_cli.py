@@ -1,6 +1,7 @@
 import numpy as np
 from click.testing import CliRunner
 
+import treeselect.verify
 from treeselect.cli import main
 from treeselect import load_dataset, tree_from_text
 
@@ -62,6 +63,17 @@ def test_verify():
     res = run("verify")
     assert "all checks passed" in res.output
     assert res.output.count("[PASS]") == 6
+
+
+def test_verify_reports_a_failing_check(monkeypatch):
+    monkeypatch.setattr(treeselect.verify, "CHECKS", [
+        ("stub-pass", lambda: (True, "fine")),
+        ("stub-fail", lambda: (False, "oracle disagrees"))])
+    result = CliRunner().invoke(main, ["verify"])
+    assert result.exit_code == 1
+    assert "[PASS] stub-pass: fine" in result.output
+    assert "[FAIL] stub-fail: oracle disagrees" in result.output
+    assert "all checks passed" not in result.output
 
 
 def test_experiment_with_config_and_overrides(tmp_path):

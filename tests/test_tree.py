@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from treeselect import (Dataset, DesignSpec, TreeClassifier, empirical_risk,
-                        grow_maximal, is_pruned_subtree, leaf, loss_estimate,
-                        stump, tree_from_text, tree_to_text, weakest_link)
+from treeselect import (Dataset, DesignSpec, TreeClassifier,
+                        brute_force_best_subtree, empirical_risk, grow_maximal,
+                        is_pruned_subtree, leaf, loss_estimate, stump,
+                        tree_from_text, tree_to_text, weakest_link)
 from treeselect.tree import Internal, Leaf, descriptor_of, tree_from_class
 
 
@@ -222,8 +223,11 @@ def test_deep_trees_need_no_recursion():
         caterpillar_depth = caterpillar.depth
         nested = is_pruned_subtree(leaf(0), caterpillar) and is_pruned_subtree(
             caterpillar, caterpillar)
-        labels = caterpillar.predict_batch(np.column_stack([np.arange(depth + 1.0),
-                                                            np.zeros(depth + 1)]))
+        rows = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
+        labels = caterpillar.predict_batch(rows)
+        cat_data = Dataset(rows, [k % 2 for k in range(depth)] + [0])
+        best, best_cost = brute_force_best_subtree(caterpillar, cat_data, lambda k: 0)
+        desc = descriptor_of(caterpillar)
     finally:
         sys.setrecursionlimit(old_limit)
     assert grown.depth == 80 and grown.n_leaves == 81
@@ -232,3 +236,5 @@ def test_deep_trees_need_no_recursion():
     assert caterpillar_depth == depth
     assert nested
     assert labels.tolist() == [k % 2 for k in range(depth)] + [0]
+    assert best.nodes == caterpillar.nodes and best_cost == 0  # all 201 leaves kept
+    assert desc.size == depth + 1
