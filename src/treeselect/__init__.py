@@ -11,8 +11,8 @@ from .oracle import (ResourceCapError, brute_force_best_subtree, catalan,
 from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
                         VCPenalty, cv_select_alpha, penalty_value, select_tree)
-from .prune import (PrunedSequence, best_in_sequence, prune_with_penalty,
-                    sequence_to_csv, subtree_at_alpha, weakest_link)
+from .prune import (PrunedSequence, best_in_sequence, sequence_to_csv,
+                    subtree_at_alpha, weakest_link)
 from .tree import (ClassDescriptor, Internal, Leaf, TreeClassifier,
                    empirical_risk, is_pruned_subtree, leaf, loss_estimate,
                    misclass_count, stump, tree_from_text, tree_to_text)

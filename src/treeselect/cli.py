@@ -14,6 +14,7 @@ from dataclasses import replace
 import click
 
 from . import experiment as xp
+from . import verify as suite
 from .designs import DesignSpec, generate, load_dataset, save_dataset
 from .grow import GrowLimits, grow_maximal
 from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
@@ -21,22 +22,26 @@ from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
                         VCPenalty, cv_select_alpha, select_tree)
 from .prune import sequence_to_csv, weakest_link
 from .tree import empirical_risk, tree_from_text, tree_to_text
-from .verify import run_verification
+
+
+def _given(**values) -> dict:
+    """The keyword arguments the user gave, so the callee applies its own defaults."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _build_penalty(penalty, alpha, kappa, c1, c2):
     if penalty == "linear":
         return LinearPenalty(alpha)
     if penalty == "margin":
-        return MarginAdaptivePenalty(kappa=kappa, c1=c1, c2=c2)
+        return MarginAdaptivePenalty(**_given(kappa=kappa, c1=c1, c2=c2))
     if penalty == "vc":
-        return VCPenalty(c1=c1, c2=c2)
+        return VCPenalty(**_given(c1=c1, c2=c2))
     if penalty == "min":
-        return MinCombinedPenalty(MarginAdaptivePenalty(kappa=kappa, c1=c1, c2=c2),
-                                  VCPenalty(c1=c1, c2=c2))
+        return MinCombinedPenalty(MarginAdaptivePenalty(**_given(kappa=kappa, c1=c1, c2=c2)),
+                                  VCPenalty(**_given(c1=c1, c2=c2)))
     if penalty == "nobel":
-        return NobelPenalty(c1=c1)
-    return GeyPenalty(c2=c2)
+        return NobelPenalty(**_given(c1=c1))
+    return GeyPenalty(**_given(c2=c2))
 
 
 def _emit_tree(tree, out):
@@ -47,24 +52,6 @@ def _emit_tree(tree, out):
             fh.write(text + "\n")
     else:
         click.echo(text)
-
-
-penalty_options = [
-    click.option("--penalty", type=click.Choice(["linear", "margin", "vc", "min",
-                                                 "nobel", "gey"]), default="margin"),
-    click.option("--alpha", type=float, default=0.0, help="weight for --penalty linear"),
-    click.option("--kappa", type=float, default=1.0),
-    click.option("--c1", type=float, default=1.0),
-    click.option("--c2", type=float, default=1.0),
-]
-
-
-def add_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
 
 
 @click.group()
@@ -89,7 +76,7 @@ def simulate(design, n, p, noise, seed, out):
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=1)
+@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), default=None)
 def grow(data_path, max_leaves, min_node_size, out):
     """Grow the maximal tree on a CSV dataset."""
@@ -105,7 +92,7 @@ def grow(data_path, max_leaves, min_node_size, out):
 @click.option("--tree", "tree_path", type=click.Path(exists=True), default=None,
               help="textual tree to prune; grown maximally when omitted")
 @click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=1)
+@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), required=True)
 def prune(data_path, tree_path, max_leaves, min_node_size, out):
     """Weakest-link pruning; writes the size/risk/alpha sequence CSV."""
@@ -123,9 +110,14 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@add_options(penalty_options)
+@click.option("--penalty", type=click.Choice(["linear", "margin", "vc", "min",
+                                              "nobel", "gey"]), default="margin")
+@click.option("--alpha", type=float, default=0.0, help="weight for --penalty linear")
+@click.option("--kappa", type=float, default=None)
+@click.option("--c1", type=float, default=None)
+@click.option("--c2", type=float, default=None)
 @click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=1)
+@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), default=None)
 def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, out):
     """Penalized tree selection over the pruned sequence."""
@@ -139,9 +131,9 @@ def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, 
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--folds", type=int, default=10)
-@click.option("--rule", type=click.Choice(["min", "1se"]), default="min")
-@click.option("--seed", type=int, default=0)
+@click.option("--folds", type=int, default=CVConfig.folds)
+@click.option("--rule", type=click.Choice(["min", "1se"]), default=CVConfig.rule)
+@click.option("--seed", type=int, default=CVConfig.seed)
 @click.option("--out", type=click.Path(), default=None)
 def cv(data_path, folds, rule, seed, out):
     """Cross-validated tuning of the linear penalty weight."""
@@ -199,13 +191,14 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
             return conv(cfg_file[key])
         return None
 
-    # pass only the values given, so ExperimentConfig holds every default
-    given = {field: pick(flag, field, conv) for field, flag, conv in (
-        ("designs", designs, _int_list), ("n_grid", n_grid, _int_list),
-        ("p_grid", p_grid, _int_list), ("replications", replications, int),
-        ("folds", folds, int), ("test_samples", test_samples, int), ("jobs", jobs, int))}
-    cfg = xp.ExperimentConfig(master_seed=seed,
-                              **{k: v for k, v in given.items() if v is not None})
+    cfg = xp.ExperimentConfig(master_seed=seed, **_given(
+        designs=pick(designs, "designs", _int_list),
+        n_grid=pick(n_grid, "n_grid", _int_list),
+        p_grid=pick(p_grid, "p_grid", _int_list),
+        replications=pick(replications, "replications", int),
+        folds=pick(folds, "folds", int),
+        test_samples=pick(test_samples, "test_samples", int),
+        jobs=pick(jobs, "jobs", int)))
     noise_override = pick(noise_grid, "noise_grid", _float_list)
     if noise_override:
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
@@ -221,8 +214,12 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
 @main.command()
 def verify():
     """Run the exhaustive oracle suite and report pass/fail per check."""
-    ok = run_verification(echo=click.echo)
-    if not ok:
+    all_ok = True
+    for name, check in suite.CHECKS:
+        ok, detail = check()
+        all_ok &= ok
+        click.echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+    if not all_ok:
         sys.exit(1)
     click.echo("all checks passed")
 

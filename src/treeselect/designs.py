@@ -157,13 +157,9 @@ class MarginSpec:
                 raise ValueError("MA2 needs h in (0,1)")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed))
-
-
 def generate(spec: DesignSpec) -> Dataset:
     """Draw a dataset from the design; a pure function of the spec."""
-    rng = _rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     n, p = spec.n, spec.p
     if spec.design_id == 1:
         q = spec.noise
@@ -272,13 +268,12 @@ def margin_mass(spec: DesignSpec, t: float) -> float:
     return float(0.5 * (m0 + m1))
 
 
-def margin_holds(spec: DesignSpec, margin: MarginSpec, t_grid=None) -> bool:
+def margin_holds(spec: DesignSpec, margin: MarginSpec) -> bool:
     """Check a margin assumption against a design's analytic margin mass."""
     if margin.kind == "MA2":
         return margin_mass(spec, margin.h) == 0.0
-    if t_grid is None:
-        t_grid = np.linspace(1e-3, 1.0, 200)
     expo = 1.0 / (margin.kappa - 1.0)
+    t_grid = np.linspace(1e-3, 1.0, 200)
     return all(margin_mass(spec, float(t)) <= margin.C0 * float(t) ** expo for t in t_grid)
 
 

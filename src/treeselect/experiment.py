@@ -51,7 +51,7 @@ class ExperimentConfig:
     p_grid: tuple[int, ...] = (30, 60, 125, 250, 500, 1000)
     noise_grids: dict = field(default_factory=lambda: dict(DEFAULT_NOISE_GRIDS))
     replications: int = 50
-    folds: int = 10
+    folds: int = CVConfig.folds
     master_seed: int = 0
     test_samples: int = 10_000
     jobs: int = 1
@@ -61,18 +61,20 @@ class ExperimentConfig:
             raise ValueError("all grids must be nonempty")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.jobs < 1:
+            raise ValueError("need at least one job")
+        CVConfig(folds=self.folds)  # raises on a fold count CV cannot use
         for d in self.designs:
             if d not in self.noise_grids or not self.noise_grids[d]:
                 raise ValueError(f"no noise grid for design {d}")
 
-    def cells(self) -> list[tuple[int, int, int, float]]:
-        out = []
+    def cells(self):
+        """(design, n, p, noise, noise index) of each grid cell, in results.csv order."""
         for d in self.designs:
             for n in self.n_grid:
                 for p in self.p_grid:
-                    for noise in self.noise_grids[d]:
-                        out.append((d, n, p, noise))
-        return out
+                    for noise_idx, noise in enumerate(self.noise_grids[d]):
+                        yield d, n, p, noise, noise_idx
 
 
 @dataclass(frozen=True)
@@ -124,14 +126,10 @@ def _run_replication(task) -> tuple[float, float, int]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    tasks = []
-    for d in cfg.designs:
-        for n in cfg.n_grid:
-            for p in cfg.p_grid:
-                for noise_idx, noise in enumerate(cfg.noise_grids[d]):
-                    for rep in range(cfg.replications):
-                        tasks.append((cfg.master_seed, d, n, p, noise, noise_idx,
-                                      rep, cfg.folds, cfg.test_samples))
+    R = cfg.replications
+    cells = list(cfg.cells())
+    tasks = [(cfg.master_seed, *cell, rep, cfg.folds, cfg.test_samples)
+             for cell in cells for rep in range(R)]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(_run_replication, tasks, chunksize=4))
@@ -139,10 +137,8 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         results = [_run_replication(t) for t in tasks]
 
     rows = []
-    R = cfg.replications
-    for i in range(0, len(tasks), R):
-        _, d, n, p, noise, _, _, _, _ = tasks[i]
-        chunk = results[i:i + R]
+    for i, (d, n, p, noise, _) in enumerate(cells):
+        chunk = results[i * R:(i + 1) * R]
         alphas = np.array([c[0] for c in chunk])
         losses = np.array([c[1] for c in chunk])
         sizes = np.array([c[2] for c in chunk], dtype=np.float64)

@@ -34,12 +34,12 @@ __all__ = [
 ]
 
 MAX_SIZE = 30  # catalan/class_count are certified overflow-free up to here
-DEFAULT_CLASS_CAP = 100_000
-DEFAULT_COMBO_CAP = 200_000
+CLASS_CAP = 100_000  # classes enumerate_classes may list
+COMBO_CAP = 200_000  # threshold combinations, classifiers or pruned subtrees
 
 
 class ResourceCapError(RuntimeError):
-    """An exhaustive procedure would exceed its configured cap."""
+    """An exhaustive procedure would exceed CLASS_CAP or COMBO_CAP."""
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,20 @@ def class_count(p: int, k: int) -> int:
 
 
 def enumerate_shapes(k: int) -> list:
+    """Every shape with k leaves, by left subtree size, then left, then right shape."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k == 1:
-        return [LEAF_SHAPE]
-    out = []
-    for i in range(1, k):
-        for left in enumerate_shapes(i):
-            for right in enumerate_shapes(k - i):
-                out.append((left, right))
-    return out
+    shapes = [None, [LEAF_SHAPE]]  # shapes[j]: every shape with j leaves
+    for j in range(2, k + 1):
+        shapes.append([(left, right) for i in range(1, j)
+                       for left in shapes[i] for right in shapes[j - i]])
+    return shapes[k]
 
 
-def enumerate_classes(p: int, k: int, cap: int = DEFAULT_CLASS_CAP) -> ClassEnumeration:
+def enumerate_classes(p: int, k: int) -> ClassEnumeration:
     total = class_count(p, k)
-    if total > cap:
-        raise ResourceCapError(f"{total} classes exceeds the cap of {cap}")
+    if total > CLASS_CAP:
+        raise ResourceCapError(f"{total} classes exceeds the cap of {CLASS_CAP}")
     shapes = enumerate_shapes(k)
     classes = []
     for shape in shapes:
@@ -90,12 +88,17 @@ def enumerate_classes(p: int, k: int, cap: int = DEFAULT_CLASS_CAP) -> ClassEnum
     return ClassEnumeration(k, tuple(shapes), tuple(classes))
 
 
-def _threshold_candidates(column: np.ndarray) -> list[float]:
-    """Midpoints of consecutive distinct sorted values, bracketed by -inf
-    and +inf so degenerate splits can route everything one way."""
-    vals = np.unique(column)
-    mids = [float((a + b) / 2.0) for a, b in zip(vals, vals[1:])]
-    return [-math.inf] + mids + [math.inf]
+def _threshold_grid(desc: ClassDescriptor, X: np.ndarray) -> tuple[list[list[float]], int]:
+    """Threshold candidates of each split variable, and the number of their
+    combinations.  The candidates are the midpoints of consecutive distinct
+    sorted values, bracketed by -inf and +inf so degenerate splits can
+    route everything one way."""
+    cands = []
+    for v in desc.variables:
+        vals = np.unique(X[:, v - 1])
+        mids = [float((a + b) / 2.0) for a, b in zip(vals, vals[1:])]
+        cands.append([-math.inf] + mids + [math.inf])
+    return cands, math.prod(len(c) for c in cands)
 
 
 def _route(desc: ClassDescriptor, thresholds, X: np.ndarray) -> np.ndarray:
@@ -120,20 +123,14 @@ def _route(desc: ClassDescriptor, thresholds, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combo_count(desc: ClassDescriptor, data: Dataset) -> tuple[list[list[float]], int]:
-    cands = [_threshold_candidates(data.X[:, v - 1]) for v in desc.variables]
-    total = math.prod(len(c) for c in cands) if cands else 1
-    return cands, total
-
-
-def erm_in_class(desc: ClassDescriptor, data: Dataset, cap: int = DEFAULT_COMBO_CAP
-                 ) -> tuple[TreeClassifier, Fraction]:
+def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, Fraction]:
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    cands, total = _combo_count(desc, data)
-    if total > cap:
-        raise ResourceCapError(f"{total} threshold combinations exceeds the cap of {cap}")
+    cands, total = _threshold_grid(desc, data.X)
+    if total > COMBO_CAP:
+        raise ResourceCapError(
+            f"{total} threshold combinations exceeds the cap of {COMBO_CAP}")
     k = desc.size
     best_err = None
     best_thr = None
@@ -154,8 +151,7 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset, cap: int = DEFAULT_COMBO_
     return tree, Fraction(best_err, data.n)
 
 
-def exhaustive_select(data: Dataset, spec, k_max: int,
-                      cap: int = DEFAULT_COMBO_CAP) -> tuple[TreeClassifier, float]:
+def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
     """Global minimizer of empirical risk + penalty over every class of
     size at most k_max (exact in-class ERM per class)."""
     if k_max < 1:
@@ -164,25 +160,24 @@ def exhaustive_select(data: Dataset, spec, k_max: int,
     best_cost = None
     for k in range(1, k_max + 1):
         for desc in enumerate_classes(data.p, k).classes:
-            tree, risk = erm_in_class(desc, data, cap)
+            tree, risk = erm_in_class(desc, data)
             cost = float(risk) + penalty_value(spec, k, data.n, data.p)
             if best_cost is None or cost < best_cost:
                 best_tree, best_cost = tree, cost
     return best_tree, best_cost
 
 
-def shattering_count(desc: ClassDescriptor, sample: np.ndarray,
-                     cap: int = DEFAULT_COMBO_CAP) -> int:
+def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     """Number of distinct sets {x in sample : f(x) = 1} over all classifiers
     in the class, by exact enumeration of threshold positions and leaf
     labelings with bitmask deduplication."""
     X = np.asarray(sample, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("sample must be a 2-D array of feature vectors")
-    cands = [_threshold_candidates(X[:, v - 1]) for v in desc.variables]
-    total = (math.prod(len(c) for c in cands) if cands else 1) * 2 ** desc.size
-    if total > cap:
-        raise ResourceCapError(f"{total} classifier variants exceeds the cap of {cap}")
+    cands, combos = _threshold_grid(desc, X)
+    total = combos * 2 ** desc.size
+    if total > COMBO_CAP:
+        raise ResourceCapError(f"{total} classifier variants exceeds the cap of {COMBO_CAP}")
     k = desc.size
     seen: set[int] = set()
     for thresholds in itertools.product(*cands):
@@ -242,16 +237,20 @@ def _materialize(tree: TreeClassifier, pattern, data: Dataset
                                  for nd in nodes)), err_total)
 
 
-def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen,
-                             cap: int = DEFAULT_COMBO_CAP
+def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
                              ) -> tuple[TreeClassifier, Fraction | float]:
     """Enumerate every pruned subtree (with re-optimized leaf labels) and
     return the penalized-cost minimizer; ties go to the smallest tree."""
-    patterns = _prunings(tree)
-    if len(patterns) > cap:
-        raise ResourceCapError(f"{len(patterns)} pruned subtrees exceeds the cap of {cap}")
+    # count the prunings by _prunings' reverse sweep before listing any
+    count = [1] * len(tree.nodes)
+    for idx in range(len(tree.nodes) - 1, -1, -1):
+        nd = tree.nodes[idx]
+        if isinstance(nd, Internal):
+            count[idx] = 1 + count[nd.left] * count[nd.right]
+    if count[0] > COMBO_CAP:
+        raise ResourceCapError(f"{count[0]} pruned subtrees exceeds the cap of {COMBO_CAP}")
     best = None
-    for pattern in patterns:
+    for pattern in _prunings(tree):
         sub, err = _materialize(tree, pattern, data)
         cost = Fraction(err, data.n) + pen(sub.n_leaves)
         key = (cost, sub.n_leaves)

@@ -164,28 +164,24 @@ def _candidate_alphas(seq: PrunedSequence) -> list[float]:
     return cands
 
 
-def cv_select_alpha(data: Dataset, cfg: CVConfig | None = None,
-                    limits: GrowLimits | None = None
-                    ) -> tuple[float, TreeClassifier]:
-    """Q-fold cross-validated choice of the linear penalty weight.
+def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier]:
+    """Q-fold cross-validated choice of the linear penalty weight for maximal trees.
 
     Returns the winning alpha (ties go to the larger alpha, i.e. the
     simpler tree) and the full-data weakest-link element selected at it.
     """
-    if cfg is None:
-        cfg = CVConfig()
     if cfg.folds > data.n:
         raise ValueError("more folds than observations")
     n1 = int(data.y.sum())
     if n1 == 0 or n1 == data.n:
         return 0.0, leaf(0 if n1 == 0 else 1)
 
-    full_seq = weakest_link(grow_maximal(data, limits), data)
+    full_seq = weakest_link(grow_maximal(data), data)
     cands = _candidate_alphas(full_seq)
     if len(cands) == 1:
         return 0.0, full_seq.subtrees[0]
 
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(data.n)
     folds = np.array_split(perm, cfg.folds)
 
@@ -195,7 +191,7 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig | None = None,
     for f, held in enumerate(folds):
         train_rows = np.setdiff1d(perm, held)
         train = data.subset(train_rows)
-        seq = weakest_link(grow_maximal(train, limits), train)
+        seq = weakest_link(grow_maximal(train), train)
         Xh, yh = data.X[held], data.y[held]
         for c, alpha in enumerate(cands):
             idx, _ = best_in_sequence(seq, lambda k: alpha * k)

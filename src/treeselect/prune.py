@@ -19,8 +19,8 @@ from .designs import Dataset
 from .tree import (Internal, Leaf, TreeClassifier, is_pruned_subtree, node_counts,
                    preorder_tree)
 
-__all__ = ["PrunedSequence", "weakest_link", "prune_with_penalty", "best_in_sequence",
-           "subtree_at_alpha", "sequence_to_csv"]
+__all__ = ["PrunedSequence", "weakest_link", "best_in_sequence", "subtree_at_alpha",
+           "sequence_to_csv"]
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,6 @@ def best_in_sequence(seq: PrunedSequence, pen: Callable[[int], float]) -> tuple[
         if best_cost is None or cost < best_cost:
             best_idx, best_cost = idx, cost
     return best_idx, best_cost
-
-
-def prune_with_penalty(seq: PrunedSequence, pen: Callable[[int], float]) -> TreeClassifier:
-    idx, _ = best_in_sequence(seq, pen)
-    return seq.subtrees[idx]
 
 
 def subtree_at_alpha(seq: PrunedSequence, alpha) -> int:

@@ -21,7 +21,7 @@ from .oracle import (brute_force_best_subtree, catalan, class_count,
 from .penalties import LinearPenalty, select_tree
 from .prune import best_in_sequence, check_nested, subtree_at_alpha, weakest_link
 
-__all__ = ["run_verification", "CHECKS", "random_dataset"]
+__all__ = ["CHECKS", "random_dataset"]
 
 
 def random_dataset(rng, n, p) -> Dataset:
@@ -132,12 +132,3 @@ CHECKS = [
     ("subadditive-penalty", check_subadditive),
     ("exhaustive-vs-heuristic", check_exhaustive_vs_heuristic),
 ]
-
-
-def run_verification(echo=print) -> bool:
-    all_ok = True
-    for name, fn in CHECKS:
-        ok, detail = fn()
-        all_ok &= ok
-        echo(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return all_ok

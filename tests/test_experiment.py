@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from treeselect import CVConfig
 from treeselect.experiment import (CellResult, ExperimentConfig,
                                    ExperimentResult, fit_alpha_vs_logp,
                                    run_sweep, write_figure_data,
@@ -94,3 +95,9 @@ def test_config_validation():
         ExperimentConfig(replications=0)
     with pytest.raises(ValueError):
         ExperimentConfig(designs=(2,), noise_grids={1: (0.1,)})
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="job"):
+            ExperimentConfig(jobs=jobs)
+    with pytest.raises(ValueError, match="folds"):
+        ExperimentConfig(folds=1)
+    assert ExperimentConfig().folds == CVConfig().folds

@@ -8,7 +8,8 @@ from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         ResourceCapError, brute_force_best_subtree, catalan,
                         class_count, enumerate_classes, erm_in_class,
                         exhaustive_select, grow_maximal, select_tree,
-                        shattering_count, tree_to_text)
+                        shattering_count, tree_from_text, tree_to_text)
+from treeselect import oracle
 from treeselect.oracle import enumerate_shapes
 from treeselect.tree import LEAF_SHAPE, leaf
 
@@ -25,6 +26,21 @@ def test_catalan_values():
 def test_catalan_matches_enumeration():
     for k in range(1, 8):
         assert catalan(k) == len(enumerate_shapes(k))
+
+
+def _recursive_shapes(k):
+    """The recursive enumeration enumerate_shapes replaced, as the order reference."""
+    if k == 1:
+        return [LEAF_SHAPE]
+    return [(left, right) for i in range(1, k)
+            for left in _recursive_shapes(i) for right in _recursive_shapes(k - i)]
+
+
+def test_shape_order():
+    # exhaustive selection keeps the first minimum, so this order decides its ties
+    assert enumerate_shapes(3) == [((), ((), ())), (((), ()), ())]
+    for k in range(1, 8):
+        assert enumerate_shapes(k) == _recursive_shapes(k)
 
 
 def test_catalan_validation():
@@ -52,7 +68,7 @@ def test_enumerate_classes_matches_count():
 
 def test_enumerate_classes_cap():
     with pytest.raises(ResourceCapError):
-        enumerate_classes(10, 8, cap=100)
+        enumerate_classes(10, 8)  # 10^7 * 429 classes
 
 
 def test_erm_stump_example():
@@ -165,8 +181,12 @@ def test_brute_force_relabels_leaves(line_dataset):
     assert tree.nodes[0].label == 1
 
 
-def test_brute_force_cap():
-    d = random_dataset(np.random.default_rng(3), 30, 2)
-    tmax = grow_maximal(d)
-    with pytest.raises(ResourceCapError):
-        brute_force_best_subtree(tmax, d, lambda k: Fraction(0), cap=2)
+def test_brute_force_cap(monkeypatch, line_dataset):
+    text = "leaf(0)"
+    for _ in range(5):
+        text = f"node(1, 2.5, {text}, {text})"
+    tree = tree_from_text(text)  # complete depth 5: 1 + 677^2 = 458,330 prunings
+    # the cap must be checked before any pruning is listed
+    monkeypatch.setattr(oracle, "_prunings", None)
+    with pytest.raises(ResourceCapError, match="458330"):
+        brute_force_best_subtree(tree, line_dataset([0, 1, 1, 0]), lambda k: Fraction(0))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
-                        grow_maximal, leaf, prune_with_penalty,
-                        sequence_to_csv, subtree_at_alpha, weakest_link)
+                        grow_maximal, leaf, sequence_to_csv, subtree_at_alpha,
+                        weakest_link)
 from treeselect.oracle import brute_force_best_subtree
 from treeselect.prune import check_nested
 
@@ -48,24 +48,24 @@ def test_sequence_invariants_random():
 
 def test_prune_zero_penalty_gives_maximal(three_leaf):
     _, seq = three_leaf
-    assert prune_with_penalty(seq, lambda k: 0.0) is seq.subtrees[0]
+    assert best_in_sequence(seq, lambda k: 0.0)[0] == 0
 
 
 def test_prune_linear_example(three_leaf):
     _, seq = three_leaf
-    assert prune_with_penalty(seq, lambda k: 0.3 * k).n_leaves == 1
+    assert seq.subtrees[best_in_sequence(seq, lambda k: 0.3 * k)[0]].n_leaves == 1
 
 
 def test_prune_sqrt_example(three_leaf):
     _, seq = three_leaf
-    chosen = prune_with_penalty(seq, lambda k: 0.1 * math.sqrt(k))
+    chosen = seq.subtrees[best_in_sequence(seq, lambda k: 0.1 * math.sqrt(k))[0]]
     assert chosen.n_leaves == 3  # 0.173 < 0.6
 
 
 def test_penalized_tie_prefers_smaller(three_leaf):
     _, seq = three_leaf
     # pen = |T|/4 makes both elements cost 3/4
-    chosen = prune_with_penalty(seq, lambda k: Fraction(k, 4))
+    chosen = seq.subtrees[best_in_sequence(seq, lambda k: Fraction(k, 4))[0]]
     assert chosen.n_leaves == 1
 
 
