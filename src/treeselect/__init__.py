@@ -14,7 +14,7 @@ from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
 from .prune import (PrunedSequence, best_in_sequence, sequence_to_csv,
                     subtree_at_alpha, weakest_link)
 from .tree import (ClassDescriptor, Internal, Leaf, TreeClassifier,
-                   empirical_risk, is_pruned_subtree, leaf, loss_estimate,
-                   misclass_count, stump, tree_from_text, tree_to_text)
+                   empirical_risk, is_pruned_subtree, leaf, loss_estimate, stump,
+                   tree_from_text, tree_to_text)
 
 __version__ = "0.1.0"

@@ -54,7 +54,18 @@ def _emit_tree(tree, out):
         click.echo(text)
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports a value the library rejects as a usage error: exit code 2 and
+    `Error: <message>`, with no traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main():
     """Penalized classification-tree selection toolkit."""
 
@@ -105,7 +116,7 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
                                              min_node_size=min_node_size))
     seq = weakest_link(tree, data)
     sequence_to_csv(seq, out)
-    click.echo(f"sequence of {len(seq.subtrees)} subtrees written to {out}")
+    click.echo(f"sequence of {len(seq.sizes)} subtrees written to {out}")
 
 
 @main.command()
@@ -185,21 +196,23 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
     cfg_file = _parse_config_file(config_path) if config_path else {}
 
     def pick(flag, key, conv):
+        text = cfg_file.pop(key, None)  # what is left after every pick is unknown
         if flag is not None:
             return conv(flag)
-        if key in cfg_file:
-            return conv(cfg_file[key])
-        return None
+        return None if text is None else conv(text)
 
-    cfg = xp.ExperimentConfig(master_seed=seed, **_given(
+    given = _given(
         designs=pick(designs, "designs", _int_list),
         n_grid=pick(n_grid, "n_grid", _int_list),
         p_grid=pick(p_grid, "p_grid", _int_list),
         replications=pick(replications, "replications", int),
         folds=pick(folds, "folds", int),
         test_samples=pick(test_samples, "test_samples", int),
-        jobs=pick(jobs, "jobs", int)))
+        jobs=pick(jobs, "jobs", int))
     noise_override = pick(noise_grid, "noise_grid", _float_list)
+    if cfg_file:
+        raise click.UsageError(f"unknown config key(s): {', '.join(sorted(cfg_file))}")
+    cfg = xp.ExperimentConfig(master_seed=seed, **given)
     if noise_override:
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
                                         **{d: noise_override for d in cfg.designs}})

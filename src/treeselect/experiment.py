@@ -63,10 +63,16 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.jobs < 1:
             raise ValueError("need at least one job")
+        if self.test_samples < 1:
+            raise ValueError("need at least one test sample")
         CVConfig(folds=self.folds)  # raises on a fold count CV cannot use
         for d in self.designs:
             if d not in self.noise_grids or not self.noise_grids[d]:
                 raise ValueError(f"no noise grid for design {d}")
+        for d, n, p, noise, _ in self.cells():
+            DesignSpec(d, n, p, noise)  # raises on a cell the design cannot draw
+        if min(self.n_grid) < self.folds:
+            raise ValueError(f"n = {min(self.n_grid)} is below the {self.folds} CV folds")
 
     def cells(self):
         """(design, n, p, noise, noise index) of each grid cell, in results.csv order."""

@@ -192,11 +192,9 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier
         train_rows = np.setdiff1d(perm, held)
         train = data.subset(train_rows)
         seq = weakest_link(grow_maximal(train), train)
-        Xh, yh = data.X[held], data.y[held]
+        errors = seq.errors_on(data.subset(held))
         for c, alpha in enumerate(cands):
-            idx, _ = best_in_sequence(seq, lambda k: alpha * k)
-            pred = seq.subtrees[idx].predict_batch(Xh)
-            fold_err[f, c] = int(np.sum(pred != yh))
+            fold_err[f, c] = errors[best_in_sequence(seq, lambda k: alpha * k)[0]]
 
     mean_risk = fold_err.sum(axis=0) / data.n
     best = float(mean_risk.min())

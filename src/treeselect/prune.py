@@ -5,6 +5,10 @@ critical alpha values are computed in rational arithmetic; ties in the
 link strength g(t) collapse all tied nodes in one step, which preserves
 the classical guarantee that for every alpha in [alpha_k, alpha_{k+1})
 the k-th subtree minimizes P_n f + alpha |T| over all pruned subtrees.
+
+The nested sequence (Breiman et al. 1984, ch. 10) is stored as one collapse
+schedule: the maximal tree and, per node, the first element in which it is
+a leaf.  Every per-element quantity is read from that schedule.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 from .designs import Dataset
@@ -25,89 +31,106 @@ __all__ = ["PrunedSequence", "weakest_link", "best_in_sequence", "subtree_at_alp
 
 @dataclass(frozen=True)
 class PrunedSequence:
-    """Nested subtrees from the maximal tree down to the root leaf."""
+    """Nested subtrees from the maximal tree down to the root leaf, stored as
+    a collapse schedule: steps[i] is the first element in which node i of
+    `tree` is a leaf (0 for its leaves and zero-gain collapses; a node
+    collapsed with an ancestor gets the ancestor's step), and labels[i] is
+    node i's training majority label."""
 
-    subtrees: tuple[TreeClassifier, ...]
+    tree: TreeClassifier  # the maximal tree
+    steps: tuple[int, ...]
+    labels: tuple[int, ...]
     alphas: tuple[Fraction, ...]  # critical values, alphas[0] == 0
     error_counts: tuple[int, ...]  # training misclassification counts
+    sizes: tuple[int, ...]  # leaf counts
     n: int
 
     def __post_init__(self):
-        k = len(self.subtrees)
-        if not (k == len(self.alphas) == len(self.error_counts)):
+        k = len(self.alphas)
+        if not (k == len(self.error_counts) == len(self.sizes)):
             raise ValueError("sequence fields must have equal length")
         if k == 0:
             raise ValueError("sequence must be nonempty")
+        if not (len(self.steps) == len(self.labels) == len(self.tree.nodes)):
+            raise ValueError("steps and labels need one entry per node")
         if self.alphas[0] != 0:
             raise ValueError("first critical alpha must be 0")
         if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError("critical alphas must strictly increase")
-        sizes = [t.n_leaves for t in self.subtrees]
-        if any(a <= b for a, b in zip(sizes, sizes[1:])):
+        if any(a <= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("leaf counts must strictly decrease")
 
-    @property
-    def risks(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.n) for c in self.error_counts)
+    @cached_property
+    def subtrees(self) -> tuple[TreeClassifier, ...]:
+        """Every element as a tree, built on first access."""
+        return tuple(preorder_tree(self.tree.nodes, [s <= k for s in self.steps],
+                                   self.labels) for k in range(len(self.alphas)))
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(t.n_leaves for t in self.subtrees)
+    def errors_on(self, data: Dataset) -> list[int]:
+        """Misclassification count of every element on `data`, from one routing:
+        collapsing node i trades its children's errors for its own."""
+        n0, n1 = node_counts(self.tree, data)
+        miss = [b if label == 0 else a for a, b, label in zip(n0, n1, self.labels)]
+        trade = [0] * len(self.alphas)
+        for i, nd in enumerate(self.tree.nodes):
+            kids = miss[nd.left] + miss[nd.right] if isinstance(nd, Internal) else 0
+            trade[self.steps[i]] += miss[i] - kids
+        return list(accumulate(trade))
 
 
 def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
-    """Nested subtree/alpha sequence by repeatedly collapsing all internal
+    """Collapse schedule of the nested subtrees: repeatedly collapse all internal
     nodes of minimal link strength g(t) = (risk increase)/(leaves saved)."""
     nodes, n = tree.nodes, data.n
     n0, n1 = node_counts(tree, data)
     err = [min(a, b) for a, b in zip(n0, n1)]  # errors of each node as a leaf
     labels = [0 if a >= b else 1 for a, b in zip(n0, n1)]
     internal = [i for i, nd in enumerate(nodes) if isinstance(nd, Internal)]
-    # collapsed[i]: node i is not an internal node of the current subtree
-    collapsed = [isinstance(nd, Leaf) for nd in nodes]
+    # steps[i]: first element in which node i is a leaf; None while internal
+    steps = [0 if isinstance(nd, Leaf) else None for nd in nodes]
 
-    def link_strengths() -> tuple[dict[int, Fraction], int]:
+    def link_strengths() -> tuple[dict[int, Fraction], int, int]:
         """g(t) of every internal node of the current subtree, and the
-        subtree's error count; children come after parents, so one reverse
-        sweep gives (leaves, error) of every subtree."""
+        subtree's leaf and error counts; children come after parents, so one
+        reverse sweep gives (leaves, error) of every subtree."""
         leaves = [1] * len(nodes)
         errs = list(err)
         g = {}
         for i in reversed(internal):
-            if not collapsed[i]:
+            if steps[i] is None:
                 nd = nodes[i]
                 leaves[i] = leaves[nd.left] + leaves[nd.right]
                 errs[i] = errs[nd.left] + errs[nd.right]
                 g[i] = Fraction(err[i] - errs[i], n * (leaves[i] - 1))
-        return g, errs[0]
+        return g, leaves[0], errs[0]
 
-    def collapse(targets):
+    def collapse(targets, step):
         for i in targets:
-            collapsed[i] = True
-        # mark whole subtrees, so collapsing an ancestor subsumes its tied descendants
+            steps[i] = step
+        # a collapsed node's still-internal descendants collapse with it
         for i in internal:
-            if collapsed[i]:
-                collapsed[nodes[i].left] = collapsed[nodes[i].right] = True
+            for child in (nodes[i].left, nodes[i].right):
+                if steps[child] is None:
+                    steps[child] = steps[i]
 
     # collapse zero-gain links so the first element is the smallest
     # optimizer at alpha = 0
-    g, total = link_strengths()
+    g, size, total = link_strengths()
     while zeros := [i for i, v in g.items() if v == 0]:
-        collapse(zeros)
-        g, total = link_strengths()
+        collapse(zeros, 0)
+        g, size, total = link_strengths()
 
-    subtrees = [preorder_tree(nodes, collapsed, labels)]
-    alphas = [Fraction(0)]
-    errors = [total]
+    alphas, errors, sizes = [Fraction(0)], [total], [size]
     while g:
         gmin = min(g.values())
-        collapse([i for i, v in g.items() if v == gmin])
-        g, total = link_strengths()
-        subtrees.append(preorder_tree(nodes, collapsed, labels))
+        collapse([i for i, v in g.items() if v == gmin], len(alphas))
+        g, size, total = link_strengths()
         alphas.append(gmin)
         errors.append(total)
+        sizes.append(size)
 
-    return PrunedSequence(tuple(subtrees), tuple(alphas), tuple(errors), n)
+    return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(alphas),
+                          tuple(errors), tuple(sizes), n)
 
 
 def best_in_sequence(seq: PrunedSequence, pen: Callable[[int], float]) -> tuple[int, float]:
@@ -117,8 +140,8 @@ def best_in_sequence(seq: PrunedSequence, pen: Callable[[int], float]) -> tuple[
     best_cost = None
     # scan smallest trees first so ties resolve to the smaller tree;
     # Fraction risks keep the cost exact when pen returns Fractions
-    for idx in range(len(seq.subtrees) - 1, -1, -1):
-        cost = Fraction(seq.error_counts[idx], seq.n) + pen(seq.subtrees[idx].n_leaves)
+    for idx in range(len(seq.sizes) - 1, -1, -1):
+        cost = Fraction(seq.error_counts[idx], seq.n) + pen(seq.sizes[idx])
         if best_cost is None or cost < best_cost:
             best_idx, best_cost = idx, cost
     return best_idx, best_cost
@@ -135,8 +158,8 @@ def sequence_to_csv(seq: PrunedSequence, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["size", "risk", "alpha"])
-        for tree, alpha, err in zip(seq.subtrees, seq.alphas, seq.error_counts):
-            writer.writerow([tree.n_leaves, repr(err / seq.n), repr(float(alpha))])
+        for size, alpha, err in zip(seq.sizes, seq.alphas, seq.error_counts):
+            writer.writerow([size, repr(err / seq.n), repr(float(alpha))])
 
 
 def check_nested(seq: PrunedSequence) -> bool:

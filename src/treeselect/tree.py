@@ -32,7 +32,6 @@ __all__ = [
     "leaf",
     "stump",
     "empirical_risk",
-    "misclass_count",
     "loss_estimate",
     "node_counts",
     "preorder_tree",
@@ -90,10 +89,6 @@ class TreeClassifier:
     @property
     def n_leaves(self) -> int:
         return sum(isinstance(nd, Leaf) for nd in self.nodes)
-
-    @property
-    def n_internal(self) -> int:
-        return len(self.nodes) - self.n_leaves
 
     @property
     def depth(self) -> int:
@@ -191,14 +186,10 @@ def preorder_tree(nodes, collapsed, labels) -> TreeClassifier:
         for i, kids in zip(source, children)))
 
 
-def misclass_count(tree: TreeClassifier, data: Dataset) -> int:
-    return int(np.sum(tree.predict_batch(data.X) != data.y))
-
-
 def empirical_risk(tree: TreeClassifier, data: Dataset) -> float:
     if data.n == 0:
         raise ValueError("dataset is empty")
-    return misclass_count(tree, data) / data.n
+    return int(np.sum(tree.predict_batch(data.X) != data.y)) / data.n
 
 
 def loss_estimate(tree: TreeClassifier, spec: DesignSpec, m: int, seed: int) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from treeselect import Dataset
 from treeselect.verify import random_dataset  # noqa: F401  (tests import it from here)
@@ -15,3 +16,18 @@ def line_dataset():
         return Dataset(X, np.asarray(labels))
 
     return make
+
+
+@st.composite
+def tied_datasets(draw):
+    """Small datasets whose features take few values, so ties are common."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(2, 3))
+    values = st.integers(-3, 3).map(float)
+    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Dataset(X, y)
+
+
+leaf_budgets = st.none() | st.integers(1, 8)

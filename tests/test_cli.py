@@ -108,6 +108,25 @@ def test_experiment_requires_seed(tmp_path):
 def test_experiment_rejects_zero_jobs(tmp_path):
     result = CliRunner().invoke(main, ["experiment", "--seed", "1", "--jobs", "0",
                                        "--out-dir", str(tmp_path)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ValueError)
+    assert result.exit_code == 2
+    assert "Error: need at least one job" in result.output
     assert not (tmp_path / "results.csv").exists()
+
+
+def test_experiment_rejects_unknown_config_key(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("designs=1\nreplicatons=2\n")
+    result = CliRunner().invoke(main, ["experiment", "--config", str(cfg), "--seed", "1",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "Error: unknown config key(s): replicatons" in result.output
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_library_value_error_is_a_usage_error(tmp_path):
+    data = _make_data(tmp_path)
+    result = CliRunner().invoke(main, ["select", "--data", str(data),
+                                       "--penalty", "margin", "--kappa", "0.5"])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: kappa must be >= 1"
+    assert "Traceback" not in result.output

@@ -101,3 +101,16 @@ def test_config_validation():
     with pytest.raises(ValueError, match="folds"):
         ExperimentConfig(folds=1)
     assert ExperimentConfig().folds == CVConfig().folds
+    # each would otherwise fail only inside the first replication
+    for test_samples in (0, -3):
+        with pytest.raises(ValueError, match="test sample"):
+            ExperimentConfig(test_samples=test_samples)
+    with pytest.raises(ValueError, match="design 1 noise"):
+        ExperimentConfig(noise_grids={1: (0.1, 0.7)})
+    with pytest.raises(ValueError, match="p must be"):
+        ExperimentConfig(p_grid=(30, 1))
+    with pytest.raises(ValueError, match="n must be positive"):
+        ExperimentConfig(n_grid=(0,))
+    with pytest.raises(ValueError, match="folds"):
+        ExperimentConfig(n_grid=(50, 5), folds=10)
+    ExperimentConfig(n_grid=(5,), folds=5)

@@ -8,7 +8,7 @@ from treeselect import (Dataset, GrowLimits, best_split, empirical_risk, grow_ma
 from treeselect.grow import Split
 from treeselect.tree import Internal, tree_to_text
 
-from conftest import random_dataset
+from conftest import leaf_budgets, random_dataset, tied_datasets
 
 
 def test_best_split_perfect(line_dataset):
@@ -153,21 +153,6 @@ def test_invalid_limits():
         GrowLimits(max_leaves=0)
     with pytest.raises(ValueError):
         GrowLimits(min_node_size=0)
-
-
-@st.composite
-def tied_datasets(draw):
-    """Small datasets whose features take few values, so ties are common."""
-    n = draw(st.integers(2, 30))
-    p = draw(st.integers(2, 3))
-    values = st.integers(-3, 3).map(float)
-    X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
-                               min_size=n, max_size=n)))
-    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
-    return Dataset(X, y)
-
-
-leaf_budgets = st.none() | st.integers(1, 8)
 
 
 def _grow_and_prune(data, max_leaves):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
                         grow_maximal, leaf, sequence_to_csv, subtree_at_alpha,
@@ -10,7 +12,7 @@ from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
 from treeselect.oracle import brute_force_best_subtree
 from treeselect.prune import check_nested
 
-from conftest import random_dataset
+from conftest import leaf_budgets, random_dataset, tied_datasets
 
 
 @pytest.fixture
@@ -30,7 +32,7 @@ def test_three_leaf_sequence(three_leaf):
     d, seq = three_leaf
     assert seq.sizes == (3, 1)
     assert seq.alphas == (Fraction(0), Fraction(1, 4))
-    assert seq.risks == (Fraction(0), Fraction(1, 2))
+    assert seq.error_counts == (0, 2)
 
 
 def test_sequence_invariants_random():
@@ -102,3 +104,16 @@ def test_sequence_csv(tmp_path, three_leaf):
     assert lines[0] == "size,risk,alpha"
     assert len(lines) == 3
     assert lines[1].startswith("3,0.0,0.0")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.randoms(use_true_random=False))
+def test_schedule_matches_materialised_elements(data, max_leaves, rnd):
+    train_rows = sorted(rnd.sample(range(data.n), rnd.randint(1, data.n - 1)))
+    train = data.subset(train_rows)
+    held = data.subset([i for i in range(data.n) if i not in train_rows])
+    seq = weakest_link(grow_maximal(train, GrowLimits(max_leaves=max_leaves)), train)
+    assert seq.errors_on(held) == [int(np.sum(t.predict_batch(held.X) != held.y))
+                                   for t in seq.subtrees]
+    assert seq.errors_on(train) == list(seq.error_counts)
+    assert seq.sizes == tuple(t.n_leaves for t in seq.subtrees)

@@ -32,7 +32,7 @@ def test_predict_dimension_mismatch():
 
 def test_leaf_minus_internal_is_one():
     t = tree_from_text("node(1, 0.0, node(2, 1.0, leaf(0), leaf(1)), leaf(1))")
-    assert t.n_leaves - t.n_internal == 1
+    assert 2 * t.n_leaves - 1 == len(t.nodes)
     assert t.n_leaves == 3
 
 
