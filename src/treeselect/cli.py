@@ -162,7 +162,7 @@ def _parse_config_file(path) -> dict:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise click.ClickException(f"malformed config line: {line!r}")
+                raise ValueError(f"malformed config line: {line!r}")
             key, value = line.split("=", 1)
             out[key.strip()] = value.strip()
     return out

@@ -85,10 +85,8 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     m = y.size
     n1 = int(y.sum())
     parent_err = min(m - n1, n1)
-    if parent_err == 0 and n1 in (0, m):
-        return None  # label-pure
-    if m < 2 * min_node_size or m < 2:
-        return None
+    if parent_err == 0 or m < 2 * min_node_size:
+        return None  # label-pure, or too small for two children
     if order is None:
         order = _node_order(data, rows)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +21,6 @@ from .tree import (LEAF_SHAPE, ClassDescriptor, Internal, Leaf, TreeClassifier,
 
 __all__ = [
     "ResourceCapError",
-    "ClassEnumeration",
     "catalan",
     "class_count",
     "enumerate_shapes",
@@ -40,13 +38,6 @@ COMBO_CAP = 200_000  # threshold combinations, classifiers or pruned subtrees
 
 class ResourceCapError(RuntimeError):
     """An exhaustive procedure would exceed CLASS_CAP or COMBO_CAP."""
-
-
-@dataclass(frozen=True)
-class ClassEnumeration:
-    k: int
-    configurations: tuple
-    classes: tuple[ClassDescriptor, ...]
 
 
 def catalan(k: int) -> int:
@@ -76,29 +67,32 @@ def enumerate_shapes(k: int) -> list:
     return shapes[k]
 
 
-def enumerate_classes(p: int, k: int) -> ClassEnumeration:
+def enumerate_classes(p: int, k: int) -> tuple[ClassDescriptor, ...]:
+    """Every class of size k: by shape in enumerate_shapes order, then by
+    variable list in lexicographic order."""
     total = class_count(p, k)
     if total > CLASS_CAP:
         raise ResourceCapError(f"{total} classes exceeds the cap of {CLASS_CAP}")
-    shapes = enumerate_shapes(k)
-    classes = []
-    for shape in shapes:
-        for variables in itertools.product(range(1, p + 1), repeat=k - 1):
-            classes.append(ClassDescriptor(shape, variables))
-    return ClassEnumeration(k, tuple(shapes), tuple(classes))
+    return tuple(ClassDescriptor(shape, variables) for shape in enumerate_shapes(k)
+                 for variables in itertools.product(range(1, p + 1), repeat=k - 1))
 
 
-def _threshold_grid(desc: ClassDescriptor, X: np.ndarray) -> tuple[list[list[float]], int]:
-    """Threshold candidates of each split variable, and the number of their
-    combinations.  The candidates are the midpoints of consecutive distinct
-    sorted values, bracketed by -inf and +inf so degenerate splits can
-    route everything one way."""
+def _assignments(desc: ClassDescriptor, X: np.ndarray, variants: int, what: str):
+    """Yield (thresholds, cells) for every threshold assignment of the class,
+    in lexicographic order, with cells the BFS leaf index of each row.  Each
+    split variable's candidates are the midpoints of consecutive distinct
+    sorted values, bracketed by -inf and +inf so degenerate splits can route
+    everything one way.  Raises ResourceCapError before routing anything
+    when assignments * variants exceeds COMBO_CAP."""
     cands = []
     for v in desc.variables:
         vals = np.unique(X[:, v - 1])
-        mids = [float((a + b) / 2.0) for a, b in zip(vals, vals[1:])]
-        cands.append([-math.inf] + mids + [math.inf])
-    return cands, math.prod(len(c) for c in cands)
+        cands.append([-math.inf, *((vals[:-1] + vals[1:]) / 2.0).tolist(), math.inf])
+    total = math.prod(len(c) for c in cands) * variants
+    if total > COMBO_CAP:
+        raise ResourceCapError(f"{total} {what} exceeds the cap of {COMBO_CAP}")
+    for thresholds in itertools.product(*cands):
+        yield thresholds, _route(desc, thresholds, X)
 
 
 def _route(desc: ClassDescriptor, thresholds, X: np.ndarray) -> np.ndarray:
@@ -127,28 +121,15 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    cands, total = _threshold_grid(desc, data.X)
-    if total > COMBO_CAP:
-        raise ResourceCapError(
-            f"{total} threshold combinations exceeds the cap of {COMBO_CAP}")
     k = desc.size
-    best_err = None
-    best_thr = None
-    best_labels = None
-    for thresholds in itertools.product(*cands):
-        cells = _route(desc, thresholds, data.X)
-        err = 0
-        labels = []
-        for c in range(k):
-            mask = cells == c
-            n1 = int(data.y[mask].sum())
-            n0 = int(mask.sum()) - n1
-            labels.append(0 if n0 >= n1 else 1)
-            err += min(n0, n1)
+    best_err = best = None
+    for thresholds, cells in _assignments(desc, data.X, 1, "threshold combinations"):
+        counts = np.bincount(2 * cells + data.y, minlength=2 * k).reshape(k, 2)
+        err = int(counts.min(axis=1).sum())
         if best_err is None or err < best_err:
-            best_err, best_thr, best_labels = err, thresholds, labels
-    tree = tree_from_class(desc, best_thr, best_labels)
-    return tree, Fraction(best_err, data.n)
+            # argmax takes the first maximum, so a tied cell is labelled 0
+            best_err, best = err, (thresholds, counts.argmax(axis=1).tolist())
+    return tree_from_class(desc, *best), Fraction(best_err, data.n)
 
 
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
@@ -159,7 +140,7 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
     best_tree = None
     best_cost = None
     for k in range(1, k_max + 1):
-        for desc in enumerate_classes(data.p, k).classes:
+        for desc in enumerate_classes(data.p, k):
             tree, risk = erm_in_class(desc, data)
             cost = float(risk) + penalty_value(spec, k, data.n, data.p)
             if best_cost is None or cost < best_cost:
@@ -174,23 +155,15 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     X = np.asarray(sample, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("sample must be a 2-D array of feature vectors")
-    cands, combos = _threshold_grid(desc, X)
-    total = combos * 2 ** desc.size
-    if total > COMBO_CAP:
-        raise ResourceCapError(f"{total} classifier variants exceeds the cap of {COMBO_CAP}")
     k = desc.size
     seen: set[int] = set()
-    for thresholds in itertools.product(*cands):
-        cells = _route(desc, thresholds, X)
+    for _, cells in _assignments(desc, X, 2 ** k, "classifier variants"):
         masks = [0] * k
-        for row, c in enumerate(cells):
+        for row, c in enumerate(cells.tolist()):
             masks[c] |= 1 << row
+        # the cells are disjoint, so a labeling's set is the sum of its 1-cells' masks
         for labeling in itertools.product((0, 1), repeat=k):
-            acc = 0
-            for c in range(k):
-                if labeling[c]:
-                    acc |= masks[c]
-            seen.add(acc)
+            seen.add(sum(itertools.compress(masks, labeling)))
     return len(seen)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .designs import Dataset
 from .grow import GrowLimits, grow_maximal
 from .prune import PrunedSequence, best_in_sequence, weakest_link
-from .tree import TreeClassifier, leaf
+from .tree import TreeClassifier
 
 __all__ = [
     "LinearPenalty",
@@ -136,7 +136,7 @@ def select_tree(data: Dataset, spec, limits: GrowLimits | None = None
     seq = weakest_link(tmax, data)
     idx, cost = best_in_sequence(
         seq, lambda k: penalty_value(spec, k, data.n, data.p))
-    return seq.subtrees[idx], float(cost)
+    return seq.subtree(idx), float(cost)
 
 
 @dataclass(frozen=True)
@@ -172,14 +172,11 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier
     """
     if cfg.folds > data.n:
         raise ValueError("more folds than observations")
-    n1 = int(data.y.sum())
-    if n1 == 0 or n1 == data.n:
-        return 0.0, leaf(0 if n1 == 0 else 1)
 
     full_seq = weakest_link(grow_maximal(data), data)
     cands = _candidate_alphas(full_seq)
     if len(cands) == 1:
-        return 0.0, full_seq.subtrees[0]
+        return 0.0, full_seq.subtree(0)
 
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(data.n)
@@ -207,4 +204,4 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier
         winners = np.flatnonzero(mean_risk <= best + se)
     alpha = cands[int(winners[-1])]  # ties -> larger alpha
     idx, _ = best_in_sequence(full_seq, lambda k: alpha * k)
-    return alpha, full_seq.subtrees[idx]
+    return alpha, full_seq.subtree(idx)

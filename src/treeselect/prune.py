@@ -60,11 +60,14 @@ class PrunedSequence:
         if any(a <= b for a, b in zip(self.sizes, self.sizes[1:])):
             raise ValueError("leaf counts must strictly decrease")
 
+    def subtree(self, k: int) -> TreeClassifier:
+        """Element k as a tree: every node collapsed by step k is a leaf with its label."""
+        return preorder_tree(self.tree.nodes, [s <= k for s in self.steps], self.labels)
+
     @cached_property
     def subtrees(self) -> tuple[TreeClassifier, ...]:
         """Every element as a tree, built on first access."""
-        return tuple(preorder_tree(self.tree.nodes, [s <= k for s in self.steps],
-                                   self.labels) for k in range(len(self.alphas)))
+        return tuple(self.subtree(k) for k in range(len(self.alphas)))
 
     def errors_on(self, data: Dataset) -> list[int]:
         """Misclassification count of every element on `data`, from one routing:

@@ -348,26 +348,16 @@ def descriptor_of(tree: TreeClassifier) -> ClassDescriptor:
 
 
 def tree_from_class(desc: ClassDescriptor, thresholds, labels) -> TreeClassifier:
-    """Materialize a class member: thresholds in BFS internal-node order,
-    labels in BFS leaf order."""
-    thresholds = list(thresholds)
-    labels = list(labels)
+    """Materialize a class member in breadth-first layout: thresholds in BFS
+    internal-node order, labels in BFS leaf order."""
+    splits = zip(desc.variables, thresholds)
+    labels = iter(labels)
     nodes: list = []
-    # BFS construction; children slots are patched as they are dequeued
-    queue = [(desc.configuration, None, None)]
-    ti = li = 0
-    var_iter = iter(desc.variables)
-    while queue:
-        shape, parent, side = queue.pop(0)
-        idx = len(nodes)
+    queue = [desc.configuration]  # every shape met so far; its index is its arena index
+    for shape in queue:  # children appended below are visited in turn
         if shape == LEAF_SHAPE:
-            nodes.append(Leaf(labels[li]))
-            li += 1
+            nodes.append(Leaf(next(labels)))
         else:
-            nodes.append(Internal(next(var_iter), thresholds[ti], -1, -1))
-            ti += 1
-            queue.append((shape[0], idx, "left"))
-            queue.append((shape[1], idx, "right"))
-        if parent is not None:
-            nodes[parent] = replace(nodes[parent], **{side: idx})
+            nodes.append(Internal(*next(splits), len(queue), len(queue) + 1))
+            queue.extend(shape)
     return TreeClassifier(tuple(nodes))

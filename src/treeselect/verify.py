@@ -47,14 +47,14 @@ def check_catalan() -> tuple[bool, str]:
 def check_class_counts() -> tuple[bool, str]:
     for p in range(2, 5):
         for k in range(1, 5):
-            if len(enumerate_classes(p, k).classes) != class_count(p, k):
+            if len(enumerate_classes(p, k)) != class_count(p, k):
                 return False, f"class enumeration mismatch at p={p}, k={k}"
     return True, "class enumeration length equals p^(k-1)*catalan(k) for p,k <= 4"
 
 
 def check_entropy_bound() -> tuple[bool, str]:
     rng = np.random.default_rng(20260823)
-    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k).classes]
+    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k)]
     checked = 0
     for _ in range(100):
         n = int(rng.integers(1, 7))

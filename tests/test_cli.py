@@ -123,6 +123,15 @@ def test_experiment_rejects_unknown_config_key(tmp_path):
     assert not (tmp_path / "results.csv").exists()
 
 
+def test_malformed_config_line_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("designs=1\noops\n")
+    result = CliRunner().invoke(main, ["experiment", "--config", str(cfg), "--seed", "1",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: malformed config line: 'oops'"
+
+
 def test_library_value_error_is_a_usage_error(tmp_path):
     data = _make_data(tmp_path)
     result = CliRunner().invoke(main, ["select", "--data", str(data),

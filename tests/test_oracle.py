@@ -60,10 +60,10 @@ def test_class_count_examples():
 def test_enumerate_classes_matches_count():
     for p in range(2, 5):
         for k in range(1, 5):
-            enum = enumerate_classes(p, k)
-            assert len(enum.classes) == class_count(p, k)
-            assert len(set(enum.classes)) == len(enum.classes)
-            assert len(enum.configurations) == catalan(k)
+            classes = enumerate_classes(p, k)
+            assert len(classes) == class_count(p, k)
+            assert len(set(classes)) == len(classes)
+            assert len({c.configuration for c in classes}) == catalan(k)
 
 
 def test_enumerate_classes_cap():
@@ -89,16 +89,33 @@ def test_erm_single_leaf():
     tree, risk = erm_in_class(SINGLE, d)
     assert risk == Fraction(1, 3)
     assert tree.nodes[0].label == 1
+    tied = Dataset(np.column_stack([[1.0, 2.0], np.zeros(2)]), np.array([0, 1]))
+    tree, risk = erm_in_class(SINGLE, tied)
+    assert tree == leaf(0)  # a tied cell is labelled 0, as in growing
+    assert risk == Fraction(1, 2)
 
 
 def test_erm_invariant_under_monotone_transform():
     rng = np.random.default_rng(31)
     d = random_dataset(rng, 12, 2)
     warped = Dataset(np.column_stack([np.exp(d.X[:, 0]), d.X[:, 1] ** 3]), d.y)
-    for desc in enumerate_classes(2, 3).classes:
+    for desc in enumerate_classes(2, 3):
         _, r1 = erm_in_class(desc, d)
         _, r2 = erm_in_class(desc, warped)
         assert r1 == r2
+
+
+def test_erm_tree_misclassifies_its_risk():
+    # the oracle's own router and cell counts against the library's router
+    rng = np.random.default_rng(5)
+    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k)]
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        d = Dataset(rng.integers(-2, 3, size=(n, 2)).astype(float),
+                    rng.integers(0, 2, size=n))
+        for desc in classes:
+            tree, risk = erm_in_class(desc, d)
+            assert int(np.sum(tree.predict_batch(d.X) != d.y)) == risk * n
 
 
 def test_exhaustive_k1():
@@ -147,7 +164,7 @@ def test_shattering_stump_examples():
 
 def test_entropy_bound_all_small_classes():
     rng = np.random.default_rng(2)
-    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k).classes]
+    classes = [c for k in range(1, 4) for c in enumerate_classes(2, k)]
     for _ in range(20):
         n = int(rng.integers(1, 7))
         X = rng.standard_normal((n, 2))
@@ -190,3 +207,15 @@ def test_brute_force_cap(monkeypatch, line_dataset):
     monkeypatch.setattr(oracle, "_prunings", None)
     with pytest.raises(ResourceCapError, match="458330"):
         brute_force_best_subtree(tree, line_dataset([0, 1, 1, 0]), lambda k: Fraction(0))
+
+
+def test_assignment_caps(monkeypatch):
+    # three splits on x1 over 60 distinct values: 61^3 threshold assignments
+    desc = ClassDescriptor(enumerate_shapes(4)[0], (1, 1, 1))
+    d = Dataset(np.column_stack([np.arange(60.0), np.zeros(60)]), np.arange(60) % 2)
+    # the caps must be checked before any assignment is routed
+    monkeypatch.setattr(oracle, "_route", None)
+    with pytest.raises(ResourceCapError, match="226981"):
+        erm_in_class(desc, d)
+    with pytest.raises(ResourceCapError, match="476656"):  # 31^3 * 2^4 classifiers
+        shattering_count(desc, d.X[:30])

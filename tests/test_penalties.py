@@ -9,9 +9,11 @@ from treeselect import (CVConfig, Dataset, DesignSpec, GeyPenalty, GrowLimits,
                         LinearPenalty, MarginAdaptivePenalty, MinCombinedPenalty,
                         NobelPenalty, VCPenalty, cv_select_alpha, generate,
                         loss_estimate, penalty_value, select_tree)
+from treeselect import prune
 from treeselect.penalties import _candidate_alphas
 from treeselect.prune import weakest_link
 from treeselect.grow import grow_maximal
+from treeselect.tree import leaf
 
 from conftest import random_dataset
 
@@ -129,6 +131,21 @@ def test_select_cost_is_sequence_minimum():
         assert cost <= e / seq.n + penalty_value(spec, t.n_leaves, d.n, d.p) + 1e-12
 
 
+def test_select_builds_only_the_returned_element(monkeypatch):
+    built = []
+    preorder_tree = prune.preorder_tree
+
+    def counting(*args):
+        built.append(args)
+        return preorder_tree(*args)
+
+    monkeypatch.setattr(prune, "preorder_tree", counting)
+    d = random_dataset(np.random.default_rng(9), 18, 2)
+    tree, _ = select_tree(d, MarginAdaptivePenalty(1.0))
+    assert len(built) == 1
+    assert len(weakest_link(grow_maximal(d), d).alphas) > 1  # others were skipped
+
+
 @pytest.mark.slow
 def test_select_quality_design1():
     # The optimal rule is a 3-leaf tree.  Error-count impurity is known to
@@ -149,12 +166,12 @@ def test_select_quality_design1():
     assert sum(l <= 0.05 for l in losses) >= 25
 
 
-def test_cv_degenerate_single_class():
-    d = Dataset(np.arange(20.0).reshape(10, 2), np.ones(10, dtype=int))
+@pytest.mark.parametrize("c", [0, 1])
+def test_cv_degenerate_single_class(c):
+    d = Dataset(np.arange(20.0).reshape(10, 2), np.full(10, c))
     alpha, tree = cv_select_alpha(d, CVConfig(folds=5))
     assert alpha == 0.0
-    assert tree.n_leaves == 1
-    assert tree.predict([0.0, 0.0]) == 1
+    assert tree == leaf(c)
 
 
 def test_cv_contract():

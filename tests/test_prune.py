@@ -117,3 +117,4 @@ def test_schedule_matches_materialised_elements(data, max_leaves, rnd):
                                    for t in seq.subtrees]
     assert seq.errors_on(train) == list(seq.error_counts)
     assert seq.sizes == tuple(t.n_leaves for t in seq.subtrees)
+    assert [seq.subtree(k) for k in range(len(seq.alphas))] == list(seq.subtrees)
