@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ __all__ = [
     "save_dataset",
     "load_dataset",
 ]
+
+
+def check_integer(name: str, value) -> None:
+    """Raise ValueError unless value is an integer; a bool or a float with an
+    integral value is not one, so nothing is coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,10 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("design_id", "n", "p", "seed"):
+            check_integer(name, getattr(self, name))
+        if not math.isfinite(self.noise):
+            raise ValueError(f"noise must be finite, got {self.noise!r}")
         if self.design_id not in (1, 2, 3, 4):
             raise ValueError("design_id must be in {1,2,3,4}")
         if self.n < 1:
@@ -157,35 +169,79 @@ class MarginSpec:
                 raise ValueError("MA2 needs h in (0,1)")
 
 
-def generate(spec: DesignSpec) -> Dataset:
-    """Draw a dataset from the design; a pure function of the spec."""
+# float64 cells per block of the Gaussian noise draw (512 KiB)
+BLOCK_CELLS = 1 << 16
+
+
+def _kept_columns(columns, p: int) -> np.ndarray:
+    if columns is None:
+        return np.arange(p)
+    cols = np.asarray(columns)
+    if cols.ndim != 1 or (cols.size and cols.dtype.kind not in "iu"):
+        raise ValueError("columns must be a 1-D sequence of integer indices")
+    cols = cols.astype(np.int64)
+    if cols.size and (cols[0] < 0 or cols[-1] >= p or np.any(cols[1:] <= cols[:-1])):
+        raise ValueError(f"columns must be strictly increasing and lie in [0, {p})")
+    return cols
+
+
+def _normal_columns(rng: np.random.Generator, n: int, width: int,
+                    keep: np.ndarray) -> np.ndarray:
+    """``rng.standard_normal((n, width))[:, keep]``, drawn in row blocks of
+    at most BLOCK_CELLS cells (at least one row) into one reused buffer.
+    The generator fills the blocks with the same stream, in the same order,
+    as the full draw, so the kept values and the state it leaves behind do
+    not depend on ``keep``."""
+    rows = max(1, BLOCK_CELLS // width)
+    buf = np.empty((min(rows, n), width))
+    out = np.empty((n, keep.size))
+    for start in range(0, n, rows):
+        block = buf[:min(rows, n - start)]
+        rng.standard_normal(out=block)
+        out[start:start + block.shape[0]] = block[:, keep]
+    return out
+
+
+def generate(spec: DesignSpec, columns=None) -> Dataset:
+    """Draw a dataset from the design; a pure function of the spec.
+
+    The (n, p) Gaussian draw is streamed in row blocks of at most
+    BLOCK_CELLS = 2^16 cells (one row when p is wider), so only the kept
+    columns are ever held in full.  ``columns`` (strictly increasing, in
+    [0, p); all of them by default) names the feature columns to keep, in
+    that order.  The random stream does not depend on it: every kept
+    column, and the labels, equal those of the full draw.
+    """
     rng = np.random.default_rng(spec.seed)
     n, p = spec.n, spec.p
+    cols = _kept_columns(columns, p)
     if spec.design_id == 1:
         q = spec.noise
-        X = rng.standard_normal((n, p))
-        in_quadrant = (X[:, 0] > 0) & (X[:, 1] > 0)
+        need = np.union1d(cols, (0, 1))  # the labels read x1 and x2
+        W = _normal_columns(rng, n, p, need)
+        in_quadrant = (W[:, 0] > 0) & (W[:, 1] > 0)
         prob = np.where(in_quadrant, q, 1.0 - q)
         y = (rng.random(n) < prob).astype(np.int64)
-    elif spec.design_id == 2:
+        X = W if need.size == cols.size else W[:, np.searchsorted(need, cols)]
+    elif spec.design_id in (2, 3):
+        # design 2 puts the signal in x1, design 3 in x1 and x2
         sigma = math.sqrt(spec.noise)
         y = rng.integers(0, 2, size=n)
-        X = rng.standard_normal((n, p))
-        X[:, 0] = y + sigma * rng.standard_normal(n)
-    elif spec.design_id == 3:
-        sigma = math.sqrt(spec.noise)
-        y = rng.integers(0, 2, size=n)
-        X = rng.standard_normal((n, p))
-        X[:, 0] = y + sigma * rng.standard_normal(n)
-        X[:, 1] = y + sigma * rng.standard_normal(n)
+        X = _normal_columns(rng, n, p, cols)
+        for j in range(spec.design_id - 1):
+            signal = y + sigma * rng.standard_normal(n)
+            k = np.searchsorted(cols, j)
+            if k < cols.size and cols[k] == j:
+                X[:, k] = signal
     else:
         sigma = math.sqrt(spec.noise)
         Z = rng.standard_normal((n, 3))
         base = Z.sum(axis=1) / math.sqrt(3.0)
-        X = np.empty((n, p))
-        X[:, :3] = Z
-        if p > 3:
-            X[:, 3:] = base[:, None] + sigma * rng.standard_normal((n, p - 3))
+        X = np.empty((n, cols.size))
+        k = np.searchsorted(cols, 3)  # kept columns below 3 come from Z
+        X[:, :k] = Z[:, cols[:k]]
+        if k < cols.size:  # the last draw: skipped when nothing of it is kept
+            X[:, k:] = base[:, None] + sigma * _normal_columns(rng, n, p - 3, cols[k:] - 3)
         y = ((Z ** 2).sum(axis=1) > 2.5).astype(np.int64)
     return Dataset(X, y)
 

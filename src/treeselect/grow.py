@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .designs import Dataset
+from .designs import Dataset, check_integer
 from .tree import Internal, Leaf, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
@@ -36,6 +36,9 @@ class GrowLimits:
     min_node_size: int = 1
 
     def __post_init__(self):
+        if self.max_leaves is not None:
+            check_integer("max_leaves", self.max_leaves)
+        check_integer("min_node_size", self.min_node_size)
         if self.max_leaves is not None and self.max_leaves < 1:
             raise ValueError("max_leaves must be >= 1")
         if self.min_node_size < 1:
@@ -64,20 +67,23 @@ def _node_order(data: Dataset, rows) -> np.ndarray:
     return np.repeat(order, counts[order].ravel()).reshape(data.p, -1)
 
 
-def _sorted_values(data: Dataset, order: np.ndarray) -> np.ndarray:
-    """(p, m) feature values along each column's order."""
-    return np.take_along_axis(data.X.T, order, axis=1)
+def _sorted_values(XT: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """(p, m) feature values along each column's order, by one flat take
+    from the C-contiguous (p, n) transpose of X."""
+    flat = order + np.arange(0, XT.size, XT.shape[1])[:, None]
+    return XT.take(flat)
 
 
 def best_split(data: Dataset, rows, min_node_size: int = 1,
-               order: np.ndarray | None = None) -> Split | None:
+               order: np.ndarray | None = None, XT: np.ndarray | None = None) -> Split | None:
     """Exhaustive scan over all variables and all midpoints between
     consecutive distinct sorted values; None when no cut strictly beats
     the majority-leaf error of the subset.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
     feature over the subset); it is derived from ``data.order`` when not
-    given."""
+    given.  ``XT`` is a C-contiguous copy of ``data.X.T``, made here when
+    not given; ``grow_maximal`` makes one per tree."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("row subset is empty")
@@ -89,10 +95,12 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
         return None  # label-pure, or too small for two children
     if order is None:
         order = _node_order(data, rows)
+    if XT is None:
+        XT = np.ascontiguousarray(data.X.T)
 
-    svals = _sorted_values(data, order)
+    svals = _sorted_values(XT, order)
     # ones among the first i+1 sorted rows, for cuts after positions 0..m-2
-    left_ones = np.cumsum(data.y[order[:, :-1]], axis=1, dtype=np.int32)
+    left_ones = np.cumsum(data.y.astype(np.int8)[order[:, :-1]], axis=1, dtype=np.int32)
     left_zeros = np.arange(1, m, dtype=np.int32) - left_ones
     err = np.minimum(left_ones, left_zeros)
     right_err = np.subtract(n1, left_ones)  # ones right of the cut
@@ -127,12 +135,14 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     if limits is None:
         limits = GrowLimits()
     order = data.order
-    svals = _sorted_values(data, order)
-    # a cached order goes stale if X is written to afterwards
+    # a cached order goes stale if X is written to afterwards, so this
+    # reads X itself
+    svals = np.take_along_axis(data.X.T, order, axis=1)
     if not (svals[:, 1:] >= svals[:, :-1]).all():
         raise ValueError("Dataset.order no longer sorts X: "
                          "the features were changed after the order was cached")
     del svals
+    XT = np.ascontiguousarray(data.X.T)
     n1 = int(data.y.sum())
     label, _ = _majority(data.n - n1, n1)
     # growth-order arena: the two children of a split are appended after it
@@ -145,7 +155,7 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
 
     def consider(i: int):
         rows = rows_at[i]
-        split = best_split(data, rows, limits.min_node_size, order_at[i])
+        split = best_split(data, rows, limits.min_node_size, order_at[i], XT)
         if split is None:
             order_at[i] = None
         else:

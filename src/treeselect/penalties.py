@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import Dataset
+from .designs import Dataset, check_integer
 from .grow import GrowLimits, grow_maximal
 from .prune import PrunedSequence, best_in_sequence, weakest_link
 from .tree import TreeClassifier
@@ -146,6 +146,8 @@ class CVConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integer("folds", self.folds)
+        check_integer("seed", self.seed)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         if self.rule not in ("min", "1se"):

@@ -193,11 +193,27 @@ def empirical_risk(tree: TreeClassifier, data: Dataset) -> float:
 
 
 def loss_estimate(tree: TreeClassifier, spec: DesignSpec, m: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo risk on a fresh size-m sample, and excess risk over Bayes."""
+    """Monte Carlo risk on a fresh size-m sample, and excess risk over Bayes.
+
+    The sample is ``generate(replace(spec, n=m, seed=seed))`` restricted to
+    the columns the tree splits on, plus x1 and x2 (design 1's labels read
+    them, and a ``Dataset`` needs two columns).  ``generate`` streams
+    its draw in row blocks of ``designs.BLOCK_CELLS`` cells and its stream
+    does not depend on the kept columns, so the risk is the one on the full
+    m x p draw while at most a block of it is held at a time.  The tree is
+    routed as a copy whose variables are renumbered to the kept columns.
+    """
     if m < 1:
         raise ValueError("m must be positive")
-    fresh = generate(replace(spec, n=m, seed=seed))
-    risk = empirical_risk(tree, fresh)
+    if tree.max_var() > spec.p:
+        raise ValueError(f"the tree splits on x{tree.max_var()}, "
+                         f"but the design has p = {spec.p}")
+    used = sorted({nd.var for nd in tree.nodes if isinstance(nd, Internal)} | {1, 2})
+    fresh = generate(replace(spec, n=m, seed=seed), columns=[v - 1 for v in used])
+    kept = {var: k + 1 for k, var in enumerate(used)}
+    narrow = TreeClassifier(tuple(replace(nd, var=kept[nd.var]) if isinstance(nd, Internal)
+                                  else nd for nd in tree.nodes))
+    risk = empirical_risk(narrow, fresh)
     return risk, risk - bayes_risk(spec)
 
 

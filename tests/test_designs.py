@@ -1,12 +1,17 @@
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from treeselect import (Dataset, DesignSpec, MarginSpec, bayes_predict,
-                        bayes_risk, eta, generate, load_dataset, margin_holds,
-                        margin_mass, save_dataset)
+                        bayes_risk, empirical_risk, eta, generate,
+                        load_dataset, loss_estimate, margin_holds, margin_mass,
+                        save_dataset, stump)
+from treeselect.designs import BLOCK_CELLS
+from treeselect.tree import Internal, Leaf, TreeClassifier
 
 
 def test_generate_shape():
@@ -40,10 +45,18 @@ def test_design1_conditional_frequency():
     (dict(design_id=4, n=10, p=2, noise=0.2), {}),      # design 4 needs p >= 3
     (dict(design_id=5, n=10, p=5, noise=0.2), {}),
     (dict(design_id=1, n=0, p=5, noise=0.1), {}),
+    (dict(design_id=1, n=10.5, p=5, noise=0.3), {}),   # non-integral sizes
+    (dict(design_id=1, n=10, p=5.0, noise=0.3), {}),
+    (dict(design_id=1.0, n=10, p=5, noise=0.3), {}),
+    (dict(design_id=True, n=10, p=5, noise=0.3), {}),
+    (dict(design_id=1, n=10, p=5, noise=0.3), dict(seed=1.5)),
+    (dict(design_id=2, n=10, p=5, noise=math.inf), {}),  # non-finite noise
+    (dict(design_id=3, n=10, p=5, noise=math.nan), {}),
+    (dict(design_id=4, n=10, p=5, noise=math.inf), {}),
 ])
 def test_invalid_specs(spec, kwargs):
     with pytest.raises(ValueError):
-        DesignSpec(**spec)
+        DesignSpec(**spec, **kwargs)
 
 
 def test_eta_design1_quadrant():
@@ -241,3 +254,112 @@ def test_csv_rejects_malformed_rows(tmp_path, body, message):
     path.write_text("x1,x2,y\n" + body)
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+def _reference_generate(spec):
+    """The draw as one (n, p) matrix, kept as the independent reference
+    for the streamed one."""
+    rng = np.random.default_rng(spec.seed)
+    n, p = spec.n, spec.p
+    if spec.design_id == 1:
+        q = spec.noise
+        X = rng.standard_normal((n, p))
+        in_quadrant = (X[:, 0] > 0) & (X[:, 1] > 0)
+        prob = np.where(in_quadrant, q, 1.0 - q)
+        y = (rng.random(n) < prob).astype(np.int64)
+    elif spec.design_id == 2:
+        sigma = math.sqrt(spec.noise)
+        y = rng.integers(0, 2, size=n)
+        X = rng.standard_normal((n, p))
+        X[:, 0] = y + sigma * rng.standard_normal(n)
+    elif spec.design_id == 3:
+        sigma = math.sqrt(spec.noise)
+        y = rng.integers(0, 2, size=n)
+        X = rng.standard_normal((n, p))
+        X[:, 0] = y + sigma * rng.standard_normal(n)
+        X[:, 1] = y + sigma * rng.standard_normal(n)
+    else:
+        sigma = math.sqrt(spec.noise)
+        Z = rng.standard_normal((n, 3))
+        base = Z.sum(axis=1) / math.sqrt(3.0)
+        X = np.empty((n, p))
+        X[:, :3] = Z
+        if p > 3:
+            X[:, 3:] = base[:, None] + sigma * rng.standard_normal((n, p - 3))
+        y = ((Z ** 2).sum(axis=1) > 2.5).astype(np.int64)
+    return Dataset(X, y)
+
+
+NOISE = {1: 0.3, 2: 1.0, 3: 2.0, 4: 0.2}
+
+
+def _stream_cases():
+    """(design, n, p): n at and around a block boundary, p from the
+    narrowest the design allows to wider than one block."""
+    for d in (1, 2, 3, 4):
+        for p in (3 if d == 4 else 2, 30, 1000, BLOCK_CELLS + 5):
+            rows = max(1, BLOCK_CELLS // p)
+            for n in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 7} - {0}):
+                yield d, n, p
+
+
+@pytest.mark.parametrize("d,n,p", list(_stream_cases()))
+def test_streamed_draw_equals_full_draw(d, n, p):
+    spec = DesignSpec(d, n, p, NOISE[d], seed=1000 * d + n + p)
+    full = _reference_generate(spec)
+    streamed = generate(spec)
+    assert np.array_equal(streamed.X, full.X)
+    assert np.array_equal(streamed.y, full.y)
+    assert np.array_equal(generate(spec, columns=range(p)).X, full.X)
+    rng = np.random.default_rng(n + p)
+    for _ in range(3):
+        cols = np.sort(rng.choice(p, size=rng.integers(2, min(p, 6) + 1), replace=False))
+        kept = generate(spec, columns=cols)
+        assert np.array_equal(kept.X, full.X[:, cols])
+        assert np.array_equal(kept.y, full.y)
+
+
+@pytest.mark.parametrize("columns", [[1, 0], [0, 0, 1], [-1, 0], [0, 5], [0.0, 1.0],
+                                     [[0, 1]], [0], [], [True, True]])
+def test_generate_rejects_bad_columns(columns):
+    with pytest.raises(ValueError):
+        generate(DesignSpec(1, 10, 5, 0.3), columns=columns)
+
+
+def _random_tree(rng, p, leaves):
+    """A random tree with the given leaf count whose first split is on x_p."""
+    nodes = [Leaf(int(rng.integers(2)))]
+    for k in range(leaves - 1):
+        i = int(rng.choice([j for j, nd in enumerate(nodes) if isinstance(nd, Leaf)]))
+        var = p if k == 0 else int(rng.integers(1, p + 1))
+        nodes[i] = Internal(var, float(rng.normal(scale=0.7)), len(nodes), len(nodes) + 1)
+        nodes += [Leaf(int(rng.integers(2))), Leaf(int(rng.integers(2)))]
+    return TreeClassifier(tuple(nodes))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("p", [3, 30, 1000])
+def test_loss_estimate_equals_risk_on_the_full_draw(d, p):
+    rng = np.random.default_rng(10 * d + p)
+    spec = DesignSpec(d, 50, p, NOISE[d], seed=d)
+    for leaves in (1, 1, 2, 3, 6, 12):
+        tree = _random_tree(rng, p, leaves)
+        m, seed = int(rng.integers(1, 3000)), int(rng.integers(2 ** 32))
+        risk = empirical_risk(tree, _reference_generate(replace(spec, n=m, seed=seed)))
+        assert loss_estimate(tree, spec, m, seed) == (risk, risk - bayes_risk(spec))
+
+
+def test_loss_estimate_rejects_a_tree_wider_than_the_design():
+    with pytest.raises(ValueError, match="p = 5"):
+        loss_estimate(stump(6, 0.0, 0, 1), DesignSpec(1, 10, 5, 0.3), 100, 0)
+
+
+def test_loss_estimate_memory_does_not_grow_with_p():
+    # the full 10,000 x 1000 draw alone would take 80 MB
+    tracemalloc.start()
+    try:
+        loss_estimate(stump(900, 0.0, 0, 1), DesignSpec(1, 50, 1000, 0.3), 10_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20

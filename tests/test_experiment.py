@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -114,3 +115,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match="folds"):
         ExperimentConfig(n_grid=(50, 5), folds=10)
     ExperimentConfig(n_grid=(5,), folds=5)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(folds=2.5), "folds must be an integer"),
+    (dict(n_grid=(50.5,)), "n must be an integer"),
+    (dict(p_grid=(30, 60.0)), "p must be an integer"),
+    (dict(designs=(1.0,), noise_grids={1.0: (0.1,)}), "design_id must be an integer"),
+    (dict(designs=(2,), noise_grids={2: (1.0, math.inf)}), "noise must be finite"),
+])
+def test_config_rejects_non_integral_and_non_finite_values(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**kwargs)
+
+
+def test_results_bytes_designs_2_to_4(tmp_path):
+    # a sweep over designs 2-4 at p = 400, where each test draw spans many
+    # row blocks; the recorded hash pins results.csv to the unstreamed draw
+    cfg = ExperimentConfig(designs=(2, 3, 4), n_grid=(20,), p_grid=(5, 400),
+                           noise_grids={2: (1.0,), 3: (1.0,), 4: (0.2,)},
+                           replications=2, master_seed=7, test_samples=3000)
+    path = tmp_path / "results.csv"
+    write_results_csv(run_sweep(cfg), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "3d7e98b534ff91fb21a8afa042d135cb369ee351cabcb6a3f9506757e86bce58"

@@ -134,9 +134,9 @@ def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
     from treeselect import grow
     seen = []
 
-    def spy(data, rows, min_node_size=1, order=None):
+    def spy(data, rows, min_node_size=1, order=None, XT=None):
         seen.append((np.sort(rows), order))
-        return best_split(data, rows, min_node_size, order)
+        return best_split(data, rows, min_node_size, order, XT)
 
     monkeypatch.setattr(grow, "best_split", spy)
     d = random_dataset(np.random.default_rng(6), 60, 3)
@@ -149,10 +149,11 @@ def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
 
 
 def test_invalid_limits():
-    with pytest.raises(ValueError):
-        GrowLimits(max_leaves=0)
-    with pytest.raises(ValueError):
-        GrowLimits(min_node_size=0)
+    for kwargs in (dict(max_leaves=0), dict(min_node_size=0),
+                   dict(max_leaves=2.5), dict(max_leaves=3.0),  # nothing is rounded
+                   dict(min_node_size=1.5), dict(min_node_size=True)):
+        with pytest.raises(ValueError):
+            GrowLimits(**kwargs)
 
 
 def _grow_and_prune(data, max_leaves):

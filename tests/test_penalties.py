@@ -206,6 +206,12 @@ def test_cv_folds_validation():
         CVConfig(rule="best")
 
 
+@pytest.mark.parametrize("kwargs", [dict(folds=2.5), dict(folds=10.0), dict(seed=0.5)])
+def test_cv_config_rejects_non_integers(kwargs):
+    with pytest.raises(ValueError, match="integer"):
+        CVConfig(**kwargs)
+
+
 def test_cv_one_se_rule_picks_larger_alpha():
     d = random_dataset(np.random.default_rng(5), 60, 3)
     a_min, _ = cv_select_alpha(d, CVConfig(folds=5, rule="min", seed=0))
