@@ -135,14 +135,14 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     if limits is None:
         limits = GrowLimits()
     order = data.order
-    # a cached order goes stale if X is written to afterwards, so this
-    # reads X itself
-    svals = np.take_along_axis(data.X.T, order, axis=1)
+    XT = np.ascontiguousarray(data.X.T)
+    # a cached order goes stale if X is written to afterwards; XT was just
+    # copied from X, so checking the order against it reads X's values
+    svals = _sorted_values(XT, order)
     if not (svals[:, 1:] >= svals[:, :-1]).all():
         raise ValueError("Dataset.order no longer sorts X: "
                          "the features were changed after the order was cached")
     del svals
-    XT = np.ascontiguousarray(data.X.T)
     n1 = int(data.y.sum())
     label, _ = _majority(data.n - n1, n1)
     # growth-order arena: the two children of a split are appended after it

@@ -4,6 +4,14 @@ Everything here is exponential by design and guarded by caps: tree-class
 enumeration and counting, exact in-class empirical risk minimization,
 exact penalized selection over all small classes, shattering counts, and
 brute-force optimization over all pruned subtrees.
+
+The oracle keeps its own routing, independent of the library's router,
+node counts and split search that it checks.  A class's threshold
+assignments are routed in blocks of at most BLOCK_CELLS (assignment, row)
+cells, one _route walk of the class shape per block, and in-class ERM
+counts a whole block with one bincount.  Brute-force pruning routes the
+tree once for every node's leaf error, scores each pruning from the
+errors and leaf count carried with it, and builds only the winner.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .designs import Dataset
+from .designs import BLOCK_CELLS, Dataset, check_integer
 from .penalties import penalty_value
 from .tree import (LEAF_SHAPE, ClassDescriptor, Internal, Leaf, TreeClassifier,
                    tree_from_class)
@@ -78,42 +86,61 @@ def enumerate_classes(p: int, k: int) -> tuple[ClassDescriptor, ...]:
 
 
 def _assignments(desc: ClassDescriptor, X: np.ndarray, variants: int, what: str):
-    """Yield (thresholds, cells) for every threshold assignment of the class,
-    in lexicographic order, with cells the BFS leaf index of each row.  Each
-    split variable's candidates are the midpoints of consecutive distinct
-    sorted values, bracketed by -inf and +inf so degenerate splits can route
-    everything one way.  Raises ResourceCapError before routing anything
-    when assignments * variants exceeds COMBO_CAP."""
+    """Yield (thresholds, cells) blocks covering every threshold assignment
+    of the class, in lexicographic (itertools.product) order: thresholds is
+    (b, k-1) in BFS internal-node order and cells (b, n) holds the BFS leaf
+    index each row reaches under each of the b assignments, with b * n at
+    most BLOCK_CELLS (b >= 1).  Each split variable's candidates are the
+    midpoints of consecutive distinct sorted values, bracketed by -inf and
+    +inf so degenerate splits can route everything one way.  Raises
+    ValueError for a variable beyond X's columns and ResourceCapError when
+    assignments * variants exceeds COMBO_CAP, both before routing anything.
+    Each split node's (candidates, n) comparison matrix is computed once per
+    class; every block is then routed by one _route call."""
+    n, p = X.shape
+    wide = sorted({v for v in desc.variables if v > p})
+    if wide:
+        raise ValueError(f"class variables {wide} exceed the sample's {p} columns")
     cands = []
     for v in desc.variables:
         vals = np.unique(X[:, v - 1])
-        cands.append([-math.inf, *((vals[:-1] + vals[1:]) / 2.0).tolist(), math.inf])
-    total = math.prod(len(c) for c in cands) * variants
-    if total > COMBO_CAP:
-        raise ResourceCapError(f"{total} {what} exceeds the cap of {COMBO_CAP}")
-    for thresholds in itertools.product(*cands):
-        yield thresholds, _route(desc, thresholds, X)
+        cands.append(np.concatenate(([-math.inf], (vals[:-1] + vals[1:]) / 2.0, [math.inf])))
+    count = math.prod(c.size for c in cands)
+    if count * variants > COMBO_CAP:
+        raise ResourceCapError(f"{count * variants} {what} exceeds the cap of {COMBO_CAP}")
+    goes_right = [X[:, v - 1] > c[:, None] for v, c in zip(desc.variables, cands)]
+    step = max(1, BLOCK_CELLS // max(n, 1))
+    for start in range(0, count, step):
+        block = np.arange(start, min(start + step, count))
+        thresholds = np.empty((block.size, len(cands)))
+        masks = [None] * len(cands)
+        # the mixed-radix digits of the flat index, last threshold fastest,
+        # give the product order
+        for j in range(len(cands) - 1, -1, -1):
+            block, digit = np.divmod(block, cands[j].size)
+            thresholds[:, j] = cands[j][digit]
+            masks[j] = goes_right[j][digit]
+        yield thresholds, _route(desc, masks, (thresholds.shape[0], n))
 
 
-def _route(desc: ClassDescriptor, thresholds, X: np.ndarray) -> np.ndarray:
-    """BFS-order leaf index reached by each row."""
-    # walk the shape in BFS order, tracking which rows reach each node
-    queue = [(desc.configuration, np.arange(X.shape[0]))]
-    var_iter = iter(desc.variables)
-    thr_iter = iter(thresholds)
-    out = np.empty(X.shape[0], dtype=np.int64)
+def _route(desc: ClassDescriptor, goes_right: list, shape: tuple) -> np.ndarray:
+    """BFS-order leaf index each row reaches under each assignment of a
+    block, as an array of the block's (b, n) shape; goes_right[j] is the
+    (b, n) mask of rows the j-th BFS internal node sends right.  One BFS
+    walk of the class shape carries a (b, n) reach mask per node."""
+    queue = [desc.configuration]  # shapes in BFS order, as in tree_from_class
+    reach = [np.ones(shape, dtype=bool)]  # reach[i]: rows reaching queue[i]
+    splits = iter(goes_right)
+    out = np.empty(shape, dtype=np.int64)
     leaf_idx = 0
-    while queue:
-        shape, rows = queue.pop(0)
-        if shape == LEAF_SHAPE:
+    for node, rows in zip(queue, reach):  # both lists grow as the walk goes
+        if node == LEAF_SHAPE:
             out[rows] = leaf_idx
             leaf_idx += 1
-            continue
-        var = next(var_iter)
-        thr = next(thr_iter)
-        right = X[rows, var - 1] > thr
-        queue.append((shape[0], rows[~right]))
-        queue.append((shape[1], rows[right]))
+        else:
+            right = next(splits)
+            queue.extend(node)
+            reach += [rows & ~right, rows & right]
     return out
 
 
@@ -124,17 +151,22 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     k = desc.size
     best_err = best = None
     for thresholds, cells in _assignments(desc, data.X, 1, "threshold combinations"):
-        counts = np.bincount(2 * cells + data.y, minlength=2 * k).reshape(k, 2)
-        err = int(counts.min(axis=1).sum())
-        if best_err is None or err < best_err:
+        b = cells.shape[0]
+        keys = 2 * cells + data.y + 2 * k * np.arange(b)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=2 * k * b).reshape(b, k, 2)
+        errs = counts.min(axis=2).sum(axis=1)
+        i = int(errs.argmin())  # the first minimum: the smallest thresholds in the block
+        if best_err is None or errs[i] < best_err:
             # argmax takes the first maximum, so a tied cell is labelled 0
-            best_err, best = err, (thresholds, counts.argmax(axis=1).tolist())
+            best_err = int(errs[i])
+            best = thresholds[i].tolist(), counts[i].argmax(axis=1).tolist()
     return tree_from_class(desc, *best), Fraction(best_err, data.n)
 
 
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
     """Global minimizer of empirical risk + penalty over every class of
     size at most k_max (exact in-class ERM per class)."""
+    check_integer("k_max", k_max)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     best_tree = None
@@ -155,29 +187,46 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     X = np.asarray(sample, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("sample must be a 2-D array of feature vectors")
-    k = desc.size
-    seen: set[int] = set()
-    for _, cells in _assignments(desc, X, 2 ** k, "classifier variants"):
-        masks = [0] * k
-        for row, c in enumerate(cells.tolist()):
-            masks[c] |= 1 << row
-        # the cells are disjoint, so a labeling's set is the sum of its 1-cells' masks
-        for labeling in itertools.product((0, 1), repeat=k):
-            seen.add(sum(itertools.compress(masks, labeling)))
+    labelings = np.array(list(itertools.product((False, True), repeat=desc.size)))
+    seen: set[bytes] = set()
+    for _, cells in _assignments(desc, X, len(labelings), "classifier variants"):
+        for labels in labelings:
+            # each assignment's set under this labeling, as a packed row bitmask
+            seen.update(map(bytes, np.packbits(labels[cells], axis=1)))
     return len(seen)
 
 
-def _prunings(tree: TreeClassifier) -> list:
-    """All pruning patterns of the tree: None collapses a node, (l, r) keeps
-    it with pruned children.  One reverse sweep of the arena (children
-    follow their parent) builds each node's list from its children's."""
+def _leaf_errors(tree: TreeClassifier, data: Dataset) -> list:
+    """Each node's training errors as a majority-labelled leaf, min(n0, n1)
+    over the rows reaching it, from one forward walk of the arena (parents
+    precede their children)."""
+    rows_at = [np.arange(data.n)] + [None] * (len(tree.nodes) - 1)
+    errors = []
+    for idx, nd in enumerate(tree.nodes):
+        rows, rows_at[idx] = rows_at[idx], None
+        n1 = int(data.y[rows].sum())
+        errors.append(min(rows.size - n1, n1))
+        if isinstance(nd, Internal):
+            right = data.X[rows, nd.var - 1] > nd.threshold
+            rows_at[nd.left], rows_at[nd.right] = rows[~right], rows[right]
+    return errors
+
+
+def _prunings(tree: TreeClassifier, errors: list) -> list:
+    """All pruning patterns of the tree as (pattern, errors, leaves): None
+    collapses a node, (l, r) keeps it with pruned children; errors sums the
+    per-node leaf errors over the pattern's leaves.  One reverse sweep of the
+    arena (children follow their parent) builds each node's list from its
+    children's.  The carried counts are enough to score every pattern, so
+    only the winner is ever materialized."""
     below: dict = {}
     for idx in range(len(tree.nodes) - 1, -1, -1):
         nd = tree.nodes[idx]
-        out = [None]
+        out = [(None, errors[idx], 1)]
         if isinstance(nd, Internal):
             lefts, rights = below.pop(nd.left), below.pop(nd.right)
-            out += [(l, r) for l in lefts for r in rights]
+            out += [((lp, rp), le + re, ll + rl)
+                    for lp, le, ll in lefts for rp, re, rl in rights]
         below[idx] = out
     return below[0]
 
@@ -223,10 +272,9 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
     if count[0] > COMBO_CAP:
         raise ResourceCapError(f"{count[0]} pruned subtrees exceeds the cap of {COMBO_CAP}")
     best = None
-    for pattern in _prunings(tree):
-        sub, err = _materialize(tree, pattern, data)
-        cost = Fraction(err, data.n) + pen(sub.n_leaves)
-        key = (cost, sub.n_leaves)
+    for pattern, err, leaves in _prunings(tree, _leaf_errors(tree, data)):
+        key = (Fraction(err, data.n) + pen(leaves), leaves)
         if best is None or key < best[0]:
-            best = (key, sub)
-    return best[1], best[0][0]
+            best = (key, pattern)
+    # only the winner is built
+    return _materialize(tree, best[1], data)[0], best[0][0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .designs import Dataset, DesignSpec, bayes_risk, generate
+from .designs import Dataset, DesignSpec, bayes_risk, check_integer, generate
 
 __all__ = [
     "Leaf",
@@ -324,6 +324,10 @@ class ClassDescriptor:
     def __post_init__(self):
         if len(self.variables) != _leaf_count(self.configuration) - 1:
             raise ValueError("variable list length must equal internal-node count")
+        for v in self.variables:
+            check_integer("class variable", v)
+            if v < 1:
+                raise ValueError(f"class variables are 1-based, got {v}")
 
     @property
     def size(self) -> int:

@@ -1,8 +1,12 @@
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         ResourceCapError, brute_force_best_subtree, catalan,
@@ -11,9 +15,11 @@ from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         shattering_count, tree_from_text, tree_to_text)
 from treeselect import oracle
 from treeselect.oracle import enumerate_shapes
-from treeselect.tree import LEAF_SHAPE, leaf
+from treeselect.designs import BLOCK_CELLS
+from treeselect.tree import (LEAF_SHAPE, Internal, Leaf, TreeClassifier, leaf,
+                             tree_from_class)
 
-from conftest import random_dataset
+from conftest import random_dataset, tied_datasets
 
 STUMP = ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (1,))
 SINGLE = ClassDescriptor(LEAF_SHAPE, ())
@@ -93,6 +99,108 @@ def test_erm_single_leaf():
     tree, risk = erm_in_class(SINGLE, tied)
     assert tree == leaf(0)  # a tied cell is labelled 0, as in growing
     assert risk == Fraction(1, 2)
+
+
+def _reference_erm(desc, data):
+    """The per-assignment loop erm_in_class replaced: route every threshold
+    assignment on its own, in itertools.product order, and keep the first
+    minimum."""
+    cands = []
+    for v in desc.variables:
+        vals = np.unique(data.X[:, v - 1])
+        cands.append([-math.inf, *((vals[:-1] + vals[1:]) / 2.0).tolist(), math.inf])
+    best_err = best = None
+    for thresholds in itertools.product(*cands):
+        queue = [(desc.configuration, np.arange(data.n))]
+        splits = iter(zip(desc.variables, thresholds))
+        cells = np.empty(data.n, dtype=np.int64)
+        leaf_idx = 0
+        while queue:
+            shape, rows = queue.pop(0)
+            if shape == LEAF_SHAPE:
+                cells[rows] = leaf_idx
+                leaf_idx += 1
+                continue
+            var, thr = next(splits)
+            right = data.X[rows, var - 1] > thr
+            queue += [(shape[0], rows[~right]), (shape[1], rows[right])]
+        counts = np.bincount(2 * cells + data.y, minlength=2 * desc.size).reshape(-1, 2)
+        err = int(counts.min(axis=1).sum())
+        if best_err is None or err < best_err:
+            best_err, best = err, (thresholds, counts.argmax(axis=1).tolist())
+    return tree_from_class(desc, *best), Fraction(best_err, data.n)
+
+
+def test_blocked_erm_matches_reference():
+    # rounded features tie often, so the first-minimum rule is exercised
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        n, p = int(rng.integers(1, 12)), int(rng.integers(2, 4))
+        d = Dataset(rng.normal(size=(n, p)).round(0), rng.integers(0, 2, size=n))
+        for desc in (c for k in range(1, 4) for c in enumerate_classes(p, k)):
+            tree, risk = erm_in_class(desc, d)
+            ref_tree, ref_risk = _reference_erm(desc, d)
+            assert (tree_to_text(tree), risk) == (tree_to_text(ref_tree), ref_risk)
+
+
+def test_blocked_erm_matches_reference_across_blocks():
+    rng = np.random.default_rng(23)
+    x1 = rng.normal(size=600).round(0)
+    d = Dataset(np.column_stack([x1, rng.normal(size=600)]), (x1 > 0).astype(int))
+    # x1 at 0.5 separates the labels, so every x2 threshold of the right
+    # child ties at 0 errors: a run of 601 assignments over several blocks
+    desc = ClassDescriptor(enumerate_shapes(3)[0], (1, 2))
+    assert 601 > 4 * (BLOCK_CELLS // d.n)
+    tree, risk = erm_in_class(desc, d)
+    assert risk == 0 and tree.nodes[2].threshold == -math.inf
+    ref_tree, ref_risk = _reference_erm(desc, d)
+    assert (tree_to_text(tree), risk) == (tree_to_text(ref_tree), ref_risk)
+    noisy = Dataset(d.X, np.where(rng.random(600) < 0.2, 1 - d.y, d.y))
+    for desc in enumerate_classes(2, 3):  # noisy labels, every class under the cap
+        if desc.variables == (2, 2):
+            continue  # 601^2 assignments
+        tree, risk = erm_in_class(desc, noisy)
+        ref_tree, ref_risk = _reference_erm(desc, noisy)
+        assert (tree_to_text(tree), risk) == (tree_to_text(ref_tree), ref_risk)
+
+
+def test_erm_memory_is_bounded_by_the_block():
+    # 201^2 assignments of a 200-row class: routed all at once they would
+    # take hundreds of MiB
+    rng = np.random.default_rng(3)
+    d = Dataset(np.column_stack([np.arange(200.0), rng.permutation(200).astype(float)]),
+                rng.integers(0, 2, size=200))
+    desc = ClassDescriptor(enumerate_shapes(3)[0], (1, 2))
+    tracemalloc.start()
+    try:
+        erm_in_class(desc, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_class_variables_must_be_positive_integers():
+    for bad in (0, -1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match="variable"):
+            ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (bad,))
+
+
+def test_class_wider_than_the_sample_is_rejected(monkeypatch):
+    d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
+    wide = ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (3,))
+    # the width is checked before anything is routed
+    monkeypatch.setattr(oracle, "_route", None)
+    with pytest.raises(ValueError, match=r"\[3\].*2 columns"):
+        erm_in_class(wide, d)
+    with pytest.raises(ValueError, match=r"\[3\].*2 columns"):
+        shattering_count(wide, d.X)
+
+
+def test_exhaustive_k_max_must_be_an_integer():
+    d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError, match="k_max"):
+        exhaustive_select(d, LinearPenalty(0.1), k_max=2.5)
 
 
 def test_erm_invariant_under_monotone_transform():
@@ -196,6 +304,39 @@ def test_brute_force_relabels_leaves(line_dataset):
     assert cost == Fraction(3, 4)
     assert tree.n_leaves == 1
     assert tree.nodes[0].label == 1
+
+
+@st.composite
+def trees_on_tied_data(draw, max_depth=4):
+    """A tied dataset and a random tree over its columns, with integral
+    thresholds that rows can equal; some nodes may be reached by no row."""
+    data = draw(tied_datasets())
+    nodes: list = []
+    stack = [(None, 0, max_depth)]  # (parent index, child slot, depth left)
+    while stack:
+        parent, slot, depth = stack.pop()
+        if parent is not None:
+            nodes[parent][slot] = len(nodes)
+        if depth == 0 or draw(st.booleans()):
+            nodes.append(Leaf(draw(st.integers(0, 1))))
+        else:
+            stack += [(len(nodes), 3, depth - 1), (len(nodes), 2, depth - 1)]
+            nodes.append([draw(st.integers(1, data.p)), float(draw(st.integers(-3, 3))),
+                          None, None])
+    tree = TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
+                                for nd in nodes))
+    return tree, data
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_on_tied_data())
+def test_carried_pruning_counts_match_materialized_subtrees(case):
+    tree, data = case
+    prunings = oracle._prunings(tree, oracle._leaf_errors(tree, data))
+    for pattern, errors, leaves in prunings:
+        sub, err = oracle._materialize(tree, pattern, data)
+        assert (errors, leaves) == (err, sub.n_leaves)
+        assert err == int(np.sum(sub.predict_batch(data.X) != data.y))
 
 
 def test_brute_force_cap(monkeypatch, line_dataset):
