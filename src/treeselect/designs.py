@@ -105,7 +105,7 @@ class Dataset:
             # order keeps ties by row index: a stable argsort of the child
             rank = np.full(self.n, -1, dtype=self._order.dtype)
             rank[rows] = np.arange(rows.size)
-            ranked = rank[self._order]
+            ranked = rank.take(self._order)
             child._set_order(ranked[ranked >= 0].reshape(self.p, rows.size))
         return child
 

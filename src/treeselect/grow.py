@@ -9,10 +9,17 @@ Each column is sorted once per dataset (``Dataset.order``, CART's
 presort).  A node holds a (p, m) order: row j lists the node's rows sorted
 by feature j.  Splitting a node partitions every row of its order with one
 membership mask; a stable filter of a sorted row is still sorted, so no
-node sorts again.  Rows with equal values may sit in any order within
-their run: only the last position of a run is a valid cut, and the count
-of ones up to that position is the same for every order of the run, so
-the chosen split does not depend on how ties were ordered.
+node sorts again.
+
+The search reads labels as signs +1/-1: with s the signed sum left of a
+cut and S that of the node, the cut leaves (m - max(|S|, |2s - S|)) / 2
+errors, so one cumulative sum along the order and each variable's
+maximum and minimum of it find the best cut.  Rows with equal values may
+sit in any order within their run: only the last position of a run is a
+valid cut, and s there is the same for every order of the run, so the
+chosen split does not depend on how ties were ordered.  Only columns that
+hold equal values need that check; ``grow_maximal`` finds them once per
+tree, while it checks that the cached order still sorts X.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from .tree import Internal, Leaf, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
-_INVALID = np.iinfo(np.int32).max  # error of a cut that is not allowed
+_SIGNS = np.array([-1, 1], dtype=np.int8)  # a label's sign in the signed sums
 
 
 @dataclass(frozen=True)
@@ -67,65 +74,67 @@ def _node_order(data: Dataset, rows) -> np.ndarray:
     return np.repeat(order, counts[order].ravel()).reshape(data.p, -1)
 
 
-def _sorted_values(XT: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """(p, m) feature values along each column's order, by one flat take
-    from the C-contiguous (p, n) transpose of X."""
-    flat = order + np.arange(0, XT.size, XT.shape[1])[:, None]
-    return XT.take(flat)
-
-
 def best_split(data: Dataset, rows, min_node_size: int = 1,
-               order: np.ndarray | None = None, XT: np.ndarray | None = None) -> Split | None:
+               order: np.ndarray | None = None,
+               tied: np.ndarray | None = None) -> Split | None:
     """Exhaustive scan over all variables and all midpoints between
     consecutive distinct sorted values; None when no cut strictly beats
     the majority-leaf error of the subset.
 
+    With labels read as signs +1 (y = 1) and -1 (y = 0), let s be the
+    signed sum of the rows left of a cut and S = 2 n1 - m that of the whole
+    node.  The cut leaves (m - max(|S|, |2s - S|)) / 2 errors, against
+    (m - |S|) / 2 for the majority leaf, so the best cut is the first
+    row-major maximum of |2s - S| and it is a split exactly when that
+    maximum exceeds |S|.  A cut that is not allowed (inside a run of equal
+    values, or fewer than ``min_node_size`` rows from either end) gets
+    s = S // 2, where |2s - S| <= |S|, so it never wins.
+
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
     feature over the subset); it is derived from ``data.order`` when not
-    given.  ``XT`` is a C-contiguous copy of ``data.X.T``, made here when
-    not given; ``grow_maximal`` makes one per tree."""
+    given.  ``tied`` lists the 0-based columns that may hold equal values
+    among the rows; only those are checked for ties, and every column is
+    when it is None (a row listed twice ties with itself everywhere)."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("row subset is empty")
     y = data.y[rows]
     m = y.size
     n1 = int(y.sum())
-    parent_err = min(m - n1, n1)
-    if parent_err == 0 or m < 2 * min_node_size:
+    if n1 in (0, m) or m < 2 * min_node_size:
         return None  # label-pure, or too small for two children
     if order is None:
         order = _node_order(data, rows)
-    if XT is None:
-        XT = np.ascontiguousarray(data.X.T)
+    S = 2 * n1 - m
 
-    svals = _sorted_values(XT, order)
-    # ones among the first i+1 sorted rows, for cuts after positions 0..m-2
-    left_ones = np.cumsum(data.y.astype(np.int8)[order[:, :-1]], axis=1, dtype=np.int32)
-    left_zeros = np.arange(1, m, dtype=np.int32) - left_ones
-    err = np.minimum(left_ones, left_zeros)
-    right_err = np.subtract(n1, left_ones)  # ones right of the cut
-    np.subtract(m - n1, left_zeros, out=left_zeros)  # zeros right of the cut
-    np.minimum(right_err, left_zeros, out=right_err)
-    err += right_err
+    # signed sums left of the cuts after positions 0..m-2
+    s = np.cumsum(_SIGNS.take(data.y).take(order[:, :-1]), axis=1, dtype=np.int32)
+    if tied is None:
+        tied = np.arange(data.p)
+    if tied.size:
+        svals = np.take_along_axis(data.X.T[tied], order[tied], 1)
+        var, pos = np.nonzero(svals[:, 1:] == svals[:, :-1])
+        s[tied[var], pos] = S // 2
+    if min_node_size > 1:
+        s[:, :min_node_size - 1] = S // 2
+        s[:, m - min_node_size:] = S // 2
 
-    # only the last of a run of equal values is a cut, and both sides need
-    # min_node_size rows
-    err[svals[:, 1:] == svals[:, :-1]] = _INVALID
-    err[:, :min_node_size - 1] = _INVALID
-    err[:, m - min_node_size:] = _INVALID
-
-    # row-major argmin: smallest variable index first, then smallest
-    # threshold (cut positions are threshold-sorted within a row)
-    best = int(np.argmin(err))
-    var0, i = divmod(best, m - 1)
-    best_err = int(err[var0, i])
-    if best_err >= parent_err:
+    # each variable's best |2s - S|; the first maximum is the smallest
+    # variable index, and within it the smallest cut position, i.e. threshold
+    hi, lo = s.max(axis=1), s.min(axis=1)
+    gain = np.maximum(2 * hi - S, S - 2 * lo)
+    var0 = int(gain.argmax())
+    g = int(gain[var0])
+    if g <= abs(S):
         return None
-    threshold = float((svals[var0, i] + svals[var0, i + 1]) / 2.0)
-    lo = int(left_ones[var0, i])
-    ll, _ = _majority(i + 1 - lo, lo)
-    rl, _ = _majority(m - i - 1 - (n1 - lo), n1 - lo)
-    return Split(var0 + 1, threshold, ll, rl, best_err)
+    i = min(int(s[var0].argmax()) if 2 * int(hi[var0]) - S == g else m,
+            int(s[var0].argmin()) if S - 2 * int(lo[var0]) == g else m)
+    col = data.X[:, var0]
+    threshold = float((col[order[var0, i]] + col[order[var0, i + 1]]) / 2.0)
+    ones_left = (int(s[var0, i]) + i + 1) // 2
+    ll, _ = _majority(i + 1 - ones_left, ones_left)
+    rl, _ = _majority(m - i - 1 - (n1 - ones_left), n1 - ones_left)
+    return Split(var0 + 1, threshold, ll, rl, (m - g) // 2)
 
 
 def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassifier:
@@ -135,14 +144,15 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     if limits is None:
         limits = GrowLimits()
     order = data.order
-    XT = np.ascontiguousarray(data.X.T)
-    # a cached order goes stale if X is written to afterwards; XT was just
-    # copied from X, so checking the order against it reads X's values
-    svals = _sorted_values(XT, order)
-    if not (svals[:, 1:] >= svals[:, :-1]).all():
+    # a cached order goes stale if X is written to afterwards; the same
+    # comparison of neighbours lists the columns that hold equal values
+    svals = np.take_along_axis(data.X.T, order, 1)
+    ahead, behind = svals[:, 1:], svals[:, :-1]
+    if not (ahead >= behind).all():
         raise ValueError("Dataset.order no longer sorts X: "
                          "the features were changed after the order was cached")
-    del svals
+    tied = np.flatnonzero((ahead == behind).any(axis=1))
+    del svals, ahead, behind
     n1 = int(data.y.sum())
     label, _ = _majority(data.n - n1, n1)
     # growth-order arena: the two children of a split are appended after it
@@ -155,7 +165,7 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
 
     def consider(i: int):
         rows = rows_at[i]
-        split = best_split(data, rows, limits.min_node_size, order_at[i], XT)
+        split = best_split(data, rows, limits.min_node_size, order_at[i], tied)
         if split is None:
             order_at[i] = None
         else:
@@ -171,7 +181,7 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
         right = data.X[rows, split.var - 1] > split.threshold
         # a stable filter of a sorted row keeps it sorted
         goes_right[rows] = right
-        to_right = goes_right[order].ravel()
+        to_right = goes_right.take(order).ravel()
         order = order.ravel()
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)

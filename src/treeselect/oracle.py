@@ -263,6 +263,8 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
                              ) -> tuple[TreeClassifier, Fraction | float]:
     """Enumerate every pruned subtree (with re-optimized leaf labels) and
     return the penalized-cost minimizer; ties go to the smallest tree."""
+    if tree.max_var() > data.p:
+        raise ValueError("feature matrix too narrow for this tree")
     # count the prunings by _prunings' reverse sweep before listing any
     count = [1] * len(tree.nodes)
     for idx in range(len(tree.nodes) - 1, -1, -1):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from treeselect import (Dataset, GrowLimits, best_split, empirical_risk, grow_maximal,
                         weakest_link)
+from treeselect.designs import DesignSpec, generate
 from treeselect.grow import Split
 from treeselect.tree import Internal, tree_to_text
 
@@ -134,9 +135,9 @@ def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
     from treeselect import grow
     seen = []
 
-    def spy(data, rows, min_node_size=1, order=None, XT=None):
+    def spy(data, rows, min_node_size=1, order=None, tied=None):
         seen.append((np.sort(rows), order))
-        return best_split(data, rows, min_node_size, order, XT)
+        return best_split(data, rows, min_node_size, order, tied)
 
     monkeypatch.setattr(grow, "best_split", spy)
     d = random_dataset(np.random.default_rng(6), 60, 3)
@@ -253,3 +254,41 @@ def test_presorted_best_split_matches_reference(data, min_node_size, rnd):
     order = data.order[member[data.order]].reshape(data.p, -1)
     assert best_split(data, rnd.sample(list(rows), len(rows)), min_node_size,
                       order) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets(), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_best_split_on_rows_drawn_with_replacement_matches_reference(data, min_node_size, rnd):
+    # a repeated row ties with itself in every column, also in columns
+    # whose values are all distinct in the dataset
+    rows = np.array([rnd.randrange(data.n) for _ in range(rnd.randint(1, 2 * data.n))])
+    assert best_split(data, rows, min_node_size) == \
+        _reference_best_split(data, rows, min_node_size)
+
+
+def _rounded_columns(data, cols):
+    X = data.X.copy()
+    X[:, cols] = np.round(X[:, cols])
+    return Dataset(X, data.y)
+
+
+@pytest.mark.parametrize("min_node_size", [1, 3])
+@pytest.mark.parametrize("tied_cols", [[], list(range(0, 200, 2))])
+def test_every_grown_split_matches_reference(monkeypatch, min_node_size, tied_cols):
+    # grow hands each node its partitioned order and the dataset's tied
+    # columns; the split it gets must be the fresh-sort reference's
+    from treeselect import grow
+    seen = []
+
+    def spy(data, rows, min_node_size=1, order=None, tied=None):
+        split = best_split(data, rows, min_node_size, order, tied)
+        seen.append((rows, split))
+        return split
+
+    monkeypatch.setattr(grow, "best_split", spy)
+    d = _rounded_columns(generate(DesignSpec(1, 120, 200, 0.2, seed=7)), tied_cols)
+    t = grow_maximal(d, GrowLimits(min_node_size=min_node_size))
+    assert t.n_leaves > 3
+    assert len(seen) == 2 * t.n_leaves - 1
+    for rows, split in seen:
+        assert split == _reference_best_split(d, rows, min_node_size)

@@ -288,6 +288,15 @@ def test_brute_force_single_leaf():
     assert cost == Fraction(1, 3)
 
 
+def test_brute_force_rejects_a_tree_wider_than_the_data(monkeypatch):
+    d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
+    tree = tree_from_text("node(3, 0.5, leaf(0), leaf(1))")
+    # the width is checked before anything is routed
+    monkeypatch.setattr(oracle, "_leaf_errors", None)
+    with pytest.raises(ValueError, match="too narrow"):
+        brute_force_best_subtree(tree, d, lambda k: Fraction(0))
+
+
 def test_brute_force_tie_prefers_smaller(line_dataset):
     d = line_dataset([0, 1, 1, 0])
     tmax = grow_maximal(d)
