@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,8 +99,15 @@ class Dataset:
         object.__setattr__(self, "_order", order)
 
     def subset(self, rows) -> "Dataset":
+        """The dataset of the given rows, in the given order.  Rows of a
+        checked dataset need no second check, so only emptiness is tested."""
         rows = np.arange(self.n)[rows]
-        child = Dataset(self.X[rows], self.y[rows])
+        if rows.size == 0:
+            raise ValueError("need at least one observation")
+        child = object.__new__(Dataset)  # bypasses __post_init__'s checks
+        object.__setattr__(child, "X", self.X[rows])
+        object.__setattr__(child, "y", self.y[rows])
+        object.__setattr__(child, "_order", None)
         if self._order is not None and np.all(rows[1:] > rows[:-1]):
             # rank is monotone in the row index, so filtering the parent's
             # order keeps ties by row index: a stable argsort of the child
@@ -344,13 +352,17 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a CSV dataset; the label column must be named 'y'."""
+    """Read a CSV dataset; the label column must be named 'y', and no two
+    header names may be equal."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV file")
         header = [h.strip() for h in header]
+        repeated = sorted(h for h, count in Counter(header).items() if count > 1)
+        if repeated:
+            raise ValueError(f"repeated header name(s): {', '.join(map(repr, repeated))}")
         if "y" not in header:
             raise ValueError("label column 'y' not found in header")
         ycol = header.index("y")

@@ -1,10 +1,12 @@
 """Weakest-link cost-complexity pruning and penalized selection in a sequence.
 
-Risks are kept as exact misclassification counts so link strengths and
-critical alpha values are computed in rational arithmetic; ties in the
-link strength g(t) collapse all tied nodes in one step, which preserves
-the classical guarantee that for every alpha in [alpha_k, alpha_{k+1})
-the k-th subtree minimizes P_n f + alpha |T| over all pruned subtrees.
+Risks are kept as exact misclassification counts.  A link strength g(t)
+is the integer pair (error increase, leaves saved); two strengths are
+compared by cross-multiplying, exactly, and a Fraction is built only for
+each step's minimum, so the critical alphas are exact rationals.  Ties in
+g(t) collapse all tied nodes in one step, which preserves the classical
+guarantee that for every alpha in [alpha_k, alpha_{k+1}) the k-th subtree
+minimizes P_n f + alpha |T| over all pruned subtrees.
 
 The nested sequence (Breiman et al. 1984, ch. 10) is stored as one collapse
 schedule: the maximal tree and, per node, the first element in which it is
@@ -83,54 +85,66 @@ class PrunedSequence:
 
 def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
     """Collapse schedule of the nested subtrees: repeatedly collapse all internal
-    nodes of minimal link strength g(t) = (risk increase)/(leaves saved)."""
+    nodes of minimal link strength g(t) = (risk increase)/(leaves saved).
+
+    With err[t] the node's training errors as a leaf, and errs[t] and
+    leaves[t] those of its current subtree, g(t) = (err[t] - errs[t]) /
+    (n * (leaves[t] - 1)) is kept as the integer pair (err[t] - errs[t],
+    leaves[t] - 1): the common factor n cancels, so two strengths compare
+    exactly by cross-multiplying.  The arena need only list children after
+    their parents, as pre-order and breadth-first arenas both do."""
     nodes, n = tree.nodes, data.n
     n0, n1 = node_counts(tree, data)
     err = [min(a, b) for a, b in zip(n0, n1)]  # errors of each node as a leaf
     labels = [0 if a >= b else 1 for a, b in zip(n0, n1)]
-    internal = [i for i, nd in enumerate(nodes) if isinstance(nd, Internal)]
+    parent = [0] * len(nodes)  # the root's entry points at itself
+    live = []  # internal nodes of the current subtree, in arena order
+    for i, nd in enumerate(nodes):
+        if isinstance(nd, Internal):
+            parent[nd.left] = parent[nd.right] = i
+            live.append(i)
     # steps[i]: first element in which node i is a leaf; None while internal
     steps = [0 if isinstance(nd, Leaf) else None for nd in nodes]
-
-    def link_strengths() -> tuple[dict[int, Fraction], int, int]:
-        """g(t) of every internal node of the current subtree, and the
-        subtree's leaf and error counts; children come after parents, so one
-        reverse sweep gives (leaves, error) of every subtree."""
-        leaves = [1] * len(nodes)
-        errs = list(err)
-        g = {}
-        for i in reversed(internal):
-            if steps[i] is None:
-                nd = nodes[i]
-                leaves[i] = leaves[nd.left] + leaves[nd.right]
-                errs[i] = errs[nd.left] + errs[nd.right]
-                g[i] = Fraction(err[i] - errs[i], n * (leaves[i] - 1))
-        return g, leaves[0], errs[0]
-
-    def collapse(targets, step):
-        for i in targets:
+    leaves = [1] * len(nodes)  # leaves and errors of each node's current subtree
+    errs = list(err)
+    alphas, errors, sizes = [Fraction(0)], [], []
+    while True:
+        # children come after parents, so one reverse sweep refreshes every
+        # live subtree and finds the weakest links; (1, 0) stands for +inf
+        ga, gb, weakest = 1, 0, []
+        for i in reversed(live):
+            nd = nodes[i]
+            k = leaves[i] = leaves[nd.left] + leaves[nd.right]
+            e = errs[i] = errs[nd.left] + errs[nd.right]
+            a, b = err[i] - e, k - 1
+            if a * gb < ga * b:
+                ga, gb, weakest = a, b, [i]
+            elif a * gb == ga * b:
+                weakest.append(i)
+        if ga == 0 and not sizes:
+            # zero-gain links collapse into the first element, so it is the
+            # smallest optimizer at alpha = 0
+            step = 0
+        else:
+            errors.append(errs[0])
+            sizes.append(leaves[0])
+            if not weakest:
+                break
+            step = len(alphas)
+            alphas.append(Fraction(ga, n * gb))
+        for i in weakest:
             steps[i] = step
-        # a collapsed node's still-internal descendants collapse with it
-        for i in internal:
-            for child in (nodes[i].left, nodes[i].right):
-                if steps[child] is None:
-                    steps[child] = steps[i]
-
-    # collapse zero-gain links so the first element is the smallest
-    # optimizer at alpha = 0
-    g, size, total = link_strengths()
-    while zeros := [i for i, v in g.items() if v == 0]:
-        collapse(zeros, 0)
-        g, size, total = link_strengths()
-
-    alphas, errors, sizes = [Fraction(0)], [total], [size]
-    while g:
-        gmin = min(g.values())
-        collapse([i for i, v in g.items() if v == gmin], len(alphas))
-        g, size, total = link_strengths()
-        alphas.append(gmin)
-        errors.append(total)
-        sizes.append(size)
+            leaves[i], errs[i] = 1, err[i]
+        # a collapsed node's descendants leave the subtree with its step;
+        # parents come first, so each node sees its parent's final state
+        kept = []
+        for i in live:
+            if steps[i] is None:
+                if steps[parent[i]] is None:
+                    kept.append(i)
+                else:
+                    steps[i] = steps[parent[i]]
+        live = kept
 
     return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(alphas),
                           tuple(errors), tuple(sizes), n)

@@ -90,27 +90,8 @@ class TreeClassifier:
     def n_leaves(self) -> int:
         return sum(isinstance(nd, Leaf) for nd in self.nodes)
 
-    @property
-    def depth(self) -> int:
-        depth = [0] * len(self.nodes)
-        for i, nd in enumerate(self.nodes):
-            if isinstance(nd, Internal):
-                depth[nd.left] = depth[nd.right] = depth[i] + 1
-        return max(depth)
-
     def max_var(self) -> int:
         return max((nd.var for nd in self.nodes if isinstance(nd, Internal)), default=0)
-
-    def predict(self, x) -> int:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.shape[0] < self.max_var():
-            raise ValueError("feature vector too short for this tree")
-        i = 0
-        while True:
-            nd = self.nodes[i]
-            if isinstance(nd, Leaf):
-                return nd.label
-            i = nd.right if x[nd.var - 1] > nd.threshold else nd.left
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         labels = np.array([nd.label if isinstance(nd, Leaf) else -1 for nd in self.nodes])

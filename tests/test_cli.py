@@ -139,3 +139,12 @@ def test_library_value_error_is_a_usage_error(tmp_path):
     assert result.exit_code == 2
     assert result.output.splitlines()[-1] == "Error: kappa must be >= 1"
     assert "Traceback" not in result.output
+
+
+def test_repeated_header_name_is_a_usage_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x1,y\n1.0,2.0,0\n3.0,4.0,1\n")
+    result = CliRunner().invoke(main, ["grow", "--data", str(path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: repeated header name(s): 'x1'"
+    assert "Traceback" not in result.output

@@ -236,6 +236,22 @@ def test_subset_sorts_lazily_for_other_rows():
         assert np.array_equal(child.order, _stable_argsort(d.X[rows]))
 
 
+@pytest.mark.parametrize("rows", [[3, 1, 2], [1, 1, 2], [5], np.arange(40) % 2 == 0,
+                                  slice(10, 20), np.arange(39, -1, -1)])
+def test_subset_equals_a_dataset_of_the_rows(rows):
+    d = _tied_dataset(1)
+    child = d.subset(rows)
+    ref = Dataset(d.X[rows], d.y[rows])
+    for got, want in ((child.X, ref.X), (child.y, ref.y), (child.order, ref.order)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows", [[], np.zeros(40, dtype=bool), slice(5, 5)])
+def test_subset_of_no_rows_is_rejected(rows):
+    with pytest.raises(ValueError, match="at least one observation"):
+        _tied_dataset(1).subset(rows)
+
+
 def test_dataset_order_is_read_only():
     d = _tied_dataset(0)
     with pytest.raises(ValueError):
@@ -253,6 +269,15 @@ def test_csv_rejects_malformed_rows(tmp_path, body, message):
     path = tmp_path / "bad.csv"
     path.write_text("x1,x2,y\n" + body)
     with pytest.raises(ValueError, match=message):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("header,name", [("x1,y,y", "'y'"), ("x1,x1,y", "'x1'"),
+                                         ("x1, x1 ,y", "'x1'")])
+def test_csv_rejects_repeated_header_names(tmp_path, header, name):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "\n1.0,0,1\n")
+    with pytest.raises(ValueError, match=f"repeated header name.*{name}"):
         load_dataset(path)
 
 

@@ -10,8 +10,8 @@ from treeselect import (CVConfig, Dataset, DesignSpec, GeyPenalty, GrowLimits,
                         NobelPenalty, VCPenalty, cv_select_alpha, generate,
                         loss_estimate, penalty_value, select_tree)
 from treeselect import prune
-from treeselect.penalties import _candidate_alphas
-from treeselect.prune import weakest_link
+from treeselect.penalties import _candidate_alphas, _picks
+from treeselect.prune import best_in_sequence, weakest_link
 from treeselect.grow import grow_maximal
 from treeselect.tree import leaf
 
@@ -180,7 +180,6 @@ def test_cv_contract():
     cands = _candidate_alphas(seq)
     alpha, tree = cv_select_alpha(d, CVConfig(folds=5, seed=2))
     assert alpha in cands
-    from treeselect.prune import best_in_sequence
     idx, _ = best_in_sequence(seq, lambda k: alpha * k)
     assert tree.n_leaves == seq.sizes[idx]
 
@@ -194,6 +193,40 @@ def test_cv_candidate_grid():
     assert cands[-1] > float(seq.alphas[-1])
     for a, b in zip(cands, cands[1:]):
         assert a < b
+
+
+@st.composite
+def dyadic_sequences(draw):
+    """A pruned sequence on tied features, and float alphas: its
+    candidates, its critical alphas and dyadic ones.  When n is a power of
+    2, a dyadic alpha at which two elements cost the same in rationals
+    makes them cost the same in floats too; other n round."""
+    n = draw(st.integers(1, 5).map(lambda j: 2 ** j) | st.integers(2, 40))
+    rows = st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=2)
+    X = np.array(draw(st.lists(rows, min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    d = Dataset(X, y)
+    seq = weakest_link(grow_maximal(d), d)
+    dyadic = st.integers(0, 64).map(lambda j: j / 64)
+    alphas = (_candidate_alphas(seq) + [float(a) for a in seq.alphas]
+              + draw(st.lists(dyadic, max_size=8)))
+    return seq, alphas
+
+
+@settings(max_examples=200, deadline=None)
+@given(dyadic_sequences())
+def test_picks_match_best_in_sequence(case):
+    seq, alphas = case
+    picks = _picks(seq, np.array(alphas))
+    assert picks.tolist() == [best_in_sequence(seq, lambda k: a * k)[0] for a in alphas]
+
+
+def test_picks_break_an_exact_tie_toward_the_smaller_tree():
+    d = Dataset(np.column_stack([np.arange(1.0, 5.0), np.zeros(4)]), np.array([0, 1, 1, 0]))
+    seq = weakest_link(grow_maximal(d), d)
+    assert seq.sizes == (3, 1) and seq.error_counts == (0, 2)
+    # at alpha = 1/4 both elements cost 3/4 exactly
+    assert _picks(seq, np.array([0.0, 0.25, 0.3])).tolist() == [0, 1, 1]
 
 
 def test_cv_folds_validation():

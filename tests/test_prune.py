@@ -10,7 +10,8 @@ from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
                         grow_maximal, leaf, sequence_to_csv, subtree_at_alpha,
                         weakest_link)
 from treeselect.oracle import brute_force_best_subtree
-from treeselect.prune import check_nested
+from treeselect.prune import PrunedSequence, check_nested
+from treeselect.tree import Internal, Leaf, descriptor_of, node_counts, tree_from_class
 
 from conftest import leaf_budgets, random_dataset, tied_datasets
 
@@ -118,3 +119,86 @@ def test_schedule_matches_materialised_elements(data, max_leaves, rnd):
     assert seq.errors_on(train) == list(seq.error_counts)
     assert seq.sizes == tuple(t.n_leaves for t in seq.subtrees)
     assert [seq.subtree(k) for k in range(len(seq.alphas))] == list(seq.subtrees)
+
+
+def _reference_weakest_link(tree, data):
+    """The Fraction-valued weakest link weakest_link replaced: every step
+    recomputes g(t) of every internal node as a Fraction, collapses the
+    nodes tied at the minimum and propagates over all internal nodes."""
+    nodes, n = tree.nodes, data.n
+    n0, n1 = node_counts(tree, data)
+    err = [min(a, b) for a, b in zip(n0, n1)]
+    labels = [0 if a >= b else 1 for a, b in zip(n0, n1)]
+    internal = [i for i, nd in enumerate(nodes) if isinstance(nd, Internal)]
+    steps = [0 if isinstance(nd, Leaf) else None for nd in nodes]
+
+    def link_strengths():
+        leaves = [1] * len(nodes)
+        errs = list(err)
+        g = {}
+        for i in reversed(internal):
+            if steps[i] is None:
+                nd = nodes[i]
+                leaves[i] = leaves[nd.left] + leaves[nd.right]
+                errs[i] = errs[nd.left] + errs[nd.right]
+                g[i] = Fraction(err[i] - errs[i], n * (leaves[i] - 1))
+        return g, leaves[0], errs[0]
+
+    def collapse(targets, step):
+        for i in targets:
+            steps[i] = step
+        for i in internal:
+            for child in (nodes[i].left, nodes[i].right):
+                if steps[child] is None:
+                    steps[child] = steps[i]
+
+    g, size, total = link_strengths()
+    while zeros := [i for i, v in g.items() if v == 0]:
+        collapse(zeros, 0)
+        g, size, total = link_strengths()
+    alphas, errors, sizes = [Fraction(0)], [total], [size]
+    while g:
+        gmin = min(g.values())
+        collapse([i for i, v in g.items() if v == gmin], len(alphas))
+        g, size, total = link_strengths()
+        alphas.append(gmin)
+        errors.append(total)
+        sizes.append(size)
+    return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(alphas),
+                          tuple(errors), tuple(sizes), n)
+
+
+def _breadth_first(tree):
+    """The same tree laid out breadth first, so not in pre-order."""
+    thresholds, queue = [], [0]
+    for i in queue:  # grows as the walk goes
+        nd = tree.nodes[i]
+        if isinstance(nd, Internal):
+            thresholds.append(nd.threshold)
+            queue += [nd.left, nd.right]
+    labels = [tree.nodes[i].label for i in queue if isinstance(tree.nodes[i], Leaf)]
+    return tree_from_class(descriptor_of(tree), thresholds, labels)
+
+
+def test_breadth_first_layout_is_the_same_tree():
+    rng = np.random.default_rng(4)
+    d = random_dataset(rng, 40, 3)
+    tree = grow_maximal(d)
+    bfs = _breadth_first(tree)
+    assert bfs.nodes != tree.nodes
+    assert np.array_equal(bfs.predict_batch(d.X), tree.predict_batch(d.X))
+    assert weakest_link(bfs, d).subtrees == weakest_link(tree, d).subtrees
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets() | st.builds(random_dataset, st.integers(0, 2 ** 32 - 1)
+                                   .map(np.random.default_rng),
+                                   st.integers(2, 40), st.integers(2, 4)),
+       leaf_budgets)
+def test_weakest_link_matches_reference(data, max_leaves):
+    tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves))
+    # a tree grown on other rows, as in CV, can have zero-gain links
+    other = data.subset(np.arange(data.n) % 2 == 0)
+    for arena in (tree, _breadth_first(tree)):
+        for rows in (data, other):
+            assert weakest_link(arena, rows) == _reference_weakest_link(arena, rows)

@@ -15,19 +15,18 @@ from treeselect.tree import Internal, Leaf, descriptor_of, tree_from_class
 
 def test_predict_stump():
     t = stump(1, 0.5, 0, 1)
-    assert t.predict([0.7]) == 1
-    assert t.predict([0.5]) == 0  # boundary goes Left: not strictly greater
-    assert t.predict([0.3]) == 0
+    # the boundary row goes Left: not strictly greater
+    assert t.predict_batch([[0.7], [0.5], [0.3]]).tolist() == [1, 0, 0]
 
 
 def test_predict_single_leaf():
-    assert leaf(1).predict([123.0]) == 1
+    assert leaf(1).predict_batch([[123.0]]).tolist() == [1]
 
 
 def test_predict_dimension_mismatch():
     t = stump(3, 0.0, 0, 1)
     with pytest.raises(ValueError):
-        t.predict([1.0, 2.0])
+        t.predict_batch([[1.0, 2.0]])
 
 
 def test_leaf_minus_internal_is_one():
@@ -47,13 +46,31 @@ def test_empirical_risk_stump_example():
     assert empirical_risk(stump(1, 2.5, 0, 1), d) == 0.5
 
 
+def _predict_row(tree, x):
+    """Label of one feature vector, by walking the arena from the root."""
+    i = 0
+    while isinstance(tree.nodes[i], Internal):
+        nd = tree.nodes[i]
+        i = nd.right if x[nd.var - 1] > nd.threshold else nd.left
+    return tree.nodes[i].label
+
+
+def _depth(tree):
+    """Longest root-to-leaf path, in edges; children follow their parent."""
+    depth = [0] * len(tree.nodes)
+    for i, nd in enumerate(tree.nodes):
+        if isinstance(nd, Internal):
+            depth[nd.left] = depth[nd.right] = depth[i] + 1
+    return max(depth)
+
+
 def test_empirical_risk_matches_naive_recount():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 3))
     y = rng.integers(0, 2, 30)
     d = Dataset(X, y)
     t = tree_from_text("node(2, 0.1, leaf(0), node(1, -0.3, leaf(1), leaf(0)))")
-    naive = sum(t.predict(row) != lab for row, lab in zip(X, y)) / 30
+    naive = sum(_predict_row(t, row) != lab for row, lab in zip(X, y)) / 30
     assert empirical_risk(t, d) == naive
 
 
@@ -220,7 +237,7 @@ def test_deep_trees_need_no_recursion():
         seq = weakest_link(grown, stairs)
         caterpillar = tree_from_text(text)
         back = tree_to_text(caterpillar)
-        caterpillar_depth = caterpillar.depth
+        caterpillar_depth = _depth(caterpillar)
         nested = is_pruned_subtree(leaf(0), caterpillar) and is_pruned_subtree(
             caterpillar, caterpillar)
         rows = np.column_stack([np.arange(depth + 1.0), np.zeros(depth + 1)])
@@ -230,7 +247,7 @@ def test_deep_trees_need_no_recursion():
         desc = descriptor_of(caterpillar)
     finally:
         sys.setrecursionlimit(old_limit)
-    assert grown.depth == 80 and grown.n_leaves == 81
+    assert _depth(grown) == 80 and grown.n_leaves == 81
     assert seq.error_counts[0] == 0 and seq.subtrees[-1].n_leaves == 1
     assert back == text
     assert caterpillar_depth == depth
