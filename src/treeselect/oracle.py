@@ -10,10 +10,10 @@ node counts and split search that it checks.  A class's threshold
 assignments are routed in blocks of at most BLOCK_CELLS (assignment, row)
 cells, one _route walk of the class shape per block, and in-class ERM
 counts a whole block with one bincount.  Each split variable's candidate
-thresholds and comparison matrix are computed once per search and shared
-by all of its classes.  Brute-force pruning routes the tree once for every
-node's leaf error, scores each pruning from the errors and leaf count
-carried with it, and builds only the winner.
+thresholds are computed once per search and shared by all of its classes.
+Brute-force pruning routes the tree once for every node's leaf error,
+scores each pruning from the errors and leaf count carried with it, and
+builds only the winner.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
 MAX_SIZE = 30  # catalan/class_count are certified overflow-free up to here
 CLASS_CAP = 100_000  # classes enumerate_classes may list
 COMBO_CAP = 200_000  # threshold combinations, classifiers or pruned subtrees
-KEPT_CELLS = 1 << 22  # comparison-matrix cells one search keeps for reuse
 
 
 class ResourceCapError(RuntimeError):
@@ -88,56 +87,42 @@ def enumerate_classes(p: int, k: int) -> tuple[ClassDescriptor, ...]:
                  for variables in itertools.product(range(1, p + 1), repeat=k - 1))
 
 
-class _Splits:
-    """Each split variable's candidate thresholds on the sample X, and the
-    (candidates, n) matrix of rows each candidate sends right, each computed
-    on first use and kept, so that the classes of one search share them.
-    Candidates are the midpoints of consecutive distinct sorted values,
-    bracketed by -inf and +inf so degenerate splits can route everything one
-    way.  Matrices are kept only up to KEPT_CELLS cells in all; later ones
-    are recomputed on every use."""
+class _Candidates(dict):
+    """Each split variable's candidate thresholds on the sample X, computed
+    on first use and kept, so that the classes of one search share them:
+    the midpoints of consecutive distinct sorted values, bracketed by -inf
+    and +inf so degenerate splits can route everything one way."""
 
     def __init__(self, X: np.ndarray):
+        super().__init__()
         self.X = X
-        self._candidates: dict = {}
-        self._goes_right: dict = {}
-        self._kept = 0
 
-    def candidates(self, v: int) -> np.ndarray:
-        if v not in self._candidates:
-            vals = np.unique(self.X[:, v - 1])
-            self._candidates[v] = np.concatenate(
-                ([-math.inf], (vals[:-1] + vals[1:]) / 2.0, [math.inf]))
-        return self._candidates[v]
-
-    def goes_right(self, v: int) -> np.ndarray:
-        if v in self._goes_right:
-            return self._goes_right[v]
-        right = self.X[:, v - 1] > self.candidates(v)[:, None]
-        if self._kept + right.size <= KEPT_CELLS:
-            self._goes_right[v] = right
-            self._kept += right.size
-        return right
+    def __missing__(self, v: int) -> np.ndarray:
+        vals = np.unique(self.X[:, v - 1])
+        self[v] = np.concatenate(([-math.inf], (vals[:-1] + vals[1:]) / 2.0, [math.inf]))
+        return self[v]
 
 
-def _assignments(desc: ClassDescriptor, splits: _Splits, variants: int, what: str):
+def _assignments(desc: ClassDescriptor, candidates: _Candidates, variants: int, what: str):
     """Yield (thresholds, cells) blocks covering every threshold assignment
     of the class, in lexicographic (itertools.product) order: thresholds is
     (b, k-1) in BFS internal-node order and cells (b, n) holds the BFS leaf
     index each row reaches under each of the b assignments, with b * n at
     most BLOCK_CELLS (b >= 1).  Raises ValueError for a variable beyond the
     sample's columns and ResourceCapError when assignments * variants
-    exceeds COMBO_CAP, both before routing anything or building a
-    comparison matrix; every block is then routed by one _route call."""
-    n, p = splits.X.shape
+    exceeds COMBO_CAP, both before routing anything.  Each split node's
+    (candidates, n) comparison matrix is computed once per class; every
+    block is then routed by one _route call."""
+    X = candidates.X
+    n, p = X.shape
     wide = sorted({v for v in desc.variables if v > p})
     if wide:
         raise ValueError(f"class variables {wide} exceed the sample's {p} columns")
-    cands = [splits.candidates(v) for v in desc.variables]
+    cands = [candidates[v] for v in desc.variables]
     count = math.prod(c.size for c in cands)
     if count * variants > COMBO_CAP:
         raise ResourceCapError(f"{count * variants} {what} exceeds the cap of {COMBO_CAP}")
-    goes_right = [splits.goes_right(v) for v in desc.variables]
+    goes_right = [X[:, v - 1] > c[:, None] for v, c in zip(desc.variables, cands)]
     step = max(1, BLOCK_CELLS // max(n, 1))
     for start in range(0, count, step):
         block = np.arange(start, min(start + step, count))
@@ -177,14 +162,14 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    return _erm_in_class(desc, data, _Splits(data.X))
+    return _erm_in_class(desc, data, _Candidates(data.X))
 
 
-def _erm_in_class(desc: ClassDescriptor, data: Dataset, splits: _Splits
+def _erm_in_class(desc: ClassDescriptor, data: Dataset, candidates: _Candidates
                   ) -> tuple[TreeClassifier, Fraction]:
     k = desc.size
     best_err = best = None
-    for thresholds, cells in _assignments(desc, splits, 1, "threshold combinations"):
+    for thresholds, cells in _assignments(desc, candidates, 1, "threshold combinations"):
         b = cells.shape[0]
         keys = 2 * cells + data.y + 2 * k * np.arange(b)[:, None]
         counts = np.bincount(keys.ravel(), minlength=2 * k * b).reshape(b, k, 2)
@@ -205,10 +190,10 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
         raise ValueError("k_max must be >= 1")
     best_tree = None
     best_cost = None
-    splits = _Splits(data.X)
+    candidates = _Candidates(data.X)
     for k in range(1, k_max + 1):
         for desc in enumerate_classes(data.p, k):
-            tree, risk = _erm_in_class(desc, data, splits)
+            tree, risk = _erm_in_class(desc, data, candidates)
             cost = float(risk) + penalty_value(spec, k, data.n, data.p)
             if best_cost is None or cost < best_cost:
                 best_tree, best_cost = tree, cost
@@ -224,7 +209,7 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
         raise ValueError("sample must be a 2-D array of feature vectors")
     labelings = np.array(list(itertools.product((False, True), repeat=desc.size)))
     seen: set[bytes] = set()
-    for _, cells in _assignments(desc, _Splits(X), len(labelings), "classifier variants"):
+    for _, cells in _assignments(desc, _Candidates(X), len(labelings), "classifier variants"):
         for labels in labelings:
             # each assignment's set under this labeling, as a packed row bitmask
             seen.update(map(bytes, np.packbits(labels[cells], axis=1)))

@@ -243,8 +243,7 @@ def test_exhaustive_beats_heuristic_separable(line_dataset):
     assert cost_ex == pytest.approx(0.02)
 
 
-@pytest.mark.parametrize("kept_cells", [oracle.KEPT_CELLS, 0])
-def test_exhaustive_shares_each_variables_splits(monkeypatch, kept_cells):
+def test_exhaustive_shares_each_variables_candidates(monkeypatch):
     rng = np.random.default_rng(41)
     d = Dataset(rng.normal(size=(9, 3)).round(1), rng.integers(0, 2, size=9))
     spec = LinearPenalty(0.05)
@@ -258,7 +257,6 @@ def test_exhaustive_shares_each_variables_splits(monkeypatch, kept_cells):
     unique = np.unique
     calls = []
     monkeypatch.setattr(np, "unique", lambda a: calls.append(1) or unique(a))
-    monkeypatch.setattr(oracle, "KEPT_CELLS", kept_cells)
     tree, cost = exhaustive_select(d, spec, k_max=3)
     assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
     assert len(calls) == d.p  # once per variable, not once per class
