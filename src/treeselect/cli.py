@@ -29,19 +29,28 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
+# the flags each --penalty reads; a flag it does not read is an error
+_PENALTY_FLAGS = {"linear": ("alpha",), "margin": ("kappa", "c1", "c2"), "vc": ("c1", "c2"),
+                  "min": ("kappa", "c1", "c2"), "nobel": ("c1",), "gey": ("c2",)}
+
+
 def _build_penalty(penalty, alpha, kappa, c1, c2):
+    given = _given(alpha=alpha, kappa=kappa, c1=c1, c2=c2)
+    unread = [f"--{flag}" for flag in given if flag not in _PENALTY_FLAGS[penalty]]
+    if unread:
+        raise ValueError(f"--penalty {penalty} does not read {', '.join(unread)}")
     if penalty == "linear":
-        return LinearPenalty(alpha)
+        return LinearPenalty(**given)
     if penalty == "margin":
-        return MarginAdaptivePenalty(**_given(kappa=kappa, c1=c1, c2=c2))
+        return MarginAdaptivePenalty(**given)
     if penalty == "vc":
-        return VCPenalty(**_given(c1=c1, c2=c2))
+        return VCPenalty(**given)
     if penalty == "min":
-        return MinCombinedPenalty(MarginAdaptivePenalty(**_given(kappa=kappa, c1=c1, c2=c2)),
+        return MinCombinedPenalty(MarginAdaptivePenalty(**given),
                                   VCPenalty(**_given(c1=c1, c2=c2)))
     if penalty == "nobel":
-        return NobelPenalty(**_given(c1=c1))
-    return GeyPenalty(**_given(c2=c2))
+        return NobelPenalty(**given)
+    return GeyPenalty(**given)
 
 
 def _emit_tree(tree, out):
@@ -123,7 +132,7 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--penalty", type=click.Choice(["linear", "margin", "vc", "min",
                                               "nobel", "gey"]), default="margin")
-@click.option("--alpha", type=float, default=0.0, help="weight for --penalty linear")
+@click.option("--alpha", type=float, default=None, help="weight for --penalty linear")
 @click.option("--kappa", type=float, default=None)
 @click.option("--c1", type=float, default=None)
 @click.option("--c2", type=float, default=None)
@@ -168,12 +177,19 @@ def _parse_config_file(path) -> dict:
     return out
 
 
+def _items(text) -> list[str]:
+    items = str(text).split(",")
+    if any(not v.strip() for v in items):
+        raise ValueError(f"empty item in the comma list {text!r}")
+    return items
+
+
 def _int_list(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in str(text).split(",") if v != "")
+    return tuple(int(v) for v in _items(text))
 
 
 def _float_list(text) -> tuple[float, ...]:
-    return tuple(float(v) for v in str(text).split(",") if v != "")
+    return tuple(float(v) for v in _items(text))
 
 
 @main.command()
@@ -213,7 +229,7 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
     if cfg_file:
         raise click.UsageError(f"unknown config key(s): {', '.join(sorted(cfg_file))}")
     cfg = xp.ExperimentConfig(master_seed=seed, **given)
-    if noise_override:
+    if noise_override is not None:
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
                                         **{d: noise_override for d in cfg.designs}})
     result = xp.run_sweep(cfg)

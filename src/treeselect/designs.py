@@ -39,25 +39,35 @@ def check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _set_read_only(obj, **arrays) -> None:
+    """Set each array, made read-only, as an attribute of a frozen dataclass."""
+    for name, a in arrays.items():
+        if a is not None:
+            a.flags.writeable = False
+        object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """n rows of p real features with 0/1 labels.
 
-    ``order`` is the presort that tree growing starts from: row j holds the
-    row indices that sort feature column j, ties by row index (a stable
-    argsort).  It is computed on first use, cached and read-only.  A
-    ``subset`` taken with strictly increasing rows from a dataset whose
-    order is already cached inherits it by filtering, so the CV folds of
-    one dataset share a single sort.  Writing to ``X`` after the order is
-    cached makes it stale; ``grow_maximal`` checks for that and raises.
+    ``X`` and ``y`` are read-only copies taken at construction.  ``order``
+    is the presort that tree growing starts from: row j holds the row
+    indices that sort feature column j, ties by row index (a stable
+    argsort).  It is computed on first use with ``tied``, the columns that
+    hold equal values; both are cached and read-only.  A ``subset`` taken
+    with strictly increasing rows from a dataset whose order is cached
+    inherits it by filtering, and inherits ``tied`` (a superset of its
+    own), so the CV folds of one dataset share a single sort.
     """
 
     X: np.ndarray  # (n, p) float64
     y: np.ndarray  # (n,) int
     _order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _tied: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=np.float64)
+        X = np.array(self.X, dtype=np.float64)
         y = np.asarray(self.y)
         if X.ndim != 2:
             raise ValueError("features must be a 2-D array")
@@ -76,8 +86,7 @@ class Dataset:
         # check the raw values: a cast first would turn 0.7 into a valid 0
         if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", np.asarray(y, dtype=np.int64))
+        _set_read_only(self, X=X, y=np.array(y, dtype=np.int64))
 
     @property
     def n(self) -> int:
@@ -91,12 +100,22 @@ class Dataset:
     def order(self) -> np.ndarray:
         """(p, n) stable argsort of each feature column, computed once."""
         if self._order is None:
-            self._set_order(np.argsort(self.X.T, axis=1, kind="stable"))
+            self._presort()
         return self._order
 
-    def _set_order(self, order: np.ndarray) -> None:
-        order.flags.writeable = False
-        object.__setattr__(self, "_order", order)
+    @property
+    def tied(self) -> np.ndarray:
+        """0-based indices of the columns that hold equal values, computed
+        with ``order``; for an inheriting subset, those of its parent."""
+        if self._tied is None:
+            self._presort()
+        return self._tied
+
+    def _presort(self) -> None:
+        order = np.argsort(self.X.T, axis=1, kind="stable")
+        svals = np.take_along_axis(self.X.T, order, 1)
+        _set_read_only(self, _order=order,
+                       _tied=np.flatnonzero((svals[:, 1:] == svals[:, :-1]).any(axis=1)))
 
     def subset(self, rows) -> "Dataset":
         """The dataset of the given rows, in the given order.  Rows of a
@@ -104,17 +123,16 @@ class Dataset:
         rows = np.arange(self.n)[rows]
         if rows.size == 0:
             raise ValueError("need at least one observation")
-        child = object.__new__(Dataset)  # bypasses __post_init__'s checks
-        object.__setattr__(child, "X", self.X[rows])
-        object.__setattr__(child, "y", self.y[rows])
-        object.__setattr__(child, "_order", None)
+        order = tied = None
         if self._order is not None and np.all(rows[1:] > rows[:-1]):
             # rank is monotone in the row index, so filtering the parent's
             # order keeps ties by row index: a stable argsort of the child
             rank = np.full(self.n, -1, dtype=self._order.dtype)
             rank[rows] = np.arange(rows.size)
             ranked = rank.take(self._order)
-            child._set_order(ranked[ranked >= 0].reshape(self.p, rows.size))
+            order, tied = ranked[ranked >= 0].reshape(self.p, rows.size), self._tied
+        child = object.__new__(Dataset)  # bypasses __post_init__'s checks
+        _set_read_only(child, X=self.X[rows], y=self.y[rows], _order=order, _tied=tied)
         return child
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -69,6 +70,13 @@ class ExperimentConfig:
         for d in self.designs:
             if d not in self.noise_grids or not self.noise_grids[d]:
                 raise ValueError(f"no noise grid for design {d}")
+        for name, grid in (("designs", self.designs), ("n_grid", self.n_grid),
+                           ("p_grid", self.p_grid),
+                           *((f"the noise grid of design {d}", self.noise_grids[d])
+                             for d in self.designs)):
+            repeated = sorted(v for v, count in Counter(grid).items() if count > 1)
+            if repeated:
+                raise ValueError(f"{name} repeats {', '.join(map(repr, repeated))}")
         for d, n, p, noise, _ in self.cells():
             DesignSpec(d, n, p, noise)  # raises on a cell the design cannot draw
         if min(self.n_grid) < self.folds:

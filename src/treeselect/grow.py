@@ -18,8 +18,8 @@ maximum and minimum of it find the best cut.  Rows with equal values may
 sit in any order within their run: only the last position of a run is a
 valid cut, and s there is the same for every order of the run, so the
 chosen split does not depend on how ties were ordered.  Only columns that
-hold equal values need that check; ``grow_maximal`` finds them once per
-tree, while it checks that the cached order still sorts X.
+hold equal values need that check; ``grow_maximal`` reads them from
+``Dataset.tied``, cached with the presort.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ def _majority(n0: int, n1: int) -> tuple[int, int]:
     return (0, n1) if n0 >= n1 else (1, n0)
 
 
-def _node_order(data: Dataset, rows) -> np.ndarray:
-    """The (p, m) presort of a row subset, filtered from ``data.order``; a
-    row listed twice appears twice."""
-    counts = np.bincount(np.arange(data.n)[rows], minlength=data.n)
-    order = data.order
-    return np.repeat(order, counts[order].ravel()).reshape(data.p, -1)
-
-
 def best_split(data: Dataset, rows, min_node_size: int = 1,
                order: np.ndarray | None = None,
                tied: np.ndarray | None = None) -> Split | None:
@@ -91,7 +83,7 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     s = S // 2, where |2s - S| <= |S|, so it never wins.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
-    feature over the subset); it is derived from ``data.order`` when not
+    feature over the subset); a stable argsort of ``data.X[rows]`` when not
     given.  ``tied`` lists the 0-based columns that may hold equal values
     among the rows; only those are checked for ties, and every column is
     when it is None (a row listed twice ties with itself everywhere)."""
@@ -104,7 +96,8 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     if n1 in (0, m) or m < 2 * min_node_size:
         return None  # label-pure, or too small for two children
     if order is None:
-        order = _node_order(data, rows)
+        rows = np.arange(data.n)[rows]  # indices, also for a boolean mask
+        order = rows[np.argsort(data.X[rows].T, axis=1, kind="stable")]
     S = 2 * n1 - m
 
     # signed sums left of the cuts after positions 0..m-2
@@ -143,29 +136,18 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     best-first by error reduction (ties by creation order)."""
     if limits is None:
         limits = GrowLimits()
-    order = data.order
-    # a cached order goes stale if X is written to afterwards; the same
-    # comparison of neighbours lists the columns that hold equal values
-    svals = np.take_along_axis(data.X.T, order, 1)
-    ahead, behind = svals[:, 1:], svals[:, :-1]
-    if not (ahead >= behind).all():
-        raise ValueError("Dataset.order no longer sorts X: "
-                         "the features were changed after the order was cached")
-    tied = np.flatnonzero((ahead == behind).any(axis=1))
-    del svals, ahead, behind
     n1 = int(data.y.sum())
     label, _ = _majority(data.n - n1, n1)
     # growth-order arena: the two children of a split are appended after it
     nodes: list = [Leaf(label)]
     labels = [label]
-    rows_at = [np.arange(data.n)]
-    order_at = [order]
+    order_at = [data.order]  # order_at[i][0] lists the rows of node i
     heap: list = []  # (-error reduction, node index, split)
     goes_right = np.zeros(data.n, dtype=bool)
 
     def consider(i: int):
-        rows = rows_at[i]
-        split = best_split(data, rows, limits.min_node_size, order_at[i], tied)
+        rows = order_at[i][0]
+        split = best_split(data, rows, limits.min_node_size, order_at[i], data.tied)
         if split is None:
             order_at[i] = None
         else:
@@ -177,20 +159,19 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     n_leaves = 1
     while heap and (limits.max_leaves is None or n_leaves < limits.max_leaves):
         _, i, split = heapq.heappop(heap)
-        rows, order = rows_at[i], order_at[i]
-        right = data.X[rows, split.var - 1] > split.threshold
+        order = order_at[i]
+        rows = order[0]
+        goes_right[rows] = data.X[rows, split.var - 1] > split.threshold
         # a stable filter of a sorted row keeps it sorted
-        goes_right[rows] = right
         to_right = goes_right.take(order).ravel()
         order = order.ravel()
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
         nodes += [Leaf(split.left_label), Leaf(split.right_label)]
         labels += [split.left_label, split.right_label]
-        rows_at += [rows[~right], rows[right]]
         order_at += [order.compress(~to_right).reshape(data.p, -1),
                      order.compress(to_right).reshape(data.p, -1)]
-        rows_at[i] = order_at[i] = None
+        order_at[i] = None
         n_leaves += 1
         consider(left)
         consider(left + 1)

@@ -34,7 +34,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinearPenalty:
-    alpha: float
+    alpha: float = 0.0
 
     def __post_init__(self):
         if self.alpha < 0:

@@ -233,9 +233,21 @@ def tree_to_text(tree: TreeClassifier) -> str:
 
 
 _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
+_LABEL = re.compile(r"[01]")
+_VAR = re.compile(r"[1-9][0-9]*")
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _parse(pattern: re.Pattern, what: str, token: str) -> str:
+    if pattern.fullmatch(token) is None:
+        raise ValueError(f"malformed {what} {token!r} in tree text")
+    return token
 
 
 def tree_from_text(text: str) -> TreeClassifier:
+    """Parse the text ``tree_to_text`` writes, and nothing else: a label is
+    0 or 1, a variable a decimal from 1 with no sign or leading zero, and a
+    threshold a finite decimal float (no underscore, nan or inf)."""
     tokens = _TOKEN.findall(text)
     pos = 0
 
@@ -260,13 +272,13 @@ def tree_from_text(text: str) -> TreeClassifier:
         done = len(nodes)
         if kind == "leaf":
             expect("(")
-            nodes.append(Leaf(int(take())))
+            nodes.append(Leaf(int(_parse(_LABEL, "label", take()))))
             expect(")")
         elif kind == "node":
             expect("(")
-            var = int(take())
+            var = int(_parse(_VAR, "variable", take()))
             expect(",")
-            threshold = float(take())
+            threshold = float(_parse(_FLOAT, "threshold", take()))
             if not math.isfinite(threshold):
                 raise ValueError(f"threshold {threshold!r} is not finite")
             expect(",")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from click.testing import CliRunner
 
 import treeselect.verify
@@ -148,3 +149,51 @@ def test_repeated_header_name_is_a_usage_error(tmp_path):
     assert result.exit_code == 2
     assert result.output.splitlines()[-1] == "Error: repeated header name(s): 'x1'"
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--penalty", "margin", "--alpha", "5"], "--penalty margin does not read --alpha"),
+    (["--penalty", "nobel", "--kappa", "3", "--c2", "9"],
+     "--penalty nobel does not read --kappa, --c2"),
+    (["--penalty", "linear", "--kappa", "9"], "--penalty linear does not read --kappa"),
+    (["--penalty", "gey", "--c1", "2"], "--penalty gey does not read --c1"),
+    (["--penalty", "vc", "--kappa", "2"], "--penalty vc does not read --kappa"),
+])
+def test_select_rejects_a_flag_its_penalty_does_not_read(tmp_path, flags, message):
+    data = _make_data(tmp_path)
+    result = CliRunner().invoke(main, ["select", "--data", str(data), *flags])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+
+
+def test_select_linear_defaults_to_the_class_weight(tmp_path):
+    data = _make_data(tmp_path)
+    default = run("select", "--data", str(data), "--penalty", "linear")
+    zero = run("select", "--data", str(data), "--penalty", "linear", "--alpha", "0")
+    assert default.output == zero.output
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n-grid", "40,,40"], "empty item in the comma list '40,,40'"),
+    (["--p-grid", "5,"], "empty item in the comma list '5,'"),
+    (["--noise-grid", ""], "empty item in the comma list ''"),
+    (["--n-grid", "40,40"], "n_grid repeats 40"),
+    (["--designs", "1,2,1"], "designs repeats 1"),
+    (["--noise-grid", "0.1,0.2,0.1"], "the noise grid of design 1 repeats 0.1"),
+])
+def test_experiment_rejects_empty_and_repeated_grid_items(tmp_path, flags, message):
+    result = CliRunner().invoke(main, ["experiment", "--seed", "1", "--replications", "1",
+                                       *flags, "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_file_grid_with_an_empty_item_is_a_usage_error(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p_grid=5,,10\n")
+    result = CliRunner().invoke(main, ["experiment", "--config", str(cfg), "--seed", "1",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: empty item in the comma list '5,,10'"

@@ -118,6 +118,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kwargs,message", [
+    (dict(designs=(1, 1)), "designs repeats 1"),
+    (dict(n_grid=(40, 50, 40, 50)), "n_grid repeats 40, 50"),
+    (dict(p_grid=(30, 30)), "p_grid repeats 30"),
+    (dict(noise_grids={1: (0.1, 0.2, 0.1)}), "the noise grid of design 1 repeats 0.1"),
+])
+def test_config_rejects_repeated_grid_values(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
     (dict(folds=2.5), "folds must be an integer"),
     (dict(n_grid=(50.5,)), "n must be an integer"),
     (dict(p_grid=(30, 60.0)), "p must be an integer"),

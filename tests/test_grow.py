@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,12 +123,23 @@ def test_every_split_strictly_reduces_errors():
     assert t.n_leaves - 1 <= int(min((d.y == 0).sum(), (d.y == 1).sum())) * 2 + d.n
 
 
-def test_grow_rejects_features_changed_after_the_order_is_cached():
-    d = random_dataset(np.random.default_rng(5), 30, 3)
-    d.order
-    d.X[d.order[0, 0], 0] = 100.0  # the smallest value of x1 becomes the largest
-    with pytest.raises(ValueError, match="order"):
-        grow_maximal(d)
+def test_dataset_arrays_are_read_only_copies():
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(30, 3))
+    y = rng.integers(0, 2, size=30)
+    d = Dataset(X, y)
+    X0, y0, order0 = d.X.copy(), d.y.copy(), d.order.copy()
+    for arr in (d.X, d.y, d.subset(np.arange(5)).X, d.subset(np.arange(5)).y):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    X[d.order[0, 0], 0] = 100.0  # would make the smallest value of x1 the largest
+    y[:3] = -1  # would read as a +1 sign in the split search
+    assert np.array_equal(d.X, X0) and np.array_equal(d.y, y0)
+    assert np.array_equal(d.order, order0)
+    assert not np.shares_memory(d.X, X) and not np.shares_memory(d.y, y)
+    assert tree_to_text(grow_maximal(d)) == tree_to_text(grow_maximal(Dataset(X0, y0)))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Dataset(X, y)
 
 
 def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
@@ -140,8 +153,7 @@ def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
         return best_split(data, rows, min_node_size, order, tied)
 
     monkeypatch.setattr(grow, "best_split", spy)
-    d = random_dataset(np.random.default_rng(6), 60, 3)
-    d.X[:, 1] = np.round(d.X[:, 1])  # ties
+    d = _rounded_columns(random_dataset(np.random.default_rng(6), 60, 3), [1])  # ties
     grow_maximal(d)
     assert len(seen) > 3
     for rows, order in seen:
@@ -172,6 +184,25 @@ def test_grow_and_prune_row_permutation_invariant(data, max_leaves, rnd):
     assert ptexts == texts
     assert pseq.alphas == seq.alphas
     assert pseq.error_counts == seq.error_counts
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.randoms(use_true_random=False))
+def test_subset_with_inherited_tied_columns_grows_and_prunes_as_a_fresh_dataset(
+        data, max_leaves, rnd):
+    # a subset inherits its parent's tied columns, a superset of its own
+    rows = np.array(sorted(rnd.sample(range(data.n), rnd.randint(1, data.n))))
+    data.order
+    child = data.subset(rows)
+    fresh = Dataset(data.X[rows], data.y[rows])
+    assert np.array_equal(child.tied, data.tied)
+    assert set(fresh.tied) <= set(child.tied)
+    limits = GrowLimits(max_leaves=max_leaves)
+    tree = grow_maximal(child, limits)
+    assert tree == grow_maximal(fresh, limits)
+    seq, fresh_seq = weakest_link(tree, child), weakest_link(tree, fresh)
+    for f in fields(seq):
+        assert getattr(seq, f.name) == getattr(fresh_seq, f.name), f.name
 
 
 def _structure(tree):
@@ -251,6 +282,7 @@ def test_presorted_best_split_matches_reference(data, min_node_size, rnd):
     # the order grow hands a node: the dataset's order filtered by membership
     member = np.zeros(data.n, dtype=bool)
     member[rows] = True
+    assert best_split(data, member, min_node_size) == expected
     order = data.order[member[data.order]].reshape(data.p, -1)
     assert best_split(data, rnd.sample(list(rows), len(rows)), min_node_size,
                       order) == expected

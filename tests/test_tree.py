@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,14 +109,18 @@ def test_pruned_subtree_basics():
     assert not is_pruned_subtree(t, mid)
 
 
+# integral thresholds keep equality exact
+_INTEGRAL = st.integers(-5, 5).map(float)
+
+
 @st.composite
-def random_trees(draw, max_depth=4):
+def random_trees(draw, max_depth=4, variables=st.integers(1, 3), thresholds=_INTEGRAL):
     def build(depth):
         if depth == 0 or draw(st.booleans()):
             return ("leaf", draw(st.integers(0, 1)))
-        var = draw(st.integers(1, 3))
-        thr = draw(st.integers(-5, 5))  # integral thresholds keep equality exact
-        return ("node", var, float(thr), build(depth - 1), build(depth - 1))
+        var = draw(variables)
+        thr = draw(thresholds)
+        return ("node", var, thr, build(depth - 1), build(depth - 1))
 
     spec = build(max_depth)
     nodes = []
@@ -189,6 +194,49 @@ def test_malformed_text_rejected():
                 "node(1, -inf, leaf(0), leaf(1))"]:
         with pytest.raises(ValueError):
             tree_from_text(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "leaf(00)", "leaf(+1)", "leaf(-0)", "leaf(1.0)", "leaf(\u0661)",
+    "node(+1, 0.5, leaf(0), leaf(1))", "node(01, 0.5, leaf(0), leaf(1))",
+    "node(1_0, 0.5, leaf(0), leaf(1))", "node(0, 0.5, leaf(0), leaf(1))",
+    "node(1.0, 0.5, leaf(0), leaf(1))", "node(1, 1_0.5, leaf(0), leaf(1))",
+    "node(1, 0x1p-2, leaf(0), leaf(1))", "node(1, \u0661.5, leaf(0), leaf(1))",
+    "node(1, infinity, leaf(0), leaf(1))", "node(1, 1e999, leaf(0), leaf(1))",
+])
+def test_text_accepts_only_what_tree_to_text_writes(bad):
+    with pytest.raises(ValueError):
+        tree_from_text(bad)
+
+
+def _breadth_first(tree):
+    """The same tree as a breadth-first arena."""
+    order = [0]
+    for i in order:  # children appended while iterating: level by level
+        nd = tree.nodes[i]
+        if isinstance(nd, Internal):
+            order += [nd.left, nd.right]
+    at = {old: new for new, old in enumerate(order)}
+    return TreeClassifier(tuple(
+        replace(nd, left=at[nd.left], right=at[nd.right]) if isinstance(nd, Internal) else nd
+        for nd in (tree.nodes[i] for i in order)))
+
+
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                -1.7976931348623157e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_trees(variables=st.integers(1, 10 ** 6),
+                    thresholds=_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)),
+       st.booleans())
+def test_text_round_trip_keeps_every_bit(tree, bfs):
+    # compared as text, so that -0.0 must keep its sign
+    arena = _breadth_first(tree) if bfs else tree
+    text = tree_to_text(arena)
+    back = tree_from_text(text)
+    assert tree_to_text(back) == text
+    assert back.nodes == tree.nodes  # parsed into pre-order
 
 
 def test_descriptor_round_trip():
