@@ -2,12 +2,16 @@
 
 Subcommands: simulate, grow, prune, select, cv, experiment, verify.
 The experiment subcommand reads an optional flat key=value config file;
-every key can be overridden by a flag, and --seed is mandatory.
+every key can be overridden by a flag, and --seed is mandatory.  Numbers
+are read strictly: an integer is ASCII [+-]?[0-9]+ and a float is a finite
+ASCII decimal, so 4_0, 1_0.5 and non-ASCII digits are usage errors.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -21,7 +25,43 @@ from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
                         VCPenalty, cv_select_alpha, select_tree)
 from .prune import sequence_to_csv, weakest_link
-from .tree import empirical_risk, tree_from_text, tree_to_text
+from .tree import FLOAT_PATTERN, empirical_risk, tree_from_text, tree_to_text
+
+
+_INT_PATTERN = re.compile(r"[+-]?[0-9]+")
+
+
+def _strict_int(text: str) -> int:
+    if _INT_PATTERN.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def _strict_float(text: str) -> float:
+    value = float(text) if FLOAT_PATTERN.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite decimal number")
+    return value
+
+
+class _Strict(click.ParamType):
+    """A click type that reads with a strict parser; click's own INT and
+    FLOAT call int() and float(), which also read 4_0 and non-ASCII digits."""
+
+    def __init__(self, name, parse):
+        self.name, self.parse = name, parse
+
+    def convert(self, value, param, ctx):
+        if not isinstance(value, str):  # a default
+            return value
+        try:
+            return self.parse(value)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+
+
+_INT = _Strict("integer", _strict_int)
+_FLOAT = _Strict("float", _strict_float)
 
 
 def _given(**values) -> dict:
@@ -80,11 +120,11 @@ def main():
 
 
 @main.command()
-@click.option("--design", type=int, required=True)
-@click.option("--n", type=int, required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--noise", type=float, required=True)
-@click.option("--seed", type=int, required=True)
+@click.option("--design", type=_INT, required=True)
+@click.option("--n", type=_INT, required=True)
+@click.option("--p", type=_INT, required=True)
+@click.option("--noise", type=_FLOAT, required=True)
+@click.option("--seed", type=_INT, required=True)
 @click.option("--out", type=click.Path(), required=True)
 def simulate(design, n, p, noise, seed, out):
     """Generate a dataset CSV from a simulation design."""
@@ -95,8 +135,8 @@ def simulate(design, n, p, noise, seed, out):
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
+@click.option("--max-leaves", type=_INT, default=None)
+@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), default=None)
 def grow(data_path, max_leaves, min_node_size, out):
     """Grow the maximal tree on a CSV dataset."""
@@ -111,8 +151,8 @@ def grow(data_path, max_leaves, min_node_size, out):
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--tree", "tree_path", type=click.Path(exists=True), default=None,
               help="textual tree to prune; grown maximally when omitted")
-@click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
+@click.option("--max-leaves", type=_INT, default=None)
+@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), required=True)
 def prune(data_path, tree_path, max_leaves, min_node_size, out):
     """Weakest-link pruning; writes the size/risk/alpha sequence CSV."""
@@ -132,12 +172,12 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--penalty", type=click.Choice(["linear", "margin", "vc", "min",
                                               "nobel", "gey"]), default="margin")
-@click.option("--alpha", type=float, default=None, help="weight for --penalty linear")
-@click.option("--kappa", type=float, default=None)
-@click.option("--c1", type=float, default=None)
-@click.option("--c2", type=float, default=None)
-@click.option("--max-leaves", type=int, default=None)
-@click.option("--min-node-size", type=int, default=GrowLimits.min_node_size)
+@click.option("--alpha", type=_FLOAT, default=None, help="weight for --penalty linear")
+@click.option("--kappa", type=_FLOAT, default=None)
+@click.option("--c1", type=_FLOAT, default=None)
+@click.option("--c2", type=_FLOAT, default=None)
+@click.option("--max-leaves", type=_INT, default=None)
+@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
 @click.option("--out", type=click.Path(), default=None)
 def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, out):
     """Penalized tree selection over the pruned sequence."""
@@ -151,9 +191,9 @@ def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, 
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--folds", type=int, default=CVConfig.folds)
+@click.option("--folds", type=_INT, default=CVConfig.folds)
 @click.option("--rule", type=click.Choice(["min", "1se"]), default=CVConfig.rule)
-@click.option("--seed", type=int, default=CVConfig.seed)
+@click.option("--seed", type=_INT, default=CVConfig.seed)
 @click.option("--out", type=click.Path(), default=None)
 def cv(data_path, folds, rule, seed, out):
     """Cross-validated tuning of the linear penalty weight."""
@@ -185,11 +225,11 @@ def _items(text) -> list[str]:
 
 
 def _int_list(text) -> tuple[int, ...]:
-    return tuple(int(v) for v in _items(text))
+    return tuple(_strict_int(v.strip()) for v in _items(text))
 
 
 def _float_list(text) -> tuple[float, ...]:
-    return tuple(float(v) for v in _items(text))
+    return tuple(_strict_float(v.strip()) for v in _items(text))
 
 
 @main.command()
@@ -200,11 +240,11 @@ def _float_list(text) -> tuple[float, ...]:
 @click.option("--p-grid", type=str, default=None)
 @click.option("--noise-grid", type=str, default=None,
               help="comma list applied to every selected design")
-@click.option("--replications", type=int, default=None)
-@click.option("--folds", type=int, default=None)
-@click.option("--test-samples", type=int, default=None)
-@click.option("--jobs", type=int, default=None)
-@click.option("--seed", type=int, required=True)
+@click.option("--replications", type=str, default=None, metavar="INTEGER")
+@click.option("--folds", type=str, default=None, metavar="INTEGER")
+@click.option("--test-samples", type=str, default=None, metavar="INTEGER")
+@click.option("--jobs", type=str, default=None, metavar="INTEGER")
+@click.option("--seed", type=_INT, required=True)
 @click.option("--out-dir", type=click.Path(), default=".")
 def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
                folds, test_samples, jobs, seed, out_dir):
@@ -212,19 +252,20 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
     cfg_file = _parse_config_file(config_path) if config_path else {}
 
     def pick(flag, key, conv):
+        """Parse the flag's text, or else the config file's; both are strings."""
         text = cfg_file.pop(key, None)  # what is left after every pick is unknown
         if flag is not None:
-            return conv(flag)
+            text = flag
         return None if text is None else conv(text)
 
     given = _given(
         designs=pick(designs, "designs", _int_list),
         n_grid=pick(n_grid, "n_grid", _int_list),
         p_grid=pick(p_grid, "p_grid", _int_list),
-        replications=pick(replications, "replications", int),
-        folds=pick(folds, "folds", int),
-        test_samples=pick(test_samples, "test_samples", int),
-        jobs=pick(jobs, "jobs", int))
+        replications=pick(replications, "replications", _strict_int),
+        folds=pick(folds, "folds", _strict_int),
+        test_samples=pick(test_samples, "test_samples", _strict_int),
+        jobs=pick(jobs, "jobs", _strict_int))
     noise_override = pick(noise_grid, "noise_grid", _float_list)
     if cfg_file:
         raise click.UsageError(f"unknown config key(s): {', '.join(sorted(cfg_file))}")
@@ -232,6 +273,8 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
     if noise_override is not None:
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
                                         **{d: noise_override for d in cfg.designs}})
+    if len(cfg.p_grid) < 2:  # the fit below needs two; check before the sweep
+        raise click.UsageError("need at least 2 distinct p values to fit")
     result = xp.run_sweep(cfg)
     os.makedirs(out_dir, exist_ok=True)
     xp.write_results_csv(result, os.path.join(out_dir, "results.csv"))

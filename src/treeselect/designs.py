@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = [
     "Dataset",
@@ -47,7 +46,7 @@ def _set_read_only(obj, **arrays) -> None:
         object.__setattr__(obj, name, a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n rows of p real features with 0/1 labels.
 
@@ -58,13 +57,14 @@ class Dataset:
     hold equal values; both are cached and read-only.  A ``subset`` taken
     with strictly increasing rows from a dataset whose order is cached
     inherits it by filtering, and inherits ``tied`` (a superset of its
-    own), so the CV folds of one dataset share a single sort.
+    own), so the CV folds of one dataset share a single sort.  Equality
+    and hashing are those of the object's identity.
     """
 
     X: np.ndarray  # (n, p) float64
     y: np.ndarray  # (n,) int
-    _order: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _tied: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _order: np.ndarray | None = field(default=None, init=False, repr=False)
+    _tied: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = np.array(self.X, dtype=np.float64)
@@ -301,16 +301,87 @@ def bayes_predict(spec: DesignSpec, x) -> np.ndarray | int:
     return (e >= 0.5).astype(np.int64)
 
 
+# Cephes ndtr (S. L. Moshier), the routine behind scipy.special.ndtr: the
+# same coefficients, evaluated in the same order, give the same bits.
+# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8, exp(-x^2) R(x)/S(x) beyond;
+# erf(x) = x T(x^2)/U(x^2) for |x| <= 1.  Q, S and U have a leading 1.
+_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+      4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+      9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+      9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+      1.65666309194161350182E3, 5.57535340817727675546E2)
+_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+      6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+      1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+      7.00332514112805075473E3, 5.55923013010394962768E4)
+_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+      2.26290000613890934246E4, 4.92673942608635921086E4)
+_MAXLOG = 7.09782712893383996843E2  # ln of the largest double
+_SQRT1_2 = 0.707106781186547524400844362104849039
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:
+    """x^N + coef[0] x^(N-1) + ... + coef[N-1] by Horner's rule."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """erf(x) for |x| <= 1."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _T) / _p1evl(z, _U)
+
+
+def _erfc(x: float) -> float:
+    """erfc(x) for x >= 0."""
+    if x < 1.0:
+        return 1.0 - _erf(x)
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0  # underflow
+    z = math.exp(z)
+    if x < 8.0:
+        p, q = _polevl(x, _P), _p1evl(x, _Q)
+    else:
+        p, q = _polevl(x, _R), _p1evl(x, _S)
+    return (z * p) / q
+
+
+def _normal_cdf(a: float) -> float:
+    """P(Z <= a) for a standard normal Z, bit for bit scipy.special.ndtr(a)."""
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
 def bayes_risk(spec: DesignSpec) -> float:
     """Analytic misclassification rate of the optimal rule."""
     if spec.design_id == 1:
         return spec.noise
     if spec.design_id == 2:
         sigma = math.sqrt(spec.noise)
-        return float(norm.cdf(-1.0 / (2.0 * sigma)))
+        return _normal_cdf(-1.0 / (2.0 * sigma))
     if spec.design_id == 3:
         sigma = math.sqrt(spec.noise)
-        return float(norm.cdf(-1.0 / (sigma * math.sqrt(2.0))))
+        return _normal_cdf(-1.0 / (sigma * math.sqrt(2.0)))
     return 0.0
 
 
@@ -338,16 +409,16 @@ def margin_mass(spec: DesignSpec, t: float) -> float:
         # |2 eta - 1| = |tanh(u/2)| with u = (2 x1 - 1)/(2 sigma^2)
         delta = 2.0 * s2 * math.atanh(t)
         lo, hi = 0.5 - delta, 0.5 + delta
-        m0 = norm.cdf(hi / sigma) - norm.cdf(lo / sigma)
-        m1 = norm.cdf((hi - 1.0) / sigma) - norm.cdf((lo - 1.0) / sigma)
-        return float(0.5 * (m0 + m1))
+        m0 = _normal_cdf(hi / sigma) - _normal_cdf(lo / sigma)
+        m1 = _normal_cdf((hi - 1.0) / sigma) - _normal_cdf((lo - 1.0) / sigma)
+        return 0.5 * (m0 + m1)
     # design 3: u = (x1 + x2 - 1)/sigma^2, S = x1 + x2 ~ N(2y, 2 sigma^2)
     delta = 2.0 * s2 * math.atanh(t)
     sd = sigma * math.sqrt(2.0)
     lo, hi = 1.0 - delta, 1.0 + delta
-    m0 = norm.cdf(hi / sd) - norm.cdf(lo / sd)
-    m1 = norm.cdf((hi - 2.0) / sd) - norm.cdf((lo - 2.0) / sd)
-    return float(0.5 * (m0 + m1))
+    m0 = _normal_cdf(hi / sd) - _normal_cdf(lo / sd)
+    m1 = _normal_cdf((hi - 2.0) / sd) - _normal_cdf((lo - 2.0) / sd)
+    return 0.5 * (m0 + m1)
 
 
 def margin_holds(spec: DesignSpec, margin: MarginSpec) -> bool:

@@ -200,8 +200,9 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier
     fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
     alphas = np.array(cands)
     for f, held in enumerate(folds):
-        train_rows = np.setdiff1d(perm, held)
-        train = data.subset(train_rows)
+        keep = np.ones(data.n, dtype=bool)
+        keep[held] = False
+        train = data.subset(np.flatnonzero(keep))
         seq = weakest_link(grow_maximal(train), train)
         errors = np.array(seq.errors_on(data.subset(held)))
         fold_err[f] = errors[_picks(seq, alphas)]

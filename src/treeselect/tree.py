@@ -235,7 +235,8 @@ def tree_to_text(tree: TreeClassifier) -> str:
 _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
 _LABEL = re.compile(r"[01]")
 _VAR = re.compile(r"[1-9][0-9]*")
-_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# an ASCII decimal float, as repr writes one: no underscore, nan or inf
+FLOAT_PATTERN = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _parse(pattern: re.Pattern, what: str, token: str) -> str:
@@ -278,7 +279,7 @@ def tree_from_text(text: str) -> TreeClassifier:
             expect("(")
             var = int(_parse(_VAR, "variable", take()))
             expect(",")
-            threshold = float(_parse(_FLOAT, "threshold", take()))
+            threshold = float(_parse(FLOAT_PATTERN, "threshold", take()))
             if not math.isfinite(threshold):
                 raise ValueError(f"threshold {threshold!r} is not finite")
             expect(",")

@@ -31,3 +31,8 @@ def tied_datasets(draw):
 
 
 leaf_budgets = st.none() | st.integers(1, 8)
+
+# any finite float, with the signed zeros and the extremes drawn often
+finite_floats = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                                  -1.7976931348623157e308])
+                 | st.floats(allow_nan=False, allow_infinity=False))

@@ -197,3 +197,55 @@ def test_config_file_grid_with_an_empty_item_is_a_usage_error(tmp_path):
                                        "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
     assert result.output.splitlines()[-1] == "Error: empty item in the comma list '5,,10'"
+
+
+def test_experiment_rejects_a_one_value_p_grid_before_the_sweep(tmp_path):
+    result = CliRunner().invoke(main, ["experiment", "--seed", "1", "--replications", "1",
+                                       "--n-grid", "40", "--p-grid", "5",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == ["Error: need at least 2 distinct p values to fit"]
+    assert not (tmp_path / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n-grid", "4_0"], "'4_0' is not an integer"),
+    (["--replications", "1_0"], "'1_0' is not an integer"),
+    (["--noise-grid", "0_1"], "'0_1' is not a finite decimal number"),
+    (["--n-grid", "٤٠"], "'٤٠' is not an integer"),
+    (["--noise-grid", "1e999"], "'1e999' is not a finite decimal number"),
+])
+def test_experiment_reads_numbers_strictly(tmp_path, flags, message):
+    result = CliRunner().invoke(main, ["experiment", "--seed", "1", *flags,
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert errors == [f"Error: {message}"]
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_config_file_reads_numbers_strictly(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("p_grid=5_0\n")
+    result = CliRunner().invoke(main, ["experiment", "--config", str(cfg), "--seed", "1",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: '5_0' is not an integer"
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--n", "4_0"], "Invalid value for '--n': '4_0' is not an integer"),
+    (["--noise", "1_0.5"], "Invalid value for '--noise': '1_0.5' is not a finite decimal number"),
+    (["--seed", "+٣"], "Invalid value for '--seed': '+٣' is not an integer"),
+])
+def test_simulate_reads_numbers_strictly(tmp_path, flags, message):
+    args = {"--design": "1", "--n": "40", "--p": "4", "--noise": "0.1", "--seed": "3"}
+    args.update(zip(flags[::2], flags[1::2]))
+    result = CliRunner().invoke(main, ["simulate", *[v for kv in args.items() for v in kv],
+                                       "--out", str(tmp_path / "d.csv")])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+    assert not (tmp_path / "d.csv").exists()

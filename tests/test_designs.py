@@ -1,17 +1,28 @@
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
+import treeselect
 from treeselect import (Dataset, DesignSpec, MarginSpec, bayes_predict,
                         bayes_risk, empirical_risk, eta, generate,
                         load_dataset, loss_estimate, margin_holds, margin_mass,
                         save_dataset, stump)
-from treeselect.designs import BLOCK_CELLS
+from treeselect.designs import BLOCK_CELLS, _normal_cdf
+from treeselect.experiment import DEFAULT_NOISE_GRIDS
 from treeselect.tree import Internal, Leaf, TreeClassifier
+
+from conftest import finite_floats
 
 
 def test_generate_shape():
@@ -105,6 +116,60 @@ def test_bayes_risk_matches_monte_carlo(did, noise):
     assert abs(mc - r) <= 3 * se + 1e-9
 
 
+def test_normal_cdf_is_bit_exact_with_ndtr():
+    rng = np.random.default_rng(2011)
+    r = 1.0 / math.sqrt(2.0)
+    edges = [0.0, -0.0, 1.0, -1.0, r, -r, 8.0 / r, -8.0 / r, 38.5, -38.5]
+    xs = np.concatenate([edges, rng.normal(0.0, 3.0, 40_000),
+                         rng.uniform(-40.0, 40.0, 40_000), rng.uniform(-1.5, 1.5, 20_000)])
+    got = np.array([_normal_cdf(float(x)) for x in xs])
+    want = ndtr(xs)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# repr strings of the values scipy.stats.norm gave before the Cephes port
+_PINNED_T = (0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.99)
+_PINNED = {
+    (2, 0.5): ("0.23975006109347674", [
+        "0.0", "0.008787972256779242", "0.08802508845795029", "0.22202027862121002",
+        "0.45888346264352486", "0.7295851571773189", "0.9987963143457361"]),
+    (2, 1.0): ("0.3085375387259869", [
+        "0.0", "0.014082378347444607", "0.1405901245082257", "0.3482687662737894",
+        "0.6703308815162023", "0.9186744473660564", "0.9999991762689632"]),
+    (2, 2.0): ("0.36183680491588155", [
+        "0.0", "0.021198515948542634", "0.2102412785447566", "0.5029147728631658",
+        "0.8567077601289516", "0.9908162615094909", "0.9999999999995043"]),
+    (3, 0.5): ("0.15865525393145707", [
+        "0.0", "0.004839575813071956", "0.04855635170941616", "0.12359618733428568",
+        "0.2654510339682621", "0.46496161038746364", "0.9500524051450366"]),
+    (3, 1.0): ("0.23975006109347674", [
+        "0.0", "0.008787972256779242", "0.08802508845795029", "0.22202027862121002",
+        "0.45888346264352486", "0.7295851571773189", "0.9987963143457361"]),
+    (3, 2.0): ("0.30853753872598694", [
+        "0.0", "0.014082378347444635", "0.14059012450822567", "0.34826876627378933",
+        "0.6703308815162022", "0.9186744473660564", "0.9999991762689632"]),
+}
+
+
+@pytest.mark.parametrize("did,noise", sorted(_PINNED))
+def test_bayes_risk_and_margin_mass_are_pinned(did, noise):
+    assert noise in DEFAULT_NOISE_GRIDS[did]
+    spec = DesignSpec(did, 10, 5, noise)
+    risk, masses = _PINNED[did, noise]
+    assert repr(bayes_risk(spec)) == risk
+    assert [repr(margin_mass(spec, t)) for t in _PINNED_T] == masses
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(treeselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, treeselect; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_margin_mass_design1():
     spec = DesignSpec(1, 10, 5, 0.3)
     assert margin_mass(spec, 0.3) == 0.0
@@ -155,6 +220,25 @@ def test_csv_round_trip(tmp_path):
     back = load_dataset(path)
     assert np.array_equal(d.X, back.X)
     assert np.array_equal(d.y, back.y)
+
+
+@st.composite
+def _edge_datasets(draw):
+    n, p = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    X = draw(st.lists(st.lists(finite_floats, min_size=p, max_size=p), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return Dataset(np.array(X), np.array(y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_edge_datasets())
+def test_csv_round_trip_is_exact(d):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        save_dataset(d, path)
+        back = load_dataset(path)
+    assert back.X.tobytes() == d.X.tobytes()
+    assert back.y.tolist() == d.y.tolist()
 
 
 def test_csv_requires_label_column(tmp_path):
@@ -250,6 +334,15 @@ def test_subset_equals_a_dataset_of_the_rows(rows):
 def test_subset_of_no_rows_is_rejected(rows):
     with pytest.raises(ValueError, match="at least one observation"):
         _tied_dataset(1).subset(rows)
+
+
+def test_dataset_equality_and_hash_are_by_identity():
+    d = _tied_dataset(0)
+    twin = Dataset(d.X, d.y)
+    assert d == d
+    assert d != twin
+    assert len({d, d, d.subset([0])}) == 2
+    assert hash(d) == hash(d)
 
 
 def test_dataset_order_is_read_only():

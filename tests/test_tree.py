@@ -13,6 +13,8 @@ from treeselect import (Dataset, DesignSpec, TreeClassifier,
                         tree_from_text, tree_to_text, weakest_link)
 from treeselect.tree import Internal, Leaf, descriptor_of, tree_from_class
 
+from conftest import finite_floats
+
 
 def test_predict_stump():
     t = stump(1, 0.5, 0, 1)
@@ -222,13 +224,9 @@ def _breadth_first(tree):
         for nd in (tree.nodes[i] for i in order)))
 
 
-_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
-                                -1.7976931348623157e308])
-
-
 @settings(max_examples=150, deadline=None)
 @given(random_trees(variables=st.integers(1, 10 ** 6),
-                    thresholds=_EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)),
+                    thresholds=finite_floats),
        st.booleans())
 def test_text_round_trip_keeps_every_bit(tree, bfs):
     # compared as text, so that -0.0 must keep its sign
