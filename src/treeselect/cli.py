@@ -204,6 +204,8 @@ def cv(data_path, folds, rule, seed, out):
 
 
 def _parse_config_file(path) -> dict:
+    """key=value lines; blank lines and # comments are skipped, and a key
+    may appear once."""
     out = {}
     with open(path) as fh:
         for line in fh:
@@ -212,8 +214,10 @@ def _parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"malformed config line: {line!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"repeated config key {key!r}")
+            out[key] = value
     return out
 
 

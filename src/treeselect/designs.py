@@ -112,10 +112,13 @@ class Dataset:
         return self._tied
 
     def _presort(self) -> None:
-        order = np.argsort(self.X.T, axis=1, kind="stable")
+        # the default sort is faster and gives the stable permutation in every
+        # column of distinct values; only the tied columns are sorted again
+        order = np.argsort(self.X.T, axis=1)
         svals = np.take_along_axis(self.X.T, order, 1)
-        _set_read_only(self, _order=order,
-                       _tied=np.flatnonzero((svals[:, 1:] == svals[:, :-1]).any(axis=1)))
+        tied = np.flatnonzero((svals[:, 1:] == svals[:, :-1]).any(axis=1))
+        order[tied] = np.argsort(self.X.T[tied], axis=1, kind="stable")
+        _set_read_only(self, _order=order, _tied=tied)
 
     def subset(self, rows) -> "Dataset":
         """The dataset of the given rows, in the given order.  Rows of a

@@ -13,13 +13,18 @@ node sorts again.
 
 The search reads labels as signs +1/-1: with s the signed sum left of a
 cut and S that of the node, the cut leaves (m - max(|S|, |2s - S|)) / 2
-errors, so one cumulative sum along the order and each variable's
-maximum and minimum of it find the best cut.  Rows with equal values may
-sit in any order within their run: only the last position of a run is a
-valid cut, and s there is the same for every order of the run, so the
-chosen split does not depend on how ties were ordered.  Only columns that
-hold equal values need that check; ``grow_maximal`` reads them from
-``Dataset.tied``, cached with the presort.
+errors.  One cumulative sum along the order, overwritten in place with
+|2s - S|, scores the cut after every one of the m positions, and its first
+row-major maximum is the best cut.  Rows with equal values may sit in any
+order within their run: only the last position of a run is a valid cut,
+and s there is the same for every order of the run, so the chosen split
+does not depend on how ties were ordered.  Only columns that hold equal
+values need that check; ``grow_maximal`` reads them from ``Dataset.tied``,
+cached with the presort.
+
+``grow_maximal`` records each node's label counts as it creates the node,
+and the tree it returns carries them for ``tree.node_counts``, so pruning
+on the training rows routes nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .tree import Internal, Leaf, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
-_SIGNS = np.array([-1, 1], dtype=np.int8)  # a label's sign in the signed sums
+_TWICE_SIGNS = np.array([-2, 2], dtype=np.int8)  # twice a label's sign: sums are 2s
 
 
 @dataclass(frozen=True)
@@ -76,11 +81,12 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     With labels read as signs +1 (y = 1) and -1 (y = 0), let s be the
     signed sum of the rows left of a cut and S = 2 n1 - m that of the whole
     node.  The cut leaves (m - max(|S|, |2s - S|)) / 2 errors, against
-    (m - |S|) / 2 for the majority leaf, so the best cut is the first
-    row-major maximum of |2s - S| and it is a split exactly when that
-    maximum exceeds |S|.  A cut that is not allowed (inside a run of equal
-    values, or fewer than ``min_node_size`` rows from either end) gets
-    s = S // 2, where |2s - S| <= |S|, so it never wins.
+    (m - |S|) / 2 for the majority leaf.  So every one of the m positions
+    of every variable is scored |2s - S| in place, and the best cut is the
+    first row-major maximum; it is a split exactly when that maximum
+    exceeds |S|.  The last position (nothing right of it) scores |S|, and
+    a cut that is not allowed (inside a run of equal values, or fewer than
+    ``min_node_size`` rows from either end) scores 0, so neither can win.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
     feature over the subset); a stable argsort of ``data.X[rows]`` when not
@@ -100,31 +106,29 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
         order = rows[np.argsort(data.X[rows].T, axis=1, kind="stable")]
     S = 2 * n1 - m
 
-    # signed sums left of the cuts after positions 0..m-2
-    s = np.cumsum(_SIGNS.take(data.y).take(order[:, :-1]), axis=1, dtype=np.int32)
+    # |2s - S| after each of the m positions of each variable
+    score = np.cumsum(_TWICE_SIGNS.take(data.y).take(order), axis=1, dtype=np.int32)
+    score -= S
+    np.abs(score, out=score)
     if tied is None:
         tied = np.arange(data.p)
     if tied.size:
         svals = np.take_along_axis(data.X.T[tied], order[tied], 1)
         var, pos = np.nonzero(svals[:, 1:] == svals[:, :-1])
-        s[tied[var], pos] = S // 2
+        score[tied[var], pos] = 0
     if min_node_size > 1:
-        s[:, :min_node_size - 1] = S // 2
-        s[:, m - min_node_size:] = S // 2
+        score[:, :min_node_size - 1] = 0
+        score[:, m - min_node_size:] = 0
 
-    # each variable's best |2s - S|; the first maximum is the smallest
-    # variable index, and within it the smallest cut position, i.e. threshold
-    hi, lo = s.max(axis=1), s.min(axis=1)
-    gain = np.maximum(2 * hi - S, S - 2 * lo)
-    var0 = int(gain.argmax())
-    g = int(gain[var0])
+    # the first maximum is the smallest variable index, and within it the
+    # smallest cut position, i.e. threshold
+    var0, i = divmod(int(score.argmax()), m)
+    g = int(score[var0, i])
     if g <= abs(S):
         return None
-    i = min(int(s[var0].argmax()) if 2 * int(hi[var0]) - S == g else m,
-            int(s[var0].argmin()) if S - 2 * int(lo[var0]) == g else m)
     col = data.X[:, var0]
     threshold = float((col[order[var0, i]] + col[order[var0, i + 1]]) / 2.0)
-    ones_left = (int(s[var0, i]) + i + 1) // 2
+    ones_left = int(data.y.take(order[var0, :i + 1]).sum())
     ll, _ = _majority(i + 1 - ones_left, ones_left)
     rl, _ = _majority(m - i - 1 - (n1 - ones_left), n1 - ones_left)
     return Split(var0 + 1, threshold, ll, rl, (m - g) // 2)
@@ -133,27 +137,25 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
 def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassifier:
     """Grow until no split strictly reduces the misclassification count or
     the leaf budget is exhausted.  With a leaf budget, nodes are expanded
-    best-first by error reduction (ties by creation order)."""
+    best-first by error reduction (ties by creation order).  The tree
+    carries each node's label counts on `data` (see ``tree.node_counts``)."""
     if limits is None:
         limits = GrowLimits()
     n1 = int(data.y.sum())
-    label, _ = _majority(data.n - n1, n1)
     # growth-order arena: the two children of a split are appended after it
-    nodes: list = [Leaf(label)]
-    labels = [label]
+    nodes: list = [Leaf(_majority(data.n - n1, n1)[0])]
+    n0s, n1s = [data.n - n1], [n1]  # training rows of each label at each node
     order_at = [data.order]  # order_at[i][0] lists the rows of node i
     heap: list = []  # (-error reduction, node index, split)
     goes_right = np.zeros(data.n, dtype=bool)
 
     def consider(i: int):
-        rows = order_at[i][0]
-        split = best_split(data, rows, limits.min_node_size, order_at[i], data.tied)
+        split = best_split(data, order_at[i][0], limits.min_node_size, order_at[i], data.tied)
         if split is None:
             order_at[i] = None
         else:
-            n1 = int(data.y[rows].sum())
-            parent_err = min(n1, rows.size - n1)
-            heapq.heappush(heap, (-(parent_err - split.err_count), i, split))
+            reduction = min(n0s[i], n1s[i]) - split.err_count
+            heapq.heappush(heap, (-reduction, i, split))
 
     consider(0)
     n_leaves = 1
@@ -168,12 +170,16 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
         nodes += [Leaf(split.left_label), Leaf(split.right_label)]
-        labels += [split.left_label, split.right_label]
         order_at += [order.compress(~to_right).reshape(data.p, -1),
                      order.compress(to_right).reshape(data.p, -1)]
         order_at[i] = None
+        size = order_at[left].shape[1]  # the left child's rows, and its ones
+        ones = int(data.y.take(order_at[left][0]).sum())
+        n0s += [size - ones, n0s[i] - size + ones]
+        n1s += [ones, n1s[i] - ones]
         n_leaves += 1
         consider(left)
         consider(left + 1)
 
-    return preorder_tree(nodes, [False] * len(nodes), labels)
+    labels = [_majority(a, b)[0] for a, b in zip(n0s, n1s)]  # those of the leaves
+    return preorder_tree(nodes, [False] * len(nodes), labels, counts=(data, n0s, n1s))

@@ -55,6 +55,10 @@ class PrunedSequence:
             raise ValueError("sequence must be nonempty")
         if not (len(self.steps) == len(self.labels) == len(self.tree.nodes)):
             raise ValueError("steps and labels need one entry per node")
+        if not set(self.labels) <= {0, 1}:
+            raise ValueError("node labels must be 0 or 1")
+        if not set(self.steps) <= set(range(k)):
+            raise ValueError(f"steps must be integers in [0, {k})")
         if self.alphas[0] != 0:
             raise ValueError("first critical alpha must be 0")
         if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):

@@ -11,13 +11,17 @@ no walk here needs recursion.
 
 `leaf_assignment` is the one vectorised router; `predict_batch` and the
 per-node training counts read its result.  The routing convention is strict:
-x moves Right iff x[var] > threshold, so equality goes Left.
+x moves Right iff x[var] > threshold, so equality goes Left.  A grown tree
+carries its per-node training counts, so `node_counts` routes only rows
+other than those it was grown on.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,11 +61,37 @@ class Internal:
     right: int
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool; the type test first, as it is the common case."""
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
+
+
+def _is_real(v) -> bool:
+    """A real number that is not a bool or NaN."""
+    return ((type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool)))
+            and not math.isnan(v))
+
+
 @dataclass(frozen=True)
 class TreeClassifier:
-    """Immutable tree classifier stored as a checked node arena rooted at 0."""
+    """Immutable tree classifier stored as a checked node arena rooted at 0.
+
+    A label is the integer 0 or 1, a variable an integer from 1 and a
+    threshold a real number other than NaN; bools and a label of 1.0 are
+    rejected, as ``tree_from_text`` rejects them.  A threshold of -inf or
+    +inf sends every row one way; only the exhaustive oracle's degenerate
+    splits use one, and ``tree_from_text`` reads finite thresholds only."""
 
     nodes: tuple
+
+    # (weak reference to a Dataset, n0, n1): the rows of each label that
+    # reach each node, carried by a tree that grow_maximal grew on that
+    # Dataset (see node_counts).  Not a field, so it is left out of ==,
+    # hash and repr; __getstate__ leaves it out of pickles and copies.
+    _counts = None
+
+    def __getstate__(self):
+        return {"nodes": self.nodes}
 
     def __post_init__(self):
         nodes = tuple(self.nodes)
@@ -71,15 +101,19 @@ class TreeClassifier:
         parents = [0] * len(nodes)
         for i, node in enumerate(nodes):
             if isinstance(node, Leaf):
-                if node.label not in (0, 1):
-                    raise ValueError("leaf labels must be 0 or 1")
+                if not (_is_int(node.label) and node.label in (0, 1)):
+                    raise ValueError(f"node {i}: leaf label {node.label!r} is not 0 or 1")
             elif isinstance(node, Internal):
-                if node.var < 1:
-                    raise ValueError("variable indices are 1-based")
+                if not (_is_int(node.var) and node.var >= 1):
+                    raise ValueError(f"node {i}: variable {node.var!r} is not an "
+                                     f"integer from 1 (variables are 1-based)")
+                if not _is_real(node.threshold):
+                    raise ValueError(f"node {i}: threshold {node.threshold!r} is not "
+                                     f"a real number")
                 for child in (node.left, node.right):
-                    if not i < child < len(nodes):
-                        raise ValueError(f"node {i}: child index {child} must lie "
-                                         f"after the node and inside the arena")
+                    if not (_is_int(child) and i < child < len(nodes)):
+                        raise ValueError(f"node {i}: child index {child!r} must be an "
+                                         f"integer after the node and inside the arena")
                     parents[child] += 1
             else:
                 raise TypeError("nodes must be Leaf or Internal")
@@ -127,7 +161,16 @@ def stump(var: int, threshold: float, left_label: int, right_label: int) -> Tree
 
 
 def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[int]]:
-    """(n0, n1): how many rows of each label reach each node of the tree."""
+    """(n0, n1): how many rows of each label reach each node of the tree.
+
+    A tree from ``grow_maximal`` carries these counts for the Dataset it
+    was grown on, and they are returned without routing when `data` is that
+    very object: its arrays are read-only and its equality is identity, so
+    the counts cannot have gone stale.  Any other dataset, also one with
+    equal arrays or a subset, is routed."""
+    carried = tree._counts
+    if carried is not None and carried[0]() is data:
+        return list(carried[1]), list(carried[2])
     size = len(tree.nodes)
     leaves = tree.leaf_assignment(data.X)
     ones = np.bincount(leaves[data.y == 1], minlength=size)
@@ -142,10 +185,12 @@ def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[in
     return n0, n1
 
 
-def preorder_tree(nodes, collapsed, labels) -> TreeClassifier:
+def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
     """The tree an arena describes once every node i with collapsed[i] set
     is made a leaf, as a pre-order arena; every node i that ends up a leaf
-    gets labels[i].  `nodes` must satisfy the arena invariant."""
+    gets labels[i].  `nodes` must satisfy the arena invariant.  With
+    counts = (data, n0, n1), the label counts of each node of `nodes` on
+    `data`, the tree carries them for ``node_counts``."""
     source: list[int] = []  # arena index of each emitted node, in pre-order
     children: list = []     # emitted [left, right] of each emitted internal node
     stack = [(0, None, 0)]  # (arena index, emitted parent, side)
@@ -161,10 +206,15 @@ def preorder_tree(nodes, collapsed, labels) -> TreeClassifier:
         else:
             children.append(None)
         source.append(i)
-    return TreeClassifier(tuple(
+    tree = TreeClassifier(tuple(
         Leaf(labels[i]) if kids is None
         else Internal(nodes[i].var, nodes[i].threshold, kids[0], kids[1])
         for i, kids in zip(source, children)))
+    if counts is not None:
+        data, n0, n1 = counts
+        object.__setattr__(tree, "_counts", (weakref.ref(data), [n0[i] for i in source],
+                                             [n1[i] for i in source]))
+    return tree
 
 
 def empirical_risk(tree: TreeClassifier, data: Dataset) -> float:
@@ -215,7 +265,8 @@ def is_pruned_subtree(a: TreeClassifier, b: TreeClassifier) -> bool:
 
 
 def tree_to_text(tree: TreeClassifier) -> str:
-    """Pre-order textual form: node(j, s, left, right) / leaf(label)."""
+    """Pre-order textual form: node(j, s, left, right) / leaf(label).
+    Numpy scalars are written in their Python form."""
     parts = []
     stack: list = [0]  # arena indices still to write, and closing text
     while stack:
@@ -225,9 +276,9 @@ def tree_to_text(tree: TreeClassifier) -> str:
             continue
         nd = tree.nodes[item]
         if isinstance(nd, Leaf):
-            parts.append(f"leaf({nd.label})")
+            parts.append(f"leaf({int(nd.label)})")
         else:
-            parts.append(f"node({nd.var}, {nd.threshold!r}, ")
+            parts.append(f"node({int(nd.var)}, {float(nd.threshold)!r}, ")
             stack += [")", nd.right, ", ", nd.left]
     return "".join(parts)
 

@@ -22,7 +22,7 @@ from treeselect.designs import BLOCK_CELLS, _normal_cdf
 from treeselect.experiment import DEFAULT_NOISE_GRIDS
 from treeselect.tree import Internal, Leaf, TreeClassifier
 
-from conftest import finite_floats
+from conftest import finite_floats, tied_datasets
 
 
 def test_generate_shape():
@@ -299,6 +299,24 @@ def test_dataset_order_is_a_stable_argsort(seed):
     assert d.order.shape == (d.p, d.n)
     assert np.array_equal(d.order, _stable_argsort(d.X))
     assert d.order is d.order  # computed once
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets())
+def test_presort_equals_the_stable_argsort_on_tied_data(d):
+    assert np.array_equal(d.order, _stable_argsort(d.X))
+
+
+def test_presort_reads_signed_zeros_as_equal_values():
+    # -0.0 == 0.0, so a column holding both is tied and sorted stably; the
+    # default sort alone orders this column's equal values otherwise
+    rng = np.random.default_rng(4)
+    X = np.column_stack([rng.choice([-0.0, 0.0, 1.0, -1.0], size=200),
+                         rng.normal(size=200)])
+    d = Dataset(X, rng.integers(0, 2, size=200))
+    assert not np.array_equal(np.argsort(X.T, axis=1), _stable_argsort(X))
+    assert np.array_equal(d.order, _stable_argsort(X))
+    assert d.tied.tolist() == [0]
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,7 @@
+import copy
+import gc
+import pickle
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +13,7 @@ from treeselect import (Dataset, GrowLimits, best_split, empirical_risk, grow_ma
                         weakest_link)
 from treeselect.designs import DesignSpec, generate
 from treeselect.grow import Split
-from treeselect.tree import Internal, tree_to_text
+from treeselect.tree import Internal, TreeClassifier, node_counts, tree_to_text
 
 from conftest import leaf_budgets, random_dataset, tied_datasets
 
@@ -324,3 +328,100 @@ def test_every_grown_split_matches_reference(monkeypatch, min_node_size, tied_co
     assert len(seen) == 2 * t.n_leaves - 1
     for rows, split in seen:
         assert split == _reference_best_split(d, rows, min_node_size)
+
+
+_EDGE_CASES = [
+    # S = 0: two cuts tie at |2s - S| = 2, the first (x1 at 1.5) wins
+    ([[1.0, 4.0], [2.0, 3.0], [3.0, 2.0], [4.0, 1.0]], [0, 1, 1, 0], 1),
+    ([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [4.0, 0.0]], [1, 0, 0, 1], 1),
+    # m = 2: one cut per variable, after position 0
+    ([[1.0, 5.0], [2.0, 5.0]], [0, 1], 1),
+    ([[1.0, 5.0], [1.0, 6.0]], [1, 0], 1),
+    ([[1.0, 5.0], [1.0, 5.0]], [1, 0], 1),  # every cut inside a tie
+    # every cut masked, by ties and min_node_size together; unmasked, a
+    # cut after position 1 would leave no error
+    ([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [3.0, 3.0]], [0, 0, 1, 1], 2),
+    ([[1.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0], [3.0, 3.0]], [0, 0, 1, 1, 1], 2),
+    # only the last cut of a tie run is allowed
+    ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [1, 1, 0, 0], 1),
+]
+
+
+@pytest.mark.parametrize("X,y,min_node_size", _EDGE_CASES)
+def test_best_split_edge_cases_match_reference(X, y, min_node_size):
+    d = Dataset(np.array(X), np.array(y))
+    rows = np.arange(d.n)
+    expected = _reference_best_split(d, rows, min_node_size)
+    assert best_split(d, rows, min_node_size) == expected
+    assert best_split(d, rows, min_node_size, d.order, d.tied) == expected
+
+
+def test_best_split_edge_cases_hold_splits_and_no_splits():
+    splits = [best_split(Dataset(np.array(X), np.array(y)), np.arange(len(y)), k)
+              for X, y, k in _EDGE_CASES]
+    assert [s is not None for s in splits] == [True, True, True, True, False,
+                                               False, False, True]
+    assert (splits[0].var, splits[0].threshold, splits[0].err_count) == (1, 1.5, 1)
+
+
+def _routed_counts(tree, data):
+    """node_counts on a twin of `data`, which the tree carries nothing for."""
+    return node_counts(tree, Dataset(data.X, data.y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.integers(1, 3))
+def test_carried_counts_equal_routed_counts(data, max_leaves, min_node_size):
+    tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves, min_node_size=min_node_size))
+    assert tree._counts is not None
+    assert node_counts(tree, data) == _routed_counts(tree, data)
+
+
+def _counting_router(monkeypatch):
+    """Patch leaf_assignment to record the number of rows of each call."""
+    calls = []
+    route = TreeClassifier.leaf_assignment
+
+    def spy(self, X):
+        calls.append(len(X))
+        return route(self, X)
+
+    monkeypatch.setattr(TreeClassifier, "leaf_assignment", spy)
+    return calls
+
+
+def test_counts_are_served_only_for_the_training_dataset(monkeypatch):
+    d = _rounded_columns(random_dataset(np.random.default_rng(3), 50, 3), [0])
+    tree = grow_maximal(d)
+    assert tree.n_leaves > 2
+    expected = _routed_counts(tree, d)
+    calls = _counting_router(monkeypatch)
+    assert node_counts(tree, d) == expected
+    assert calls == []
+    # a returned list is a copy: changing it leaves the carried counts alone
+    node_counts(tree, d)[0][0] += 1
+    assert node_counts(tree, d) == expected
+    assert calls == []
+    # equal arrays, the whole dataset as a subset, and a proper subset are routed
+    twin, whole, part = Dataset(d.X, d.y), d.subset(np.arange(d.n)), d.subset(np.arange(30))
+    assert node_counts(tree, twin) == expected
+    assert node_counts(tree, whole) == expected
+    n0, n1 = node_counts(tree, part)
+    assert n0[0] + n1[0] == 30
+    assert calls == [d.n, d.n, 30]
+
+
+def test_grown_tree_survives_pickle_and_copy_and_does_not_keep_its_dataset():
+    d = random_dataset(np.random.default_rng(9), 40, 3)
+    tree = grow_maximal(d)
+    expected = _routed_counts(tree, d)
+    for twin in (pickle.loads(pickle.dumps(tree)), copy.copy(tree), copy.deepcopy(tree)):
+        assert twin == tree and hash(twin) == hash(tree) and repr(twin) == repr(tree)
+        assert twin._counts is None  # the counts are not part of the tree's value
+        assert node_counts(twin, d) == expected
+    assert pickle.dumps(tree) == pickle.dumps(TreeClassifier(tree.nodes))
+    alive = weakref.ref(d)
+    del d
+    gc.collect()
+    assert alive() is None
+    assert tree._counts[0]() is None

@@ -13,7 +13,7 @@ from treeselect import prune
 from treeselect.penalties import _candidate_alphas, _picks
 from treeselect.prune import best_in_sequence, weakest_link
 from treeselect.grow import grow_maximal
-from treeselect.tree import leaf
+from treeselect.tree import TreeClassifier, leaf
 
 from conftest import random_dataset
 
@@ -182,6 +182,24 @@ def test_cv_contract():
     assert alpha in cands
     idx, _ = best_in_sequence(seq, lambda k: alpha * k)
     assert tree.n_leaves == seq.sizes[idx]
+
+
+def test_cv_routes_each_row_once_while_held_out(monkeypatch):
+    # the grown trees carry their training counts, so pruning routes
+    # nothing; only scoring a held-out fold does
+    d = random_dataset(np.random.default_rng(77), 60, 3)
+    assert len(weakest_link(grow_maximal(d), d).alphas) > 1  # the folds run
+    routed = []
+    route = TreeClassifier.leaf_assignment
+
+    def spy(self, X):
+        routed.append(len(X))
+        return route(self, X)
+
+    monkeypatch.setattr(TreeClassifier, "leaf_assignment", spy)
+    cv_select_alpha(d, CVConfig(folds=7, seed=3))
+    assert sum(routed) == d.n
+    assert sorted(routed) == sorted(f.size for f in np.array_split(np.arange(d.n), 7))
 
 
 def test_cv_candidate_grid():

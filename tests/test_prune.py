@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,18 @@ def test_sequence_invariants_random():
         assert seq.subtrees[-1].n_leaves == 1
         assert all(empirical_risk(t, d) == e / seq.n
                    for t, e in zip(seq.subtrees, seq.error_counts))
+
+
+@pytest.mark.parametrize("field,value", [("labels", 2), ("steps", 7), ("steps", -1)])
+def test_sequence_rejects_labels_and_steps_out_of_range(three_leaf, field, value):
+    # a label of 2 would be scored as label 1, step 7 would fail in
+    # errors_on with an IndexError, and step -1 would wrap to the last step
+    _, seq = three_leaf
+    entries = list(getattr(seq, field))
+    entries[0] = value
+    with pytest.raises(ValueError, match=field):
+        replace(seq, **{field: tuple(entries)})
+    assert replace(seq).steps == seq.steps  # the unchanged fields construct
 
 
 def test_prune_zero_penalty_gives_maximal(three_leaf):

@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 
@@ -116,10 +117,11 @@ _INTEGRAL = st.integers(-5, 5).map(float)
 
 
 @st.composite
-def random_trees(draw, max_depth=4, variables=st.integers(1, 3), thresholds=_INTEGRAL):
+def random_trees(draw, max_depth=4, variables=st.integers(1, 3), thresholds=_INTEGRAL,
+                 labels=st.integers(0, 1), make=TreeClassifier):
     def build(depth):
         if depth == 0 or draw(st.booleans()):
-            return ("leaf", draw(st.integers(0, 1)))
+            return ("leaf", draw(labels))
         var = draw(variables)
         thr = draw(thresholds)
         return ("node", var, thr, build(depth - 1), build(depth - 1))
@@ -139,7 +141,7 @@ def random_trees(draw, max_depth=4, variables=st.integers(1, 3), thresholds=_INT
         return idx
 
     freeze(spec)
-    return TreeClassifier(tuple(nodes))
+    return make(tuple(nodes))
 
 
 def _random_pruning(tree, rng):
@@ -237,6 +239,68 @@ def test_text_round_trip_keeps_every_bit(tree, bfs):
     assert back.nodes == tree.nodes  # parsed into pre-order
 
 
+@pytest.mark.parametrize("node", [
+    Leaf(True), Leaf(False), Leaf(1.0), Leaf(np.float64(0.0)), Leaf(2), Leaf(-1), Leaf("1"),
+    Internal(1.5, 0.5, 1, 2), Internal(True, 0.5, 1, 2), Internal(0, 0.5, 1, 2),
+    Internal(2.0, 0.5, 1, 2), Internal(np.float64(1.0), 0.5, 1, 2),
+    Internal(1, math.nan, 1, 2), Internal(1, np.float32("nan"), 1, 2),
+    Internal(1, True, 1, 2), Internal(1, "0.5", 1, 2), Internal(1, None, 1, 2),
+])
+def test_tree_rejects_nodes_text_cannot_hold(node):
+    nodes = (node,) if isinstance(node, Leaf) else (node, Leaf(0), Leaf(1))
+    with pytest.raises(ValueError, match="node 0"):
+        TreeClassifier(nodes)
+
+
+def test_numpy_scalars_are_written_in_python_form():
+    tree = TreeClassifier((Internal(np.int64(2), np.float64(0.5), 1, 2),
+                           Leaf(np.int64(0)), Leaf(np.uint8(1))))
+    text = tree_to_text(tree)
+    assert text == "node(2, 0.5, leaf(0), leaf(1))"
+    assert tree_from_text(text) == tree
+
+
+def _holds(nd) -> bool:
+    """Whether a node is valid, decided apart from TreeClassifier's check."""
+    def integer(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    if isinstance(nd, Leaf):
+        return integer(nd.label) and nd.label in (0, 1)
+    real = (isinstance(nd.threshold, (int, float, np.integer, np.floating))
+            and not isinstance(nd.threshold, bool))
+    return integer(nd.var) and nd.var >= 1 and real and not math.isnan(nd.threshold)
+
+
+_ANY_LABEL = st.sampled_from([0, 1, True, False, 1.0, 0.0, 2, -1, np.int64(1), np.int8(0)])
+_ANY_VAR = st.integers(-1, 4) | st.sampled_from([1.5, 2.0, True, np.int64(2), np.uint16(3),
+                                                   np.float64(1.0)])
+_ANY_THRESHOLD = finite_floats | st.sampled_from([
+    math.nan, -math.inf, math.inf, np.float64(0.5), np.float32(0.1), np.float32("nan"),
+    3, np.int64(-2), True, False])
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_trees(variables=_ANY_VAR, thresholds=_ANY_THRESHOLD, labels=_ANY_LABEL,
+                    make=tuple))
+def test_every_tree_that_constructs_round_trips_through_text(nodes):
+    try:
+        tree = TreeClassifier(nodes)
+    except ValueError:
+        assert not all(map(_holds, nodes))
+        return
+    assert all(map(_holds, nodes))
+    text = tree_to_text(tree)
+    if any(isinstance(nd, Internal) and math.isinf(nd.threshold) for nd in nodes):
+        # a degenerate split of the exhaustive oracle; text holds finite
+        # thresholds only, and says so rather than reading something else
+        with pytest.raises(ValueError):
+            tree_from_text(text)
+        return
+    back = tree_from_text(text)
+    assert back == tree
+    assert tree_to_text(back) == text
+
+
 def test_descriptor_round_trip():
     t = tree_from_text("node(2, 0.5, leaf(0), node(1, 1.5, leaf(1), leaf(0)))")
     desc = descriptor_of(t)
@@ -254,6 +318,8 @@ def test_descriptor_round_trip():
     (Internal(1, 0.0, 1, 2), Internal(2, 0.0, 3, 4),            # shared children
      Internal(2, 1.0, 3, 4), Leaf(0), Leaf(1)),
     (Leaf(0), Leaf(1), Leaf(1)),                                # unreachable nodes
+    (Internal(1, 0.0, 1.0, 2), Leaf(0), Leaf(1)),               # a float child index
+    (Internal(1, 0.0, True, 2), Leaf(0), Leaf(1)),              # a bool child index
 ])
 def test_malformed_arena_rejected(nodes):
     with pytest.raises(ValueError):
