@@ -13,7 +13,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import click
 
@@ -69,9 +69,13 @@ def _given(**values) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
-# the flags each --penalty reads; a flag it does not read is an error
-_PENALTY_FLAGS = {"linear": ("alpha",), "margin": ("kappa", "c1", "c2"), "vc": ("c1", "c2"),
-                  "min": ("kappa", "c1", "c2"), "nobel": ("c1",), "gey": ("c2",)}
+_PENALTIES = {"linear": LinearPenalty, "margin": MarginAdaptivePenalty, "vc": VCPenalty,
+              "min": MinCombinedPenalty, "nobel": NobelPenalty, "gey": GeyPenalty}
+
+# the flags each --penalty reads, its class's fields; a flag it does not
+# read is an error.  min takes the margin flags and hands c1, c2 to vc too.
+_PENALTY_FLAGS = {name: tuple(f.name for f in fields(cls)) for name, cls in _PENALTIES.items()}
+_PENALTY_FLAGS["min"] = _PENALTY_FLAGS["margin"]
 
 
 def _build_penalty(penalty, alpha, kappa, c1, c2):
@@ -79,18 +83,10 @@ def _build_penalty(penalty, alpha, kappa, c1, c2):
     unread = [f"--{flag}" for flag in given if flag not in _PENALTY_FLAGS[penalty]]
     if unread:
         raise ValueError(f"--penalty {penalty} does not read {', '.join(unread)}")
-    if penalty == "linear":
-        return LinearPenalty(**given)
-    if penalty == "margin":
-        return MarginAdaptivePenalty(**given)
-    if penalty == "vc":
-        return VCPenalty(**given)
     if penalty == "min":
         return MinCombinedPenalty(MarginAdaptivePenalty(**given),
                                   VCPenalty(**_given(c1=c1, c2=c2)))
-    if penalty == "nobel":
-        return NobelPenalty(**given)
-    return GeyPenalty(**given)
+    return _PENALTIES[penalty](**given)
 
 
 def _emit_tree(tree, out):
@@ -170,8 +166,7 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--penalty", type=click.Choice(["linear", "margin", "vc", "min",
-                                              "nobel", "gey"]), default="margin")
+@click.option("--penalty", type=click.Choice(list(_PENALTIES)), default="margin")
 @click.option("--alpha", type=_FLOAT, default=None, help="weight for --penalty linear")
 @click.option("--kappa", type=_FLOAT, default=None)
 @click.option("--c1", type=_FLOAT, default=None)

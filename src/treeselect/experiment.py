@@ -23,7 +23,6 @@ from .tree import loss_estimate
 __all__ = [
     "ExperimentConfig",
     "CellResult",
-    "ExperimentResult",
     "FitResult",
     "run_sweep",
     "fit_alpha_vs_logp",
@@ -105,11 +104,6 @@ class CellResult:
 
 
 @dataclass(frozen=True)
-class ExperimentResult:
-    rows: tuple[CellResult, ...]
-
-
-@dataclass(frozen=True)
 class FitResult:
     design: int
     n: int
@@ -139,7 +133,8 @@ def _run_replication(task) -> tuple[float, float, int]:
     return alpha, loss, tree.n_leaves
 
 
-def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+def run_sweep(cfg: ExperimentConfig) -> tuple[CellResult, ...]:
+    """One aggregated row per grid cell, in ``cfg.cells()`` order."""
     R = cfg.replications
     cells = list(cfg.cells())
     tasks = [(cfg.master_seed, *cell, rep, cfg.folds, cfg.test_samples)
@@ -159,13 +154,13 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
         sd = float(alphas.std(ddof=1)) if R > 1 else 0.0
         rows.append(CellResult(d, n, p, noise, float(alphas.mean()), sd,
                                float(losses.mean()), float(sizes.mean()), R))
-    return ExperimentResult(tuple(rows))
+    return tuple(rows)
 
 
-def fit_alpha_vs_logp(result: ExperimentResult) -> list[FitResult]:
+def fit_alpha_vs_logp(results: tuple[CellResult, ...]) -> list[FitResult]:
     """Ordinary least squares of mean alpha on ln p per (design, n, noise)."""
     groups: dict = {}
-    for row in result.rows:
+    for row in results:
         groups.setdefault((row.design, row.n, row.noise), []).append(row)
     fits = []
     for (design, n, noise), rows in sorted(groups.items()):
@@ -183,12 +178,12 @@ def fit_alpha_vs_logp(result: ExperimentResult) -> list[FitResult]:
     return fits
 
 
-def write_results_csv(result: ExperimentResult, path) -> None:
+def write_results_csv(results: tuple[CellResult, ...], path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["design", "n", "p", "noise", "mean_alpha", "sd_alpha",
                          "mean_test_loss", "mean_tree_size", "R"])
-        for r in result.rows:
+        for r in results:
             writer.writerow([r.design, r.n, r.p, repr(r.noise), repr(r.mean_alpha),
                              repr(r.sd_alpha), repr(r.mean_test_loss),
                              repr(r.mean_tree_size), r.replications])
@@ -203,13 +198,13 @@ def write_fit_csv(fits: list[FitResult], path) -> None:
                              repr(f.intercept), repr(f.r_squared)])
 
 
-def write_figure_data(result: ExperimentResult, out_dir) -> list[str]:
+def write_figure_data(results: tuple[CellResult, ...], out_dir) -> list[str]:
     """Per-design plot data: columns ln_p, mean_alpha, sd_alpha, n — one
     series per n value, at a single noise level per design."""
-    designs = sorted({r.design for r in result.rows})
+    designs = sorted({r.design for r in results})
     paths = []
     for d in designs:
-        drows = [r for r in result.rows if r.design == d]
+        drows = [r for r in results if r.design == d]
         noises = sorted({r.noise for r in drows})
         noise = FIGURE_NOISE.get(d) if FIGURE_NOISE.get(d) in noises else noises[0]
         path = os.path.join(out_dir, f"figure3_{d}.dat")

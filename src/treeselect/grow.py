@@ -1,9 +1,12 @@
 """CART-style greedy growing with misclassification count as impurity.
 
-A node is split only when some (variable, midpoint) cut strictly reduces
+A node is split only when some (variable, threshold) cut strictly reduces
 the total misclassification count of the node under majority labelling.
 Ties break to the smallest variable index, then the smallest threshold,
-so growing is a deterministic, order-invariant function of the data.
+so growing is a deterministic, order-invariant function of the data.  The
+threshold between neighbouring values lo < hi is their midpoint when it
+lies in [lo, hi), and lo when the midpoint rounds onto hi or overflows, so
+``x > threshold`` routes exactly the cut that was scored.
 
 Each column is sorted once per dataset (``Dataset.order``, CART's
 presort).  A node holds a (p, m) order: row j lists the node's rows sorted
@@ -19,12 +22,14 @@ row-major maximum is the best cut.  Rows with equal values may sit in any
 order within their run: only the last position of a run is a valid cut,
 and s there is the same for every order of the run, so the chosen split
 does not depend on how ties were ordered.  Only columns that hold equal
-values need that check; ``grow_maximal`` reads them from ``Dataset.tied``,
-cached with the presort.
+values need that check; ``best_split`` reads them from ``Dataset.tied``,
+cached with the presort.  Called without a node's order, it searches
+``data.subset(rows)``, so ``Dataset`` is the only place that sorts.
 
-``grow_maximal`` records each node's label counts as it creates the node,
-and the tree it returns carries them for ``tree.node_counts``, so pruning
-on the training rows routes nothing.
+The ``Split`` of a node is the one source of its children's label
+counts: ``grow_maximal`` records them as it creates the children and
+labels each leaf once from them, and the tree it returns carries them
+for ``tree.node_counts``, so pruning on the training rows routes nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Dataset, check_integer
-from .tree import Internal, Leaf, TreeClassifier, preorder_tree
+from .tree import Internal, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
@@ -61,22 +66,16 @@ class GrowLimits:
 class Split:
     var: int  # 1-based
     threshold: float
-    left_label: int
-    right_label: int
+    left_size: int  # rows the cut sends left
+    left_ones: int  # of those, rows labelled 1
     err_count: int  # total child misclassifications
 
 
-def _majority(n0: int, n1: int) -> tuple[int, int]:
-    """(label, errors) under majority vote; ties resolve to label 0."""
-    return (0, n1) if n0 >= n1 else (1, n0)
-
-
 def best_split(data: Dataset, rows, min_node_size: int = 1,
-               order: np.ndarray | None = None,
-               tied: np.ndarray | None = None) -> Split | None:
-    """Exhaustive scan over all variables and all midpoints between
-    consecutive distinct sorted values; None when no cut strictly beats
-    the majority-leaf error of the subset.
+               order: np.ndarray | None = None) -> Split | None:
+    """Exhaustive scan over all variables and all cuts between consecutive
+    distinct sorted values; None when no cut strictly beats the
+    majority-leaf error of the subset.
 
     With labels read as signs +1 (y = 1) and -1 (y = 0), let s be the
     signed sum of the rows left of a cut and S = 2 n1 - m that of the whole
@@ -89,29 +88,26 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     ``min_node_size`` rows from either end) scores 0, so neither can win.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
-    feature over the subset); a stable argsort of ``data.X[rows]`` when not
-    given.  ``tied`` lists the 0-based columns that may hold equal values
-    among the rows; only those are checked for ties, and every column is
-    when it is None (a row listed twice ties with itself everywhere)."""
-    rows = np.asarray(rows)
-    if rows.size == 0:
-        raise ValueError("row subset is empty")
-    y = data.y[rows]
-    m = y.size
-    n1 = int(y.sum())
+    feature over the node's rows); without it the search runs on
+    ``data.subset(rows)`` and that subset's ``order``.  Only the columns in
+    ``data.tied`` are checked for ties.  The threshold between neighbours
+    lo < hi is their midpoint when lo <= mid < hi, else lo, so
+    ``x > threshold`` routes exactly the partition scored, which
+    ``Split.left_size`` and ``left_ones`` count."""
+    if order is None:
+        data = data.subset(rows)
+        order = data.order
+    m = order.shape[1]
+    n1 = int(data.y.take(order[0]).sum())
     if n1 in (0, m) or m < 2 * min_node_size:
         return None  # label-pure, or too small for two children
-    if order is None:
-        rows = np.arange(data.n)[rows]  # indices, also for a boolean mask
-        order = rows[np.argsort(data.X[rows].T, axis=1, kind="stable")]
     S = 2 * n1 - m
 
     # |2s - S| after each of the m positions of each variable
     score = np.cumsum(_TWICE_SIGNS.take(data.y).take(order), axis=1, dtype=np.int32)
     score -= S
     np.abs(score, out=score)
-    if tied is None:
-        tied = np.arange(data.p)
+    tied = data.tied
     if tied.size:
         svals = np.take_along_axis(data.X.T[tied], order[tied], 1)
         var, pos = np.nonzero(svals[:, 1:] == svals[:, :-1])
@@ -127,11 +123,10 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     if g <= abs(S):
         return None
     col = data.X[:, var0]
-    threshold = float((col[order[var0, i]] + col[order[var0, i + 1]]) / 2.0)
+    lo, hi = float(col[order[var0, i]]), float(col[order[var0, i + 1]])
+    mid = (lo + hi) / 2.0
     ones_left = int(data.y.take(order[var0, :i + 1]).sum())
-    ll, _ = _majority(i + 1 - ones_left, ones_left)
-    rl, _ = _majority(m - i - 1 - (n1 - ones_left), n1 - ones_left)
-    return Split(var0 + 1, threshold, ll, rl, (m - g) // 2)
+    return Split(var0 + 1, mid if lo <= mid < hi else lo, i + 1, ones_left, (m - g) // 2)
 
 
 def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassifier:
@@ -142,15 +137,16 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     if limits is None:
         limits = GrowLimits()
     n1 = int(data.y.sum())
-    # growth-order arena: the two children of a split are appended after it
-    nodes: list = [Leaf(_majority(data.n - n1, n1)[0])]
+    # growth-order arena: the two children of a split are appended after it,
+    # and a leaf is None until preorder_tree labels it from its counts
+    nodes: list = [None]
     n0s, n1s = [data.n - n1], [n1]  # training rows of each label at each node
     order_at = [data.order]  # order_at[i][0] lists the rows of node i
     heap: list = []  # (-error reduction, node index, split)
     goes_right = np.zeros(data.n, dtype=bool)
 
     def consider(i: int):
-        split = best_split(data, order_at[i][0], limits.min_node_size, order_at[i], data.tied)
+        split = best_split(data, order_at[i][0], limits.min_node_size, order_at[i])
         if split is None:
             order_at[i] = None
         else:
@@ -169,17 +165,16 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
         order = order.ravel()
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
-        nodes += [Leaf(split.left_label), Leaf(split.right_label)]
-        order_at += [order.compress(~to_right).reshape(data.p, -1),
+        nodes += [None, None]
+        order_at += [order.compress(~to_right).reshape(data.p, split.left_size),
                      order.compress(to_right).reshape(data.p, -1)]
         order_at[i] = None
-        size = order_at[left].shape[1]  # the left child's rows, and its ones
-        ones = int(data.y.take(order_at[left][0]).sum())
+        size, ones = split.left_size, split.left_ones
         n0s += [size - ones, n0s[i] - size + ones]
         n1s += [ones, n1s[i] - ones]
         n_leaves += 1
         consider(left)
         consider(left + 1)
 
-    labels = [_majority(a, b)[0] for a, b in zip(n0s, n1s)]  # those of the leaves
+    labels = [int(b > a) for a, b in zip(n0s, n1s)]  # majority; a tie is 0
     return preorder_tree(nodes, [False] * len(nodes), labels, counts=(data, n0s, n1s))

@@ -90,8 +90,11 @@ def enumerate_classes(p: int, k: int) -> tuple[ClassDescriptor, ...]:
 class _Candidates(dict):
     """Each split variable's candidate thresholds on the sample X, computed
     on first use and kept, so that the classes of one search share them:
-    the midpoints of consecutive distinct sorted values, bracketed by -inf
-    and +inf so degenerate splits can route everything one way."""
+    one per pair of consecutive distinct sorted values lo < hi, bracketed
+    by -inf and +inf so degenerate splits can route everything one way.
+    The candidate is the midpoint when lo <= mid < hi, else lo: the
+    midpoint of neighbouring doubles may round onto hi, and that of huge
+    values may overflow, and either would lose the cut between them."""
 
     def __init__(self, X: np.ndarray):
         super().__init__()
@@ -99,7 +102,11 @@ class _Candidates(dict):
 
     def __missing__(self, v: int) -> np.ndarray:
         vals = np.unique(self.X[:, v - 1])
-        self[v] = np.concatenate(([-math.inf], (vals[:-1] + vals[1:]) / 2.0, [math.inf]))
+        lo, hi = vals[:-1], vals[1:]
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        cuts = np.where((lo <= mid) & (mid < hi), mid, lo)
+        self[v] = np.concatenate(([-math.inf], cuts, [math.inf]))
         return self[v]
 
 

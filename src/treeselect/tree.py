@@ -188,7 +188,8 @@ def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[in
 def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
     """The tree an arena describes once every node i with collapsed[i] set
     is made a leaf, as a pre-order arena; every node i that ends up a leaf
-    gets labels[i].  `nodes` must satisfy the arena invariant.  With
+    gets labels[i], so a leaf of `nodes` may be any non-Internal value (grow
+    uses None).  `nodes` must satisfy the arena invariant.  With
     counts = (data, n0, n1), the label counts of each node of `nodes` on
     `data`, the tree carries them for ``node_counts``."""
     source: list[int] = []  # arena index of each emitted node, in pre-order

@@ -36,3 +36,29 @@ leaf_budgets = st.none() | st.integers(1, 8)
 finite_floats = (st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                                   -1.7976931348623157e308])
                  | st.floats(allow_nan=False, allow_infinity=False))
+
+
+# one pair of neighbouring values per case, labelled 0 and 1: the midpoint
+# of 0.3 and 0.1 + 0.2 and that of 1 and the double below it round onto
+# the larger value, and that of 1e308 and 1.5e308 overflows
+NEIGHBOUR_CASES = [
+    ([[0.3, 0.0], [0.1 + 0.2, 0.0], [1.3, 0.0]], [0, 1, 1]),
+    ([[1e308, 0.0], [1.5e308, 0.0]], [0, 1]),
+    ([[float(np.nextafter(1.0, 0.0)), 0.0], [1.0, 0.0]], [0, 1]),
+]
+
+
+@st.composite
+def neighbour_datasets(draw):
+    """Small datasets whose features take neighbouring doubles of a drawn
+    value and values whose midpoints round onto the larger one or overflow."""
+    n = draw(st.integers(2, 12))
+    pool = [draw(finite_floats)]
+    for _ in range(3):  # toward zero, so the pool stays finite
+        pool.append(float(np.nextafter(pool[-1], 0.0)))
+    pool += [0.3, 0.1 + 0.2, 1e308, 1.5e308, -1.5e308, 1.7976931348623157e308]
+    values = st.sampled_from(pool)
+    X = np.array(draw(st.lists(st.lists(values, min_size=2, max_size=2),
+                               min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return Dataset(X, y)

@@ -98,7 +98,7 @@ def test_criterion_8_figure3_reproduction():
     for n in (50, 100, 200):
         assert fits[n].slope > 0.0, f"slope not positive at n={n}"
         assert fits[n].r_squared >= 0.8, f"R^2 {fits[n].r_squared:.3f} < 0.8 at n={n}"
-    rows = {(r.n, r.p): r for r in res.rows}
+    rows = {(r.n, r.p): r for r in res}
     R = cfg.replications
     for p in cfg.p_grid:
         a, b = rows[(50, p)], rows[(200, p)]

@@ -4,7 +4,9 @@ from click.testing import CliRunner
 
 import treeselect.verify
 from treeselect.cli import main
-from treeselect import load_dataset, tree_from_text
+from treeselect import Dataset, load_dataset, save_dataset, tree_from_text
+
+from conftest import NEIGHBOUR_CASES
 
 
 def run(*args):
@@ -39,6 +41,15 @@ def test_grow_and_prune(tmp_path):
     lines = seq_file.read_text().strip().splitlines()
     assert lines[0] == "size,risk,alpha"
     assert len(lines) >= 2
+
+
+@pytest.mark.parametrize("X,y", NEIGHBOUR_CASES)
+def test_grow_separates_neighbouring_values(tmp_path, X, y):
+    data = tmp_path / "d.csv"
+    save_dataset(Dataset(np.array(X), np.array(y)), data)
+    res = run("grow", "--data", str(data))
+    assert res.output.splitlines() == [f"node(1, {X[0][0]!r}, leaf(0), leaf(1))",
+                                       "leaves=2 training_risk=0.000000"]
 
 
 def test_select(tmp_path):

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from treeselect import CVConfig
-from treeselect.experiment import (CellResult, ExperimentConfig,
-                                   ExperimentResult, fit_alpha_vs_logp,
-                                   run_sweep, write_figure_data,
-                                   write_results_csv)
+from treeselect.experiment import (CellResult, ExperimentConfig, fit_alpha_vs_logp,
+                                   run_sweep, write_figure_data, write_results_csv)
 
 SMALL = ExperimentConfig(designs=(1,), n_grid=(30,), p_grid=(5, 10),
                          noise_grids={1: (0.1,)}, replications=3,
@@ -17,8 +15,8 @@ SMALL = ExperimentConfig(designs=(1,), n_grid=(30,), p_grid=(5, 10),
 
 def test_row_count():
     res = run_sweep(SMALL)
-    assert len(res.rows) == 1 * 1 * 2 * 1
-    for row in res.rows:
+    assert len(res) == 1 * 1 * 2 * 1
+    for row in res:
         assert row.replications == 3
         assert row.mean_alpha >= 0.0
 
@@ -45,14 +43,14 @@ def test_different_seed_differs():
     import dataclasses
     other = dataclasses.replace(SMALL, master_seed=8)
     a, b = run_sweep(SMALL), run_sweep(other)
-    assert any(x.mean_alpha != y.mean_alpha for x, y in zip(a.rows, b.rows))
+    assert any(x.mean_alpha != y.mean_alpha for x, y in zip(a, b))
 
 
 def _rows_from_alpha(fn, n=100, noise=0.1):
     rows = []
     for p in (10, 30, 100, 300):
         rows.append(CellResult(1, n, p, noise, fn(p), 0.0, 0.0, 1.0, 5))
-    return ExperimentResult(tuple(rows))
+    return tuple(rows)
 
 
 def test_fit_exact_line():
@@ -73,7 +71,7 @@ def test_fit_constant():
 def test_fit_needs_two_p_values():
     rows = (CellResult(1, 50, 10, 0.1, 0.1, 0.0, 0.0, 1.0, 5),)
     with pytest.raises(ValueError):
-        fit_alpha_vs_logp(ExperimentResult(rows))
+        fit_alpha_vs_logp(rows)
 
 
 def test_figure_data_layout(tmp_path):
@@ -81,7 +79,7 @@ def test_figure_data_layout(tmp_path):
     for n in (50, 200):
         for p in (10, 100):
             rows.append(CellResult(1, n, p, 0.3, 0.1, 0.01, 0.0, 2.0, 5))
-    paths = write_figure_data(ExperimentResult(tuple(rows)), tmp_path)
+    paths = write_figure_data(tuple(rows), tmp_path)
     assert len(paths) == 1
     lines = (tmp_path / "figure3_1.dat").read_text().strip().splitlines()
     assert lines[0].split() == ["ln_p", "mean_alpha", "sd_alpha", "n"]

@@ -15,14 +15,13 @@ from treeselect.designs import DesignSpec, generate
 from treeselect.grow import Split
 from treeselect.tree import Internal, TreeClassifier, node_counts, tree_to_text
 
-from conftest import leaf_budgets, random_dataset, tied_datasets
+from conftest import (NEIGHBOUR_CASES, leaf_budgets, neighbour_datasets, random_dataset,
+                      tied_datasets)
 
 
 def test_best_split_perfect(line_dataset):
     d = line_dataset([0, 0, 1, 1])
-    s = best_split(d, np.arange(4))
-    assert (s.var, s.threshold, s.left_label, s.right_label) == (1, 2.5, 0, 1)
-    assert s.err_count == 0
+    assert best_split(d, np.arange(4)) == Split(1, 2.5, 2, 0, 0)
 
 
 def test_best_split_pure_returns_none():
@@ -152,9 +151,9 @@ def test_node_orders_are_presorts_of_the_node_rows(monkeypatch):
     from treeselect import grow
     seen = []
 
-    def spy(data, rows, min_node_size=1, order=None, tied=None):
+    def spy(data, rows, min_node_size=1, order=None):
         seen.append((np.sort(rows), order))
-        return best_split(data, rows, min_node_size, order, tied)
+        return best_split(data, rows, min_node_size, order)
 
     monkeypatch.setattr(grow, "best_split", spy)
     d = _rounded_columns(random_dataset(np.random.default_rng(6), 60, 3), [1])  # ties
@@ -270,19 +269,20 @@ def _reference_best_split(data, rows, min_node_size=1):
     if best_err >= parent_err:
         return None
     var0, i = divmod(best, m - 1)
-    threshold = float((svals[i, var0] + svals[i + 1, var0]) / 2.0)
-    lo = int(left_ones[i, var0])
-    ll = 0 if i + 1 - lo >= lo else 1
-    rl = 0 if m - i - 1 - (n1 - lo) >= n1 - lo else 1
-    return Split(var0 + 1, threshold, ll, rl, best_err)
+    lo, hi = float(svals[i, var0]), float(svals[i + 1, var0])
+    mid = (lo + hi) / 2.0
+    threshold = mid if lo <= mid < hi else lo
+    return Split(var0 + 1, threshold, i + 1, int(left_ones[i, var0]), best_err)
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_datasets(), st.integers(1, 3), st.randoms(use_true_random=False))
+@given(tied_datasets() | neighbour_datasets(), st.integers(1, 3),
+       st.randoms(use_true_random=False))
 def test_presorted_best_split_matches_reference(data, min_node_size, rnd):
     rows = np.array(sorted(rnd.sample(range(data.n), rnd.randint(1, data.n))))
     expected = _reference_best_split(data, rows, min_node_size)
     assert best_split(data, rows, min_node_size) == expected
+    assert best_split(data, rows.tolist(), min_node_size) == expected
     # the order grow hands a node: the dataset's order filtered by membership
     member = np.zeros(data.n, dtype=bool)
     member[rows] = True
@@ -293,7 +293,8 @@ def test_presorted_best_split_matches_reference(data, min_node_size, rnd):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tied_datasets(), st.integers(1, 3), st.randoms(use_true_random=False))
+@given(tied_datasets() | neighbour_datasets(), st.integers(1, 3),
+       st.randoms(use_true_random=False))
 def test_best_split_on_rows_drawn_with_replacement_matches_reference(data, min_node_size, rnd):
     # a repeated row ties with itself in every column, also in columns
     # whose values are all distinct in the dataset
@@ -311,13 +312,13 @@ def _rounded_columns(data, cols):
 @pytest.mark.parametrize("min_node_size", [1, 3])
 @pytest.mark.parametrize("tied_cols", [[], list(range(0, 200, 2))])
 def test_every_grown_split_matches_reference(monkeypatch, min_node_size, tied_cols):
-    # grow hands each node its partitioned order and the dataset's tied
-    # columns; the split it gets must be the fresh-sort reference's
+    # grow hands each node its partitioned order; the split it gets must be
+    # the fresh-sort reference's
     from treeselect import grow
     seen = []
 
-    def spy(data, rows, min_node_size=1, order=None, tied=None):
-        split = best_split(data, rows, min_node_size, order, tied)
+    def spy(data, rows, min_node_size=1, order=None):
+        split = best_split(data, rows, min_node_size, order)
         seen.append((rows, split))
         return split
 
@@ -328,6 +329,42 @@ def test_every_grown_split_matches_reference(monkeypatch, min_node_size, tied_co
     assert len(seen) == 2 * t.n_leaves - 1
     for rows, split in seen:
         assert split == _reference_best_split(d, rows, min_node_size)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets() | neighbour_datasets(), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_split_counts_are_the_partition_its_threshold_routes(data, min_node_size, rnd):
+    rows = np.array([rnd.randrange(data.n) for _ in range(rnd.randint(1, 2 * data.n))])
+    split = best_split(data, rows, min_node_size)
+    if split is None:
+        return
+    left = data.X[rows, split.var - 1] <= split.threshold
+    y = data.y[rows]
+    assert (split.left_size, split.left_ones) == (left.sum(), y[left].sum())
+    assert min_node_size <= split.left_size <= rows.size - min_node_size
+    right_ones = y.sum() - split.left_ones
+    assert split.err_count == min(split.left_ones, split.left_size - split.left_ones) + \
+        min(right_ones, rows.size - split.left_size - right_ones)
+
+
+@pytest.mark.parametrize("rows", [[], np.array([], dtype=int), np.zeros(3, dtype=bool)])
+def test_best_split_rejects_empty_rows(rows):
+    d = Dataset(np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 0.0]]), np.array([0, 1, 1]))
+    with pytest.raises(ValueError):
+        best_split(d, rows)
+
+
+@pytest.mark.parametrize("X,y", NEIGHBOUR_CASES)
+def test_neighbouring_values_grow_the_cut_that_was_scored(X, y):
+    # the midpoint of each pair rounds onto the larger value or overflows,
+    # so the threshold is the smaller value
+    d = Dataset(np.array(X), np.array(y))
+    tree = grow_maximal(d)
+    assert tree_to_text(tree) == f"node(1, {X[0][0]!r}, leaf(0), leaf(1))"
+    assert empirical_risk(tree, d) == 0.0
+    n1 = sum(y)  # one row labelled 0, left of the cut
+    assert node_counts(tree, d) == _routed_counts(tree, d) == ([1, 1, 0], [n1, 0, n1])
 
 
 _EDGE_CASES = [
@@ -353,7 +390,7 @@ def test_best_split_edge_cases_match_reference(X, y, min_node_size):
     rows = np.arange(d.n)
     expected = _reference_best_split(d, rows, min_node_size)
     assert best_split(d, rows, min_node_size) == expected
-    assert best_split(d, rows, min_node_size, d.order, d.tied) == expected
+    assert best_split(d, rows, min_node_size, d.order) == expected
 
 
 def test_best_split_edge_cases_hold_splits_and_no_splits():
@@ -370,7 +407,7 @@ def _routed_counts(tree, data):
 
 
 @settings(max_examples=150, deadline=None)
-@given(tied_datasets(), leaf_budgets, st.integers(1, 3))
+@given(tied_datasets() | neighbour_datasets(), leaf_budgets, st.integers(1, 3))
 def test_carried_counts_equal_routed_counts(data, max_leaves, min_node_size):
     tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves, min_node_size=min_node_size))
     assert tree._counts is not None

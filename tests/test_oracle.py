@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         ResourceCapError, brute_force_best_subtree, catalan,
-                        class_count, enumerate_classes, erm_in_class,
+                        class_count, empirical_risk, enumerate_classes, erm_in_class,
                         exhaustive_select, grow_maximal, select_tree,
                         shattering_count, tree_from_text, tree_to_text)
 from treeselect import oracle
@@ -19,7 +19,7 @@ from treeselect.designs import BLOCK_CELLS
 from treeselect.tree import (LEAF_SHAPE, Internal, Leaf, TreeClassifier, leaf,
                              tree_from_class)
 
-from conftest import random_dataset, tied_datasets
+from conftest import NEIGHBOUR_CASES, random_dataset, tied_datasets
 
 STUMP = ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (1,))
 SINGLE = ClassDescriptor(LEAF_SHAPE, ())
@@ -274,6 +274,18 @@ def test_exhaustive_never_loses_to_heuristic():
         assert cost_ex <= cost_h + 1e-12
         equal += abs(cost_ex - cost_h) <= 1e-12
     assert equal >= trials // 2
+
+
+@pytest.mark.parametrize("X,y", NEIGHBOUR_CASES)
+def test_exhaustive_tries_the_cut_between_neighbouring_values(X, y):
+    # a midpoint that rounds onto the larger value or overflows would lose
+    # the only cut that separates the labels
+    d = Dataset(np.array(X), np.array(y))
+    spec = LinearPenalty(0.01)
+    tree, cost_ex = exhaustive_select(d, spec, k_max=2)
+    _, cost_h = select_tree(d, spec, GrowLimits(max_leaves=2))
+    assert cost_ex <= cost_h
+    assert tree.n_leaves == 2 and empirical_risk(tree, d) == 0.0
 
 
 def test_shattering_single_leaf():
