@@ -9,9 +9,7 @@ ASCII decimal, so 4_0, 1_0.5 and non-ASCII digits are usage errors.
 
 from __future__ import annotations
 
-import math
 import os
-import re
 import sys
 from dataclasses import fields, replace
 
@@ -19,29 +17,14 @@ import click
 
 from . import experiment as xp
 from . import verify as suite
-from .designs import DesignSpec, generate, load_dataset, save_dataset
+from .designs import (DesignSpec, generate, load_dataset, save_dataset, strict_float,
+                      strict_int)
 from .grow import GrowLimits, grow_maximal
 from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
                         VCPenalty, cv_select_alpha, select_tree)
 from .prune import sequence_to_csv, weakest_link
-from .tree import FLOAT_PATTERN, empirical_risk, tree_from_text, tree_to_text
-
-
-_INT_PATTERN = re.compile(r"[+-]?[0-9]+")
-
-
-def _strict_int(text: str) -> int:
-    if _INT_PATTERN.fullmatch(text) is None:
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-def _strict_float(text: str) -> float:
-    value = float(text) if FLOAT_PATTERN.fullmatch(text) else math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite decimal number")
-    return value
+from .tree import empirical_risk, tree_from_text, tree_to_text
 
 
 class _Strict(click.ParamType):
@@ -60,8 +43,8 @@ class _Strict(click.ParamType):
             self.fail(str(exc), param, ctx)
 
 
-_INT = _Strict("integer", _strict_int)
-_FLOAT = _Strict("float", _strict_float)
+_INT = _Strict("integer", strict_int)
+_FLOAT = _Strict("float", strict_float)
 
 
 def _given(**values) -> dict:
@@ -148,17 +131,20 @@ def grow(data_path, max_leaves, min_node_size, out):
 @click.option("--tree", "tree_path", type=click.Path(exists=True), default=None,
               help="textual tree to prune; grown maximally when omitted")
 @click.option("--max-leaves", type=_INT, default=None)
-@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
+@click.option("--min-node-size", type=_INT, default=None)
 @click.option("--out", type=click.Path(), required=True)
 def prune(data_path, tree_path, max_leaves, min_node_size, out):
     """Weakest-link pruning; writes the size/risk/alpha sequence CSV."""
+    growth = _given(max_leaves=max_leaves, min_node_size=min_node_size)
+    if tree_path and growth:
+        flags = ", ".join(f"--{flag.replace('_', '-')}" for flag in growth)
+        raise ValueError(f"--tree does not read {flags}")
     data = load_dataset(data_path)
     if tree_path:
         with open(tree_path) as fh:
             tree = tree_from_text(fh.read())
     else:
-        tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves,
-                                             min_node_size=min_node_size))
+        tree = grow_maximal(data, GrowLimits(**growth))
     seq = weakest_link(tree, data)
     sequence_to_csv(seq, out)
     click.echo(f"sequence of {len(seq.sizes)} subtrees written to {out}")
@@ -224,11 +210,11 @@ def _items(text) -> list[str]:
 
 
 def _int_list(text) -> tuple[int, ...]:
-    return tuple(_strict_int(v.strip()) for v in _items(text))
+    return tuple(strict_int(v.strip()) for v in _items(text))
 
 
 def _float_list(text) -> tuple[float, ...]:
-    return tuple(_strict_float(v.strip()) for v in _items(text))
+    return tuple(strict_float(v.strip()) for v in _items(text))
 
 
 @main.command()
@@ -261,10 +247,10 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
         designs=pick(designs, "designs", _int_list),
         n_grid=pick(n_grid, "n_grid", _int_list),
         p_grid=pick(p_grid, "p_grid", _int_list),
-        replications=pick(replications, "replications", _strict_int),
-        folds=pick(folds, "folds", _strict_int),
-        test_samples=pick(test_samples, "test_samples", _strict_int),
-        jobs=pick(jobs, "jobs", _strict_int))
+        replications=pick(replications, "replications", strict_int),
+        folds=pick(folds, "folds", strict_int),
+        test_samples=pick(test_samples, "test_samples", strict_int),
+        jobs=pick(jobs, "jobs", strict_int))
     noise_override = pick(noise_grid, "noise_grid", _float_list)
     if cfg_file:
         raise click.UsageError(f"unknown config key(s): {', '.join(sorted(cfg_file))}")

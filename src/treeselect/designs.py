@@ -1,4 +1,5 @@
-"""Simulation designs with analytic ground truth, plus CSV dataset I/O.
+"""Simulation designs with analytic ground truth, plus CSV dataset I/O and
+the strict number parsers that CSV cells, tree text and the CLI share.
 
 Four synthetic binary-classification designs over p ordered real features.
 Each design comes with its exact regression function eta(x) = P(Y=1|X=x),
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -36,6 +38,27 @@ def check_integer(name: str, value) -> None:
     integral value is not one, so nothing is coerced."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+# an ASCII decimal float, as repr writes one: no underscore, nan or inf
+FLOAT_PATTERN = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_INT_PATTERN = re.compile(r"[+-]?[0-9]+")
+
+
+def strict_int(text: str) -> int:
+    """An ASCII decimal integer; int() would also read 4_0 and other digits."""
+    if _INT_PATTERN.fullmatch(text) is None:
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
+def strict_float(text: str) -> float:
+    """A finite ASCII decimal float; float() would also read 1_0, nan and
+    non-ASCII digits."""
+    value = float(text) if FLOAT_PATTERN.fullmatch(text) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite decimal number")
+    return value
 
 
 def _set_read_only(obj, **arrays) -> None:
@@ -122,7 +145,11 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         """The dataset of the given rows, in the given order.  Rows of a
-        checked dataset need no second check, so only emptiness is tested."""
+        checked dataset need no second check, so only emptiness is tested.
+
+        With strictly increasing rows and a cached parent order, the child's
+        order is the parent's filtered to the kept rows, then renumbered by
+        their rank among them: only the kept entries are gathered."""
         rows = np.arange(self.n)[rows]
         if rows.size == 0:
             raise ValueError("need at least one observation")
@@ -130,10 +157,13 @@ class Dataset:
         if self._order is not None and np.all(rows[1:] > rows[:-1]):
             # rank is monotone in the row index, so filtering the parent's
             # order keeps ties by row index: a stable argsort of the child
-            rank = np.full(self.n, -1, dtype=self._order.dtype)
+            keep = np.zeros(self.n, dtype=bool)
+            keep[rows] = True
+            rank = np.empty(self.n, dtype=self._order.dtype)
             rank[rows] = np.arange(rows.size)
-            ranked = rank.take(self._order)
-            order, tied = ranked[ranked >= 0].reshape(self.p, rows.size), self._tied
+            flat = self._order.ravel()
+            order = rank.take(flat.compress(keep.take(flat))).reshape(self.p, rows.size)
+            tied = self._tied
         child = object.__new__(Dataset)  # bypasses __post_init__'s checks
         _set_read_only(child, X=self.X[rows], y=self.y[rows], _order=order, _tied=tied)
         return child
@@ -445,7 +475,9 @@ def save_dataset(data: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a CSV dataset; the label column must be named 'y', and no two
-    header names may be equal."""
+    header names may be equal.  Each cell, stripped of ASCII spaces, is a
+    finite ASCII decimal (see ``strict_float``), and a label equals 0 or 1;
+    an error names the row and the column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -465,12 +497,15 @@ def load_dataset(path) -> Dataset:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"row {r} has {len(row)} cells, the header has {len(header)}")
-            try:
-                X_rows.append([float(row[j]) for j in xcols])
-                label = float(row[ycol])
-            except ValueError as exc:
-                raise ValueError(f"row {r}: {exc}") from None
+            values = []
+            for j in xcols + [ycol]:
+                try:
+                    values.append(strict_float(row[j].strip(" ")))
+                except ValueError as exc:
+                    raise ValueError(f"row {r}, column {header[j]!r}: {exc}") from None
+            label = values.pop()
             if label not in (0.0, 1.0):
-                raise ValueError(f"row {r}: label {row[ycol]!r} is not 0 or 1")
+                raise ValueError(f"row {r}: label {row[ycol]!r} in column 'y' is not 0 or 1")
+            X_rows.append(values)
             y_rows.append(int(label))
     return Dataset(np.asarray(X_rows), np.asarray(y_rows))

@@ -10,20 +10,24 @@ lies in [lo, hi), and lo when the midpoint rounds onto hi or overflows, so
 
 Each column is sorted once per dataset (``Dataset.order``, CART's
 presort).  A node holds a (p, m) order: row j lists the node's rows sorted
-by feature j.  Splitting a node partitions every row of its order with one
-membership mask; a stable filter of a sorted row is still sorted, so no
-node sorts again.
+by feature j.  The rows a split sends left are the first ``left_size``
+entries of the split variable's row, so splitting a node marks them in one
+membership mask and filters every row of its order with it; a stable
+filter of a sorted row is still sorted, so no node sorts again.  A child
+whose counts show it terminal (label-pure, or fewer than
+``2 * min_node_size`` rows) is neither searched nor given an order: the
+search could only return None for it.
 
 The search reads labels as signs +1/-1: with s the signed sum left of a
 cut and S that of the node, the cut leaves (m - max(|S|, |2s - S|)) / 2
-errors.  One cumulative sum along the order, overwritten in place with
-|2s - S|, scores the cut after every one of the m positions, and its first
-row-major maximum is the best cut.  Rows with equal values may sit in any
-order within their run: only the last position of a run is a valid cut,
-and s there is the same for every order of the run, so the chosen split
-does not depend on how ties were ordered.  Only columns that hold equal
-values need that check; ``best_split`` reads them from ``Dataset.tied``,
-cached with the presort.  Called without a node's order, it searches
+errors.  One cumulative sum of twice the signs along the order, whose
+last entry is 2S, is overwritten in place with |2s - S|; it scores the cut
+after every one of the m positions, and its first row-major maximum is the
+best cut.  Rows with equal values may sit in any order within their run:
+only the last position of a run is a valid cut, and s there is the same
+for every order of the run, so the chosen split does not depend on how
+ties were ordered.  Only columns that hold equal values need that check;
+``best_split`` reads them from ``Dataset.tied``, cached with the presort.  Called without a node's order, it searches
 ``data.subset(rows)``, so ``Dataset`` is the only place that sorts.
 
 The ``Split`` of a node is the one source of its children's label
@@ -44,7 +48,8 @@ from .tree import Internal, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
-_TWICE_SIGNS = np.array([-2, 2], dtype=np.int8)  # twice a label's sign: sums are 2s
+# twice a label's sign: its cumulative sums are 2s, summed in place in int32
+_TWICE_SIGNS = np.array([-2, 2], dtype=np.int32)
 
 
 @dataclass(frozen=True)
@@ -80,12 +85,15 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     With labels read as signs +1 (y = 1) and -1 (y = 0), let s be the
     signed sum of the rows left of a cut and S = 2 n1 - m that of the whole
     node.  The cut leaves (m - max(|S|, |2s - S|)) / 2 errors, against
-    (m - |S|) / 2 for the majority leaf.  So every one of the m positions
-    of every variable is scored |2s - S| in place, and the best cut is the
-    first row-major maximum; it is a split exactly when that maximum
-    exceeds |S|.  The last position (nothing right of it) scores |S|, and
-    a cut that is not allowed (inside a run of equal values, or fewer than
-    ``min_node_size`` rows from either end) scores 0, so neither can win.
+    (m - |S|) / 2 for the majority leaf.  One in-place cumulative sum of
+    twice the signs gives 2s at every one of the m positions of every
+    variable; its last entry is 2S, so the node is label-pure when
+    |S| = m.  Each position is then scored |2s - S| in place, and the best
+    cut is the first row-major maximum; it is a split exactly when that
+    maximum exceeds |S|.  The last position (nothing right of it) scores
+    |S|, and a cut that is not allowed (inside a run of equal values, or
+    fewer than ``min_node_size`` rows from either end) scores 0, so neither
+    can win.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
     feature over the node's rows); without it the search runs on
@@ -93,18 +101,21 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
     ``data.tied`` are checked for ties.  The threshold between neighbours
     lo < hi is their midpoint when lo <= mid < hi, else lo, so
     ``x > threshold`` routes exactly the partition scored, which
-    ``Split.left_size`` and ``left_ones`` count."""
+    ``Split.left_size`` and ``left_ones`` count: the first ``left_size``
+    rows of the split variable's order."""
     if order is None:
         data = data.subset(rows)
         order = data.order
     m = order.shape[1]
-    n1 = int(data.y.take(order[0]).sum())
-    if n1 in (0, m) or m < 2 * min_node_size:
-        return None  # label-pure, or too small for two children
-    S = 2 * n1 - m
+    if m < 2 * min_node_size:
+        return None  # too small for two children
 
-    # |2s - S| after each of the m positions of each variable
-    score = np.cumsum(_TWICE_SIGNS.take(data.y).take(order), axis=1, dtype=np.int32)
+    # 2s after each of the m positions of each variable, then |2s - S|
+    score = _TWICE_SIGNS.take(data.y).take(order)
+    np.cumsum(score, axis=1, out=score)
+    S = int(score[0, -1]) // 2
+    if abs(S) == m:
+        return None  # label-pure
     score -= S
     np.abs(score, out=score)
     tied = data.tied
@@ -141,40 +152,43 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     # and a leaf is None until preorder_tree labels it from its counts
     nodes: list = [None]
     n0s, n1s = [data.n - n1], [n1]  # training rows of each label at each node
-    order_at = [data.order]  # order_at[i][0] lists the rows of node i
-    heap: list = []  # (-error reduction, node index, split)
+    heap: list = []  # (-error reduction, node index, split, node's order)
     goes_right = np.zeros(data.n, dtype=bool)
 
-    def consider(i: int):
-        split = best_split(data, order_at[i][0], limits.min_node_size, order_at[i])
-        if split is None:
-            order_at[i] = None
-        else:
-            reduction = min(n0s[i], n1s[i]) - split.err_count
-            heapq.heappush(heap, (-reduction, i, split))
+    def searchable(i: int) -> bool:
+        """False when node i's counts show that best_split finds no split."""
+        return min(n0s[i], n1s[i]) > 0 and n0s[i] + n1s[i] >= 2 * limits.min_node_size
 
-    consider(0)
+    def consider(i: int, order: np.ndarray):
+        split = best_split(data, order[0], limits.min_node_size, order)
+        if split is not None:
+            reduction = min(n0s[i], n1s[i]) - split.err_count
+            heapq.heappush(heap, (-reduction, i, split, order))
+
+    if searchable(0):
+        consider(0, data.order)
     n_leaves = 1
     while heap and (limits.max_leaves is None or n_leaves < limits.max_leaves):
-        _, i, split = heapq.heappop(heap)
-        order = order_at[i]
-        rows = order[0]
-        goes_right[rows] = data.X[rows, split.var - 1] > split.threshold
-        # a stable filter of a sorted row keeps it sorted
-        to_right = goes_right.take(order).ravel()
-        order = order.ravel()
+        _, i, split, order = heapq.heappop(heap)
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
         nodes += [None, None]
-        order_at += [order.compress(~to_right).reshape(data.p, split.left_size),
-                     order.compress(to_right).reshape(data.p, -1)]
-        order_at[i] = None
         size, ones = split.left_size, split.left_ones
         n0s += [size - ones, n0s[i] - size + ones]
         n1s += [ones, n1s[i] - ones]
         n_leaves += 1
-        consider(left)
-        consider(left + 1)
+        search_left, search_right = searchable(left), searchable(left + 1)
+        if search_left or search_right:
+            # the threshold lies in [lo, hi), so the rows it routes left are
+            # the first `size` of the split variable's order
+            goes_right[order[0]] = True
+            goes_right[order[split.var - 1, :size]] = False
+            # a stable filter of a sorted row keeps it sorted
+            to_right, flat = goes_right.take(order).ravel(), order.ravel()
+            if search_left:
+                consider(left, flat.compress(~to_right).reshape(data.p, size))
+            if search_right:
+                consider(left + 1, flat.compress(to_right).reshape(data.p, -1))
 
     labels = [int(b > a) for a, b in zip(n0s, n1s)]  # majority; a tie is 0
     return preorder_tree(nodes, [False] * len(nodes), labels, counts=(data, n0s, n1s))

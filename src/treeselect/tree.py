@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .designs import Dataset, DesignSpec, bayes_risk, check_integer, generate
+from .designs import (FLOAT_PATTERN, Dataset, DesignSpec, bayes_risk, check_integer,
+                      generate)
 
 __all__ = [
     "Leaf",
@@ -287,8 +288,6 @@ def tree_to_text(tree: TreeClassifier) -> str:
 _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
 _LABEL = re.compile(r"[01]")
 _VAR = re.compile(r"[1-9][0-9]*")
-# an ASCII decimal float, as repr writes one: no underscore, nan or inf
-FLOAT_PATTERN = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def _parse(pattern: re.Pattern, what: str, token: str) -> str:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from treeselect import Dataset
+from treeselect.tree import node_counts
 from treeselect.verify import random_dataset  # noqa: F401  (tests import it from here)
 
 
@@ -62,3 +63,11 @@ def neighbour_datasets(draw):
                                min_size=n, max_size=n)))
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
     return Dataset(X, y)
+
+
+def searchable_nodes(tree, data, min_node_size=1):
+    """Indices of the nodes that grow_maximal searches: those whose carried
+    counts hold both labels and at least 2 * min_node_size rows."""
+    n0, n1 = node_counts(tree, data)
+    return [i for i, (a, b) in enumerate(zip(n0, n1))
+            if min(a, b) > 0 and a + b >= 2 * min_node_size]

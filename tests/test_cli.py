@@ -177,6 +177,27 @@ def test_select_rejects_a_flag_its_penalty_does_not_read(tmp_path, flags, messag
     assert result.output.splitlines()[-1] == f"Error: {message}"
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--max-leaves", "2"], "--tree does not read --max-leaves"),
+    (["--min-node-size", "1"], "--tree does not read --min-node-size"),
+    (["--min-node-size", "3", "--max-leaves", "2"],
+     "--tree does not read --max-leaves, --min-node-size"),
+])
+def test_prune_of_a_given_tree_rejects_growth_flags(tmp_path, flags, message):
+    data = _make_data(tmp_path)
+    tree_file = tmp_path / "tree.txt"
+    run("grow", "--data", str(data), "--out", str(tree_file))
+    out = tmp_path / "seq.csv"
+    result = CliRunner().invoke(main, ["prune", "--data", str(data), "--tree", str(tree_file),
+                                       "--out", str(out), *flags])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: {message}"
+    assert not out.exists()
+    # without --tree the flags grow the tree that is pruned
+    run("prune", "--data", str(data), "--out", str(out), *flags)
+    assert out.read_text().startswith("size,risk,alpha\n")
+
+
 def test_select_linear_defaults_to_the_class_weight(tmp_path):
     data = _make_data(tmp_path)
     default = run("select", "--data", str(data), "--penalty", "linear")

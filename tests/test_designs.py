@@ -329,6 +329,21 @@ def test_subset_inherits_order_for_increasing_rows(seed):
     assert np.array_equal(child.order, _stable_argsort(d.X[rows]))
 
 
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets(), st.randoms(use_true_random=False))
+def test_inherited_subset_order_is_the_stable_argsort_on_tied_data(d, rnd):
+    # a subset of a subset inherits too, as each CV fold of a fold would
+    rows = np.array(sorted(rnd.sample(range(d.n), rnd.randint(1, d.n))))
+    inner = np.array(sorted(rnd.sample(range(rows.size), rnd.randint(1, rows.size))))
+    d.order
+    child = d.subset(rows)
+    grandchild = child.subset(inner)
+    for got, X in ((child, d.X[rows]), (grandchild, d.X[rows[inner]])):
+        assert got._order is not None  # filtered from the parent, not sorted
+        assert got.order.dtype == d.order.dtype and not got.order.flags.writeable
+        assert np.array_equal(got.order, _stable_argsort(X))
+
+
 def test_subset_sorts_lazily_for_other_rows():
     d = _tied_dataset(0)
     d.order
@@ -381,6 +396,32 @@ def test_csv_rejects_malformed_rows(tmp_path, body, message):
     path.write_text("x1,x2,y\n" + body)
     with pytest.raises(ValueError, match=message):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1_0,0.5,1", "row 1, column 'x1': '1_0' is not a finite decimal number"),
+    ("\u0661,0.2,0", "row 1, column 'x1': '\u0661' is not a finite decimal number"),
+    ("0.5,1,0_0", "row 1, column 'y': '0_0' is not a finite decimal number"),
+    ("0.5,1,\uff11", "row 1, column 'y': '\uff11' is not a finite decimal number"),
+    ("0.5,\t1,0", "row 1, column 'x2': '\\t1' is not a finite decimal number"),
+    ("0.5,nan,0", "row 1, column 'x2': 'nan' is not a finite decimal number"),
+    ("0.5,1e999,0", "row 1, column 'x2': '1e999' is not a finite decimal number"),
+    ("0.5,1,2", "row 1: label '2' in column 'y' is not 0 or 1"),
+])
+def test_csv_cells_are_strict_decimals(tmp_path, row, message):
+    # float() reads every one of these cells
+    path = tmp_path / "bad.csv"
+    path.write_text("x1,x2,y\n" + row + "\n")
+    with pytest.raises(ValueError) as info:
+        load_dataset(path)
+    assert str(info.value) == message
+
+
+def test_csv_cells_may_carry_ascii_spaces_and_decimal_labels(tmp_path):
+    path = tmp_path / "ok.csv"
+    path.write_text("x1,x2,y\n 3.0 ,0.1,1.0\n-2,+.5e1, 0 \n")
+    d = load_dataset(path)
+    assert d.X.tolist() == [[3.0, 0.1], [-2.0, 5.0]] and d.y.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("header,name", [("x1,y,y", "'y'"), ("x1,x1,y", "'x1'"),

@@ -10,6 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,9 +65,38 @@ def _csv_text():
 _CSV_LINES = _csv_text().splitlines()
 
 
+# non-ASCII decimal digits (Arabic-Indic, Devanagari, fullwidth) that float() reads
+_FOREIGN_DIGITS = "\u0661\u0967\uff11"
+
+
+@st.composite
+def spoiled_cells(draw, cell):
+    """`cell` with a digit repeated after an underscore, or one digit made
+    non-ASCII; float() reads either, so only a strict reader rejects it."""
+    i = draw(st.sampled_from([k for k, c in enumerate(cell) if c.isdigit()]))
+    if draw(st.booleans()):
+        return cell[:i + 1] + "_" + cell[i:]
+    return cell[:i] + draw(st.sampled_from(_FOREIGN_DIGITS)) + cell[i + 1:]
+
+
+@st.composite
+def spoiled_csv_texts(draw):
+    """A valid CSV with one cell of a data row, a feature or the label,
+    spoiled; with the row number and the column name of that cell."""
+    lines = list(_CSV_LINES)
+    r = draw(st.integers(1, len(lines) - 1))
+    cells = lines[r].split(",")
+    j = draw(st.integers(0, len(cells) - 1))
+    cells[j] = draw(spoiled_cells(cells[j]))
+    lines[r] = ",".join(cells)
+    return "\n".join(lines) + "\n", r, lines[0].split(",")[j], cells[j]
+
+
 @st.composite
 def csv_texts(draw):
     lines = list(_CSV_LINES)
+    if draw(st.booleans()):
+        lines = draw(spoiled_csv_texts())[0].splitlines()
     if draw(st.booleans()):
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = ",".join(draw(mutated(lines[k].split(","))))
@@ -142,6 +172,20 @@ def test_mutated_csv_loads_or_raises_value_error(text):
 def test_mutated_csv_through_the_cli(text):
     with tempfile.TemporaryDirectory() as tmp:
         _invoke("grow", "--data", _write(tmp, "d.csv", text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(spoiled_csv_texts())
+def test_spoiled_csv_cell_is_rejected_by_row_and_column(case):
+    text, row, column, cell = case
+    float(cell)  # the lenient reader would take it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(tmp, "d.csv", text)
+        with pytest.raises(ValueError, match=f"^row {row}, column '{column}': "):
+            load_dataset(path)
+        result = CliRunner().invoke(main, ["grow", "--data", path])
+    _check(result)
+    assert result.exit_code == 2
 
 
 class _Parsed(Exception):

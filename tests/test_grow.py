@@ -3,6 +3,7 @@ import gc
 import pickle
 import weakref
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from treeselect.grow import Split
 from treeselect.tree import Internal, TreeClassifier, node_counts, tree_to_text
 
 from conftest import (NEIGHBOUR_CASES, leaf_budgets, neighbour_datasets, random_dataset,
-                      tied_datasets)
+                      searchable_nodes, tied_datasets)
 
 
 def test_best_split_perfect(line_dataset):
@@ -27,6 +28,20 @@ def test_best_split_perfect(line_dataset):
 def test_best_split_pure_returns_none():
     d = Dataset(np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([1, 1]))
     assert best_split(d, np.arange(2)) is None
+
+
+@pytest.mark.parametrize("labels,min_node_size", [
+    ([0] * 6, 1), ([1] * 6, 1), ([1] * 6, 3),  # label-pure
+    ([0, 1, 0, 1, 1], 3), ([1, 0], 2), ([0], 1),  # fewer than 2 * min_node_size rows
+])
+def test_best_split_on_pure_or_too_few_rows_returns_none(labels, min_node_size):
+    # grow never searches such rows; a direct call still finds no split
+    m = len(labels)
+    d = Dataset(np.column_stack([np.arange(m, 0, -1.0), np.arange(m) % 2]), np.array(labels))
+    rows = np.arange(m)
+    assert _reference_best_split(d, rows, min_node_size) is None
+    assert best_split(d, rows, min_node_size) is None
+    assert best_split(d, rows, min_node_size, d.order) is None
 
 
 def test_best_split_tie_breaks_to_first_variable():
@@ -309,26 +324,58 @@ def _rounded_columns(data, cols):
     return Dataset(X, data.y)
 
 
-@pytest.mark.parametrize("min_node_size", [1, 3])
-@pytest.mark.parametrize("tied_cols", [[], list(range(0, 200, 2))])
-def test_every_grown_split_matches_reference(monkeypatch, min_node_size, tied_cols):
-    # grow hands each node its partitioned order; the split it gets must be
-    # the fresh-sort reference's
+def _node_rows(tree, data):
+    """The sorted rows of `data` that reach each node, routed by thresholds."""
+    rows = [np.arange(data.n)] + [None] * (len(tree.nodes) - 1)
+    for i, nd in enumerate(tree.nodes):  # pre-order: a parent before its children
+        if isinstance(nd, Internal):
+            right = data.X[rows[i], nd.var - 1] > nd.threshold
+            rows[nd.left], rows[nd.right] = rows[i][~right], rows[i][right]
+    return rows
+
+
+def _grow_and_check_searches(data, limits):
+    """Grow, and check that best_split saw exactly the searchable nodes,
+    each with the reference's split, and that every other node has none."""
     from treeselect import grow
     seen = []
 
     def spy(data, rows, min_node_size=1, order=None):
         split = best_split(data, rows, min_node_size, order)
-        seen.append((rows, split))
+        seen.append((tuple(np.sort(rows)), split))
         return split
 
-    monkeypatch.setattr(grow, "best_split", spy)
+    with mock.patch.object(grow, "best_split", spy):
+        tree = grow_maximal(data, limits)
+    k = limits.min_node_size
+    rows = _node_rows(tree, data)
+    searched = searchable_nodes(tree, data, k)
+    assert sorted(r for r, _ in seen) == sorted(tuple(rows[i]) for i in searched)
+    for r, split in seen:
+        assert split == _reference_best_split(data, r, k)
+    for i in set(range(len(rows))) - set(searched):
+        assert _reference_best_split(data, rows[i], k) is None
+    return tree
+
+
+@pytest.mark.parametrize("min_node_size", [1, 3])
+@pytest.mark.parametrize("tied_cols", [[], list(range(0, 200, 2))])
+def test_every_grown_split_matches_reference(min_node_size, tied_cols):
+    # grow hands each searchable node its partitioned order; the split it
+    # gets must be the fresh-sort reference's
     d = _rounded_columns(generate(DesignSpec(1, 120, 200, 0.2, seed=7)), tied_cols)
-    t = grow_maximal(d, GrowLimits(min_node_size=min_node_size))
+    t = _grow_and_check_searches(d, GrowLimits(min_node_size=min_node_size))
     assert t.n_leaves > 3
-    assert len(seen) == 2 * t.n_leaves - 1
-    for rows, split in seen:
-        assert split == _reference_best_split(d, rows, min_node_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets() | neighbour_datasets(), st.integers(1, 3), st.sampled_from([None, 3]))
+def test_nodes_grow_skips_have_no_split(data, min_node_size, max_leaves):
+    # a node whose counts show it terminal is neither searched nor copied;
+    # the reference must find no split there, and the counts stay exact
+    tree = _grow_and_check_searches(
+        data, GrowLimits(max_leaves=max_leaves, min_node_size=min_node_size))
+    assert node_counts(tree, data) == _routed_counts(tree, data)
 
 
 @settings(max_examples=200, deadline=None)

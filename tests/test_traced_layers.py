@@ -1,10 +1,14 @@
-"""Guard that the library still reaches every layer the benchmark traces.
+"""Guard that the library still does what the benchmark expects of it.
 
 The benchmark's tracer fails a traced run when a workload records no call
 for one of its expected layers; this runs the same check on the workloads'
-tiny warm-up inputs, so a lost layer shows in the ordinary test run."""
+tiny warm-up inputs, so a lost layer shows in the ordinary test run.  A
+measured run also compares each seed-0 sweep operation with its recorded
+fingerprint; the first few are replayed here, so a changed alpha or tree
+fails the ordinary test run too."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,7 @@ import numpy as np
 import treeselect
 from treeselect import grow
 
-from conftest import random_dataset
+from conftest import random_dataset, searchable_nodes
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,6 +55,26 @@ def test_best_split_counters_match_the_calls_grow_makes(monkeypatch):
     with tracer.traced():
         tree = treeselect.grow_maximal(data)
     totals = tracer.totals["grow.best_split"]
-    assert totals["calls"] == len(cells) == len(tree.nodes)
+    # grow searches only the nodes its counts do not show terminal
+    assert totals["calls"] == len(cells) == len(searchable_nodes(tree, data)) < len(tree.nodes)
     assert totals["cells"] == sum(cells)
     assert totals["hits"] == sum(splits) == tree.n_leaves - 1 > 2
+
+
+# seed-0 operations replayed per workload: every sweep-narrow cell eight
+# times over, and two of the slower sweep-wide ones
+REPLAYED_OPS = {"sweep-narrow": 24, "sweep-wide": 2}
+
+
+def test_seed_0_sweep_operations_match_the_benchmark_reference():
+    workloads = _load("workloads")
+    with open(PERFBENCH / "reference.json") as fh:
+        reference = json.load(fh)
+    assert reference["seed"] == 0
+    for workload, count in REPLAYED_OPS.items():
+        for index in range(count):
+            inp = workloads.make_input(workload, 0, index)
+            # the fingerprint leaves the test risk out, so one test row will do
+            out = workloads.sweep_op(treeselect, inp, test_samples=1)
+            assert workloads.fingerprint(treeselect, out) == \
+                reference["ops"][workload][index], (workload, index)
