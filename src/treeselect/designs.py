@@ -33,11 +33,21 @@ __all__ = [
 ]
 
 
-def check_integer(name: str, value) -> None:
-    """Raise ValueError unless value is an integer; a bool or a float with an
-    integral value is not one, so nothing is coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def is_integer(value) -> bool:
+    """An integer that is not a bool; a float with an integral value is not
+    one either, so nothing is coerced.  The type test comes first, as it is
+    the common case."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
+
+
+def check_integer(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is an integer (see ``is_integer``) and,
+    when `least` is given, at least `least`."""
+    if not is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 # an ASCII decimal float, as repr writes one: no underscore, nan or inf
@@ -183,8 +193,9 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("design_id", "n", "p", "seed"):
+        for name in ("design_id", "n", "p"):
             check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, least=0)
         if not math.isfinite(self.noise):
             raise ValueError(f"noise must be finite, got {self.noise!r}")
         if self.design_id not in (1, 2, 3, 4):
@@ -463,14 +474,19 @@ def margin_holds(spec: DesignSpec, margin: MarginSpec) -> bool:
     return all(margin_mass(spec, float(t)) <= margin.C0 * float(t) ** expo for t in t_grid)
 
 
-def save_dataset(data: Dataset, path) -> None:
-    """Write CSV with header x1,...,xp,y."""
-    header = [f"x{j}" for j in range(1, data.p + 1)] + ["y"]
+def write_csv(path, header, rows) -> None:
+    """Write a header line and then each row as CSV."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(data.n):
-            writer.writerow([repr(float(v)) for v in data.X[i]] + [int(data.y[i])])
+        writer.writerows(rows)
+
+
+def save_dataset(data: Dataset, path) -> None:
+    """Write CSV with header x1,...,xp,y."""
+    write_csv(path, [f"x{j}" for j in range(1, data.p + 1)] + ["y"],
+              ([repr(float(v)) for v in data.X[i]] + [int(data.y[i])]
+               for i in range(data.n)))
 
 
 def load_dataset(path) -> Dataset:

@@ -7,7 +7,6 @@ results are byte-identical whatever the worker count or schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from collections import Counter
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import DesignSpec, generate
+from .designs import DesignSpec, check_integer, generate, write_csv
 from .penalties import CVConfig, cv_select_alpha
 from .tree import loss_estimate
 
@@ -59,6 +58,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.designs or not self.n_grid or not self.p_grid:
             raise ValueError("all grids must be nonempty")
+        for name in ("replications", "jobs", "test_samples"):
+            check_integer(name, getattr(self, name))
+        check_integer("master_seed", self.master_seed, least=0)
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.jobs < 1:
@@ -179,23 +181,17 @@ def fit_alpha_vs_logp(results: tuple[CellResult, ...]) -> list[FitResult]:
 
 
 def write_results_csv(results: tuple[CellResult, ...], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "n", "p", "noise", "mean_alpha", "sd_alpha",
-                         "mean_test_loss", "mean_tree_size", "R"])
-        for r in results:
-            writer.writerow([r.design, r.n, r.p, repr(r.noise), repr(r.mean_alpha),
-                             repr(r.sd_alpha), repr(r.mean_test_loss),
-                             repr(r.mean_tree_size), r.replications])
+    write_csv(path, ["design", "n", "p", "noise", "mean_alpha", "sd_alpha",
+                     "mean_test_loss", "mean_tree_size", "R"],
+              ([r.design, r.n, r.p, repr(r.noise), repr(r.mean_alpha), repr(r.sd_alpha),
+                repr(r.mean_test_loss), repr(r.mean_tree_size), r.replications]
+               for r in results))
 
 
 def write_fit_csv(fits: list[FitResult], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["design", "n", "noise", "slope", "intercept", "r_squared"])
-        for f in fits:
-            writer.writerow([f.design, f.n, repr(f.noise), repr(f.slope),
-                             repr(f.intercept), repr(f.r_squared)])
+    write_csv(path, ["design", "n", "noise", "slope", "intercept", "r_squared"],
+              ([f.design, f.n, repr(f.noise), repr(f.slope), repr(f.intercept),
+                repr(f.r_squared)] for f in fits))
 
 
 def write_figure_data(results: tuple[CellResult, ...], out_dir) -> list[str]:

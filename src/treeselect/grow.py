@@ -31,9 +31,10 @@ ties were ordered.  Only columns that hold equal values need that check;
 ``data.subset(rows)``, so ``Dataset`` is the only place that sorts.
 
 The ``Split`` of a node is the one source of its children's label
-counts: ``grow_maximal`` records them as it creates the children and
-labels each leaf once from them, and the tree it returns carries them
-for ``tree.node_counts``, so pruning on the training rows routes nothing.
+counts: ``grow_maximal`` records them as it creates the children, puts
+each child into its arena as a ``Leaf`` of their majority label, and the
+tree it returns carries them for ``tree.node_counts``, so pruning on the
+training rows routes nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Dataset, check_integer
-from .tree import Internal, TreeClassifier, preorder_tree
+from .tree import Internal, Leaf, TreeClassifier, preorder_tree
 
 __all__ = ["GrowLimits", "Split", "best_split", "grow_maximal"]
 
@@ -59,12 +60,8 @@ class GrowLimits:
 
     def __post_init__(self):
         if self.max_leaves is not None:
-            check_integer("max_leaves", self.max_leaves)
-        check_integer("min_node_size", self.min_node_size)
-        if self.max_leaves is not None and self.max_leaves < 1:
-            raise ValueError("max_leaves must be >= 1")
-        if self.min_node_size < 1:
-            raise ValueError("min_node_size must be >= 1")
+            check_integer("max_leaves", self.max_leaves, least=1)
+        check_integer("min_node_size", self.min_node_size, least=1)
 
 
 @dataclass(frozen=True)
@@ -143,15 +140,16 @@ def best_split(data: Dataset, rows, min_node_size: int = 1,
 def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassifier:
     """Grow until no split strictly reduces the misclassification count or
     the leaf budget is exhausted.  With a leaf budget, nodes are expanded
-    best-first by error reduction (ties by creation order).  The tree
-    carries each node's label counts on `data` (see ``tree.node_counts``)."""
+    best-first by error reduction (ties by creation order).  Each leaf has
+    its training majority label, 0 on a tie.  The tree carries each node's
+    label counts on `data` (see ``tree.node_counts``)."""
     if limits is None:
         limits = GrowLimits()
     n1 = int(data.y.sum())
-    # growth-order arena: the two children of a split are appended after it,
-    # and a leaf is None until preorder_tree labels it from its counts
-    nodes: list = [None]
     n0s, n1s = [data.n - n1], [n1]  # training rows of each label at each node
+    # growth-order arena: a split node becomes Internal and its two children,
+    # leaves of their majority label, are appended after it
+    nodes: list = [Leaf(int(n1 > n0s[0]))]
     heap: list = []  # (-error reduction, node index, split, node's order)
     goes_right = np.zeros(data.n, dtype=bool)
 
@@ -167,16 +165,15 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
 
     if searchable(0):
         consider(0, data.order)
-    n_leaves = 1
-    while heap and (limits.max_leaves is None or n_leaves < limits.max_leaves):
+    # each split adds one leaf and two nodes, so k leaves take 2k - 1 nodes
+    while heap and (limits.max_leaves is None or len(nodes) < 2 * limits.max_leaves - 1):
         _, i, split, order = heapq.heappop(heap)
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
-        nodes += [None, None]
         size, ones = split.left_size, split.left_ones
         n0s += [size - ones, n0s[i] - size + ones]
         n1s += [ones, n1s[i] - ones]
-        n_leaves += 1
+        nodes += [Leaf(int(b > a)) for a, b in zip(n0s[left:], n1s[left:])]
         search_left, search_right = searchable(left), searchable(left + 1)
         if search_left or search_right:
             # the threshold lies in [lo, hi), so the rows it routes left are
@@ -190,5 +187,4 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
             if search_right:
                 consider(left + 1, flat.compress(to_right).reshape(data.p, -1))
 
-    labels = [int(b > a) for a, b in zip(n0s, n1s)]  # majority; a tie is 0
-    return preorder_tree(nodes, [False] * len(nodes), labels, counts=(data, n0s, n1s))
+    return preorder_tree(nodes, counts=(data, n0s, n1s))

@@ -52,8 +52,7 @@ class ResourceCapError(RuntimeError):
 
 def catalan(k: int) -> int:
     """Number of binary tree shapes with k leaves: C(2k-2, k-1)/k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_integer("k", k, least=1)
     if k > MAX_SIZE:
         raise OverflowError(f"catalan is only certified up to k = {MAX_SIZE}")
     return math.comb(2 * k - 2, k - 1) // k
@@ -61,15 +60,13 @@ def catalan(k: int) -> int:
 
 def class_count(p: int, k: int) -> int:
     """Number of (configuration, variable list) classes: p^(k-1) * catalan(k)."""
-    if p < 2:
-        raise ValueError("p must be >= 2")
+    check_integer("p", p, least=2)
     return p ** (k - 1) * catalan(k)
 
 
 def enumerate_shapes(k: int) -> list:
     """Every shape with k leaves, by left subtree size, then left, then right shape."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_integer("k", k, least=1)
     shapes = [None, [LEAF_SHAPE]]  # shapes[j]: every shape with j leaves
     for j in range(2, k + 1):
         shapes.append([(left, right) for i in range(1, j)
@@ -192,9 +189,7 @@ def _erm_in_class(desc: ClassDescriptor, data: Dataset, candidates: _Candidates
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
     """Global minimizer of empirical risk + penalty over every class of
     size at most k_max (exact in-class ERM per class)."""
-    check_integer("k_max", k_max)
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    check_integer("k_max", k_max, least=1)
     best_tree = None
     best_cost = None
     candidates = _Candidates(data.X)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -147,7 +146,7 @@ class CVConfig:
 
     def __post_init__(self):
         check_integer("folds", self.folds)
-        check_integer("seed", self.seed)
+        check_integer("seed", self.seed, least=0)
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
         if self.rule not in ("min", "1se"):
@@ -180,17 +179,17 @@ def _picks(seq: PrunedSequence, alphas: np.ndarray) -> np.ndarray:
 def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier]:
     """Q-fold cross-validated choice of the linear penalty weight for maximal trees.
 
-    Returns the winning alpha (ties go to the larger alpha, i.e. the
-    simpler tree) and the full-data weakest-link element selected at it.
+    Returns the winning alpha and the full-data weakest-link element
+    selected at it.  The winner is the last candidate (the largest alpha,
+    i.e. the simplest tree) whose mean held-out risk is at most a bound:
+    the minimum mean risk under rule "min", and that plus the standard
+    error of the last candidate at the minimum under rule "1se".
     """
     if cfg.folds > data.n:
         raise ValueError("more folds than observations")
 
     full_seq = weakest_link(grow_maximal(data), data)
     cands = _candidate_alphas(full_seq)
-    if len(cands) == 1:
-        return 0.0, full_seq.subtree(0)
-
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(data.n)
     folds = np.array_split(perm, cfg.folds)
@@ -208,14 +207,11 @@ def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier
         fold_err[f] = errors[_picks(seq, alphas)]
 
     mean_risk = fold_err.sum(axis=0) / data.n
-    best = float(mean_risk.min())
-    if cfg.rule == "min":
-        winners = np.flatnonzero(mean_risk == best)
-    else:
-        at_min = int(np.flatnonzero(mean_risk == best)[-1])
+    bound = float(mean_risk.min())
+    if cfg.rule == "1se":
+        at_min = int(np.flatnonzero(mean_risk == bound)[-1])
         per_fold = fold_err[:, at_min] / fold_sizes
-        se = float(per_fold.std(ddof=1) / math.sqrt(cfg.folds))
-        winners = np.flatnonzero(mean_risk <= best + se)
-    alpha = cands[int(winners[-1])]  # ties -> larger alpha
+        bound += float(per_fold.std(ddof=1) / math.sqrt(cfg.folds))
+    alpha = cands[int(np.flatnonzero(mean_risk <= bound)[-1])]
     idx, _ = best_in_sequence(full_seq, lambda k: alpha * k)
     return alpha, full_seq.subtree(idx)

@@ -10,12 +10,13 @@ minimizes P_n f + alpha |T| over all pruned subtrees.
 
 The nested sequence (Breiman et al. 1984, ch. 10) is stored as one collapse
 schedule: the maximal tree and, per node, the first element in which it is
-a leaf.  Every per-element quantity is read from that schedule.
+a leaf.  Every per-element quantity is read from that schedule; an
+element's tree is the maximal tree with a majority-labelled ``Leaf`` in
+place of each collapsed node, laid out again by ``tree.preorder_tree``.
 """
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
-from .designs import Dataset
+from .designs import Dataset, write_csv
 from .tree import (Internal, Leaf, TreeClassifier, is_pruned_subtree, node_counts,
                    preorder_tree)
 
@@ -67,8 +68,10 @@ class PrunedSequence:
             raise ValueError("leaf counts must strictly decrease")
 
     def subtree(self, k: int) -> TreeClassifier:
-        """Element k as a tree: every node collapsed by step k is a leaf with its label."""
-        return preorder_tree(self.tree.nodes, [s <= k for s in self.steps], self.labels)
+        """Element k as a tree: every node collapsed by step k (steps[i] <= k)
+        becomes Leaf(labels[i]), and the nodes below it drop out."""
+        return preorder_tree([Leaf(label) if step <= k else nd for nd, step, label
+                              in zip(self.tree.nodes, self.steps, self.labels)])
 
     @cached_property
     def subtrees(self) -> tuple[TreeClassifier, ...]:
@@ -176,11 +179,9 @@ def subtree_at_alpha(seq: PrunedSequence, alpha) -> int:
 
 
 def sequence_to_csv(seq: PrunedSequence, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["size", "risk", "alpha"])
-        for size, alpha, err in zip(seq.sizes, seq.alphas, seq.error_counts):
-            writer.writerow([size, repr(err / seq.n), repr(float(alpha))])
+    write_csv(path, ["size", "risk", "alpha"],
+              ([size, repr(err / seq.n), repr(float(alpha))]
+               for size, alpha, err in zip(seq.sizes, seq.alphas, seq.error_counts)))
 
 
 def check_nested(seq: PrunedSequence) -> bool:

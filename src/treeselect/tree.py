@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import (FLOAT_PATTERN, Dataset, DesignSpec, bayes_risk, check_integer,
-                      generate)
+                      generate, is_integer)
 
 __all__ = [
     "Leaf",
@@ -60,11 +60,6 @@ class Internal:
     threshold: float
     left: int
     right: int
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool; the type test first, as it is the common case."""
-    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def _is_real(v) -> bool:
@@ -102,17 +97,17 @@ class TreeClassifier:
         parents = [0] * len(nodes)
         for i, node in enumerate(nodes):
             if isinstance(node, Leaf):
-                if not (_is_int(node.label) and node.label in (0, 1)):
+                if not (is_integer(node.label) and node.label in (0, 1)):
                     raise ValueError(f"node {i}: leaf label {node.label!r} is not 0 or 1")
             elif isinstance(node, Internal):
-                if not (_is_int(node.var) and node.var >= 1):
+                if not (is_integer(node.var) and node.var >= 1):
                     raise ValueError(f"node {i}: variable {node.var!r} is not an "
                                      f"integer from 1 (variables are 1-based)")
                 if not _is_real(node.threshold):
                     raise ValueError(f"node {i}: threshold {node.threshold!r} is not "
                                      f"a real number")
                 for child in (node.left, node.right):
-                    if not (_is_int(child) and i < child < len(nodes)):
+                    if not (is_integer(child) and i < child < len(nodes)):
                         raise ValueError(f"node {i}: child index {child!r} must be an "
                                          f"integer after the node and inside the arena")
                     parents[child] += 1
@@ -186,13 +181,13 @@ def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[in
     return n0, n1
 
 
-def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
-    """The tree an arena describes once every node i with collapsed[i] set
-    is made a leaf, as a pre-order arena; every node i that ends up a leaf
-    gets labels[i], so a leaf of `nodes` may be any non-Internal value (grow
-    uses None).  `nodes` must satisfy the arena invariant.  With
-    counts = (data, n0, n1), the label counts of each node of `nodes` on
-    `data`, the tree carries them for ``node_counts``."""
+def preorder_tree(nodes, counts=None) -> TreeClassifier:
+    """The tree below node 0 of an arena of ``Leaf`` and ``Internal`` nodes,
+    laid out in pre-order.  The nodes that node 0 reaches must satisfy the
+    arena invariant; the others, such as those below a ``Leaf`` put where an
+    ``Internal`` was, are dropped.  With counts = (data, n0, n1),
+    the label counts of each node of `nodes` on `data`, the tree carries
+    them for ``node_counts``."""
     source: list[int] = []  # arena index of each emitted node, in pre-order
     children: list = []     # emitted [left, right] of each emitted internal node
     stack = [(0, None, 0)]  # (arena index, emitted parent, side)
@@ -201,7 +196,7 @@ def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
         if parent is not None:
             children[parent][side] = len(source)
         nd = nodes[i]
-        if isinstance(nd, Internal) and not collapsed[i]:
+        if isinstance(nd, Internal):
             stack.append((nd.right, len(source), 1))
             stack.append((nd.left, len(source), 0))
             children.append([0, 0])
@@ -209,7 +204,7 @@ def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
             children.append(None)
         source.append(i)
     tree = TreeClassifier(tuple(
-        Leaf(labels[i]) if kids is None
+        nodes[i] if kids is None
         else Internal(nodes[i].var, nodes[i].threshold, kids[0], kids[1])
         for i, kids in zip(source, children)))
     if counts is not None:
@@ -220,8 +215,6 @@ def preorder_tree(nodes, collapsed, labels, counts=None) -> TreeClassifier:
 
 
 def empirical_risk(tree: TreeClassifier, data: Dataset) -> float:
-    if data.n == 0:
-        raise ValueError("dataset is empty")
     return int(np.sum(tree.predict_batch(data.X) != data.y)) / data.n
 
 
@@ -402,13 +395,12 @@ def shape_of(tree: TreeClassifier) -> tuple:
 
 def descriptor_of(tree: TreeClassifier) -> ClassDescriptor:
     variables = []
-    queue = [0]
-    while queue:
-        nd = tree.nodes[queue.pop(0)]
+    queue = [0]  # arena indices in BFS order
+    for i in queue:  # children appended below are visited in turn
+        nd = tree.nodes[i]
         if isinstance(nd, Internal):
             variables.append(nd.var)
-            queue.append(nd.left)
-            queue.append(nd.right)
+            queue += [nd.left, nd.right]
     return ClassDescriptor(shape_of(tree), tuple(variables))
 
 

@@ -112,6 +112,30 @@ def test_experiment_with_config_and_overrides(tmp_path):
     assert (out / "figure3_1.dat").exists()
 
 
+def test_cv_rejects_a_negative_seed(tmp_path):
+    data = _make_data(tmp_path)
+    result = CliRunner().invoke(main, ["cv", "--data", str(data), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: seed must be >= 0"
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path):
+    result = CliRunner().invoke(main, ["simulate", "--design", "1", "--n", "40", "--p", "4",
+                                       "--noise", "0.1", "--seed", "-1",
+                                       "--out", str(tmp_path / "d.csv")])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: seed must be >= 0"
+    assert not (tmp_path / "d.csv").exists()
+
+
+def test_experiment_rejects_a_negative_seed(tmp_path):
+    result = CliRunner().invoke(main, ["experiment", "--seed", "-1",
+                                       "--out-dir", str(tmp_path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: master_seed must be >= 0"
+    assert not (tmp_path / "results.csv").exists()
+
+
 def test_experiment_requires_seed(tmp_path):
     result = CliRunner().invoke(main, ["experiment", "--out-dir", str(tmp_path)])
     assert result.exit_code != 0

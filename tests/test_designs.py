@@ -70,6 +70,12 @@ def test_invalid_specs(spec, kwargs):
         DesignSpec(**spec, **kwargs)
 
 
+def test_spec_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        DesignSpec(1, 10, 5, 0.3, seed=-1)
+    assert DesignSpec(1, 10, 5, 0.3, seed=0).seed == 0
+
+
 def test_eta_design1_quadrant():
     spec = DesignSpec(1, 10, 5, 0.1)
     assert eta(spec, [0.5, 0.5, 0.0, 0.0, 0.0]) == 0.1

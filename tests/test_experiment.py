@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -136,6 +137,20 @@ def test_config_rejects_repeated_grid_values(kwargs, message):
 def test_config_rejects_non_integral_and_non_finite_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(replications=2.5), "replications must be an integer, got 2.5"),
+    (dict(replications=True), "replications must be an integer, got True"),
+    (dict(jobs=1.5), "jobs must be an integer, got 1.5"),
+    (dict(test_samples=100.5), "test_samples must be an integer, got 100.5"),
+    (dict(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+    (dict(master_seed=-1), "master_seed must be >= 0"),
+])
+def test_config_rejects_bad_counts_and_seeds(kwargs, message):
+    # each would otherwise fail only inside the sweep, or run one replication
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(SMALL, **kwargs)
 
 
 def test_results_bytes_designs_2_to_4(tmp_path):

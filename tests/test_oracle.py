@@ -57,6 +57,15 @@ def test_catalan_validation():
     assert catalan(30) == 1002242216651368
 
 
+@pytest.mark.parametrize("k", [2.0, 2.5, True])
+def test_counts_take_only_integers(k):
+    for count in (catalan, enumerate_shapes):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {k!r}$"):
+            count(k)
+    with pytest.raises(ValueError, match=f"^p must be an integer, got {k!r}$"):
+        class_count(k, 2)
+
+
 def test_class_count_examples():
     assert class_count(10, 2) == 10
     assert class_count(3, 3) == 18

@@ -13,9 +13,10 @@ from treeselect import prune
 from treeselect.penalties import _candidate_alphas, _picks
 from treeselect.prune import best_in_sequence, weakest_link
 from treeselect.grow import grow_maximal
-from treeselect.tree import TreeClassifier, leaf
+from treeselect.tree import (Leaf, TreeClassifier, leaf, node_counts, tree_from_text,
+                             tree_to_text)
 
-from conftest import random_dataset
+from conftest import leaf_budgets, neighbour_datasets, random_dataset, tied_datasets
 
 ALL_VARIANTS = [
     LinearPenalty(0.05),
@@ -263,6 +264,12 @@ def test_cv_config_rejects_non_integers(kwargs):
         CVConfig(**kwargs)
 
 
+def test_cv_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        CVConfig(seed=-1)
+    assert CVConfig(seed=0).seed == 0
+
+
 def test_cv_one_se_rule_picks_larger_alpha():
     d = random_dataset(np.random.default_rng(5), 60, 3)
     a_min, _ = cv_select_alpha(d, CVConfig(folds=5, rule="min", seed=0))
@@ -283,3 +290,99 @@ def test_cv_alpha_decreases_with_n():
             vals.append(alpha)
         means[n] = float(np.mean(vals))
     assert means[200] < means[50]
+
+
+def _reference_cv_select_alpha(data, cfg):
+    """cv_select_alpha as it was with a one-candidate early return and a
+    branch per rule: the reference the one-path driver must reproduce."""
+    if cfg.folds > data.n:
+        raise ValueError("more folds than observations")
+    full_seq = weakest_link(grow_maximal(data), data)
+    cands = _candidate_alphas(full_seq)
+    if len(cands) == 1:
+        return 0.0, full_seq.subtree(0)
+    rng = np.random.default_rng(cfg.seed)
+    perm = rng.permutation(data.n)
+    folds = np.array_split(perm, cfg.folds)
+    fold_err = np.zeros((cfg.folds, len(cands)), dtype=np.float64)
+    fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
+    alphas = np.array(cands)
+    for f, held in enumerate(folds):
+        keep = np.ones(data.n, dtype=bool)
+        keep[held] = False
+        train = data.subset(np.flatnonzero(keep))
+        seq = weakest_link(grow_maximal(train), train)
+        errors = np.array(seq.errors_on(data.subset(held)))
+        fold_err[f] = errors[_picks(seq, alphas)]
+    mean_risk = fold_err.sum(axis=0) / data.n
+    best = float(mean_risk.min())
+    if cfg.rule == "min":
+        winners = np.flatnonzero(mean_risk == best)
+    else:
+        at_min = int(np.flatnonzero(mean_risk == best)[-1])
+        per_fold = fold_err[:, at_min] / fold_sizes
+        se = float(per_fold.std(ddof=1) / math.sqrt(cfg.folds))
+        winners = np.flatnonzero(mean_risk <= best + se)
+    alpha = cands[int(winners[-1])]
+    idx, _ = best_in_sequence(full_seq, lambda k: alpha * k)
+    return alpha, full_seq.subtree(idx)
+
+
+# one-candidate data: one label, and mixed labels that no cut separates
+ONE_CANDIDATE = [
+    Dataset(np.arange(24.0).reshape(12, 2), np.zeros(12, dtype=int)),
+    Dataset(np.arange(24.0).reshape(12, 2), np.ones(12, dtype=int)),
+    Dataset(np.repeat([[1.0, 0.0], [2.0, 0.0]], 6, axis=0), np.tile([0, 1], 6)),
+]
+
+
+def _assert_cv_matches_reference(data, folds, seed):
+    for rule in ("min", "1se"):
+        cfg = CVConfig(folds=folds, rule=rule, seed=seed)
+        alpha, tree = cv_select_alpha(data, cfg)
+        ref_alpha, ref_tree = _reference_cv_select_alpha(data, cfg)
+        assert alpha == ref_alpha and type(alpha) is float
+        assert tree_to_text(tree) == tree_to_text(ref_tree)
+
+
+@pytest.mark.parametrize("data", ONE_CANDIDATE)
+def test_cv_on_a_one_candidate_sequence_matches_the_reference(data):
+    assert len(_candidate_alphas(weakest_link(grow_maximal(data), data))) == 1
+    for folds in (2, 5, 12):
+        _assert_cv_matches_reference(data, folds, seed=0)
+
+
+# at seeds 190 and 338 two candidates share the minimum mean risk with
+# different standard errors, so 1se must take the last of them
+@pytest.mark.parametrize("seed", [*range(12), 190, 338])
+def test_cv_rules_match_the_reference_on_random_data(seed):
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, int(rng.integers(10, 60)), int(rng.integers(2, 5)))
+    _assert_cv_matches_reference(d, int(rng.integers(2, 8)), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_datasets(), st.integers(2, 4), st.integers(0, 3))
+def test_cv_rules_match_the_reference_on_tied_data(data, folds, seed):
+    if folds <= data.n:
+        _assert_cv_matches_reference(data, folds, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tied_datasets() | neighbour_datasets(), leaf_budgets)
+def test_every_returned_tree_is_laid_out_in_pre_order(data, max_leaves):
+    # the pre-order layout is what tree_from_text builds; grown trees also
+    # carry the counts that routing the training rows gives, and each leaf
+    # has its majority label, 0 on a tie
+    limits = GrowLimits(max_leaves=max_leaves)
+    grown = grow_maximal(data, limits)
+    n0, n1 = node_counts(grown, data)
+    assert (n0, n1) == node_counts(grown, Dataset(data.X, data.y))
+    assert all(nd.label == int(b > a) for nd, a, b in zip(grown.nodes, n0, n1)
+               if isinstance(nd, Leaf))
+    seq = weakest_link(grown, data)
+    trees = [grown, *(seq.subtree(k) for k in range(len(seq.alphas))),
+             select_tree(data, MarginAdaptivePenalty(), limits)[0],
+             cv_select_alpha(data, CVConfig(folds=2))[1]]
+    for tree in trees:
+        assert tree_from_text(tree_to_text(tree)).nodes == tree.nodes

@@ -1,0 +1,89 @@
+"""No unused import and no unused module-private name in src/treeselect.
+
+A name counts as used when its module reads it.  A module-private name
+(one leading underscore, not a dunder) also counts as used when another
+module of the package imports it or reads it as an attribute.  The
+package's ``__init__`` only re-exports, so its imports are not checked.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "treeselect"
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every bare name the module reads."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _imports(tree: ast.AST):
+    """(bound name, line) of every import, ``from __future__`` left out."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each module-level private function, class or variable."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def unused_names(sources: dict[str, str]) -> list[str]:
+    """'module:line: unused ... name' for each finding in {module name: source}."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    shared = set()  # names that some module imports by name or reads as an attribute
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                shared.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                shared.add(node.attr)
+    found = []
+    for module, tree in sorted(trees.items()):
+        read = _read_names(tree)
+        if module != "__init__":
+            found += [f"{module}:{line}: unused import {name}"
+                      for name, line in _imports(tree) if name not in read]
+        found += [f"{module}:{line}: unused private name {name}"
+                  for name, line in _private_definitions(tree)
+                  if name not in read and name not in shared]
+    return found
+
+
+def test_package_has_no_unused_imports_or_private_names():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert len(sources) > 5
+    assert unused_names(sources) == []
+
+
+def test_guard_flags_an_unused_import_and_an_unused_private_name():
+    sources = {
+        "a": ("from __future__ import annotations\n"
+              "import math\n"
+              "from fractions import Fraction\n"
+              "_USED = 1\n"
+              "_SHARED = 2\n"
+              "def _unused():\n"
+              "    return math.pi + _USED\n"),
+        "b": "from .a import _SHARED\n\n\ndef f():\n    return _SHARED\n",
+        "__init__": "from .b import f\n",
+    }
+    assert unused_names(sources) == ["a:3: unused import Fraction",
+                                     "a:6: unused private name _unused"]

@@ -12,7 +12,7 @@ from treeselect import (Dataset, DesignSpec, TreeClassifier,
                         brute_force_best_subtree, empirical_risk, grow_maximal,
                         is_pruned_subtree, leaf, loss_estimate, stump,
                         tree_from_text, tree_to_text, weakest_link)
-from treeselect.tree import Internal, Leaf, descriptor_of, tree_from_class
+from treeselect.tree import Internal, Leaf, descriptor_of, preorder_tree, tree_from_class
 
 from conftest import finite_floats
 
@@ -308,6 +308,38 @@ def test_descriptor_round_trip():
     assert desc.size == 3
     rebuilt = tree_from_class(desc, [0.5, 1.5], [0, 1, 0])
     assert tree_to_text(rebuilt) == tree_to_text(t)
+
+
+def test_descriptor_of_a_wide_tree_lists_variables_breadth_first():
+    # a complete tree of depth 10, 1023 splits, whose variables number the
+    # nodes breadth-first: node k has children 2k and 2k + 1
+    desc = descriptor_of(tree_from_text(_complete_text(10)))
+    assert desc.variables == tuple(range(1, 1024))
+
+
+def _complete_text(depth: int, k: int = 1) -> str:
+    if k >= 2 ** depth:
+        return f"leaf({k % 2})"
+    left, right = _complete_text(depth, 2 * k), _complete_text(depth, 2 * k + 1)
+    return f"node({k}, 0.5, {left}, {right})"
+
+
+def test_preorder_tree_drops_every_node_below_a_leaf_put_where_an_internal_was():
+    t = tree_from_text("node(1, 0.5, node(2, 1.5, leaf(0), node(1, 2.5, leaf(1), leaf(0))), "
+                       "node(2, 3.5, leaf(1), leaf(0)))")
+    nodes = list(t.nodes)
+    assert isinstance(nodes[1], Internal) and len(nodes) == 9
+    nodes[1] = Leaf(1)  # nodes 2 to 6 lie below it
+    pruned = preorder_tree(nodes)
+    assert pruned.nodes == (Internal(1, 0.5, 1, 2), Leaf(1), Internal(2, 3.5, 3, 4),
+                            Leaf(1), Leaf(0))
+    assert tree_to_text(pruned) == "node(1, 0.5, leaf(1), node(2, 3.5, leaf(1), leaf(0)))"
+    nodes[0] = Leaf(0)
+    assert preorder_tree(nodes).nodes == (Leaf(0),)
+    # a breadth-first arena is laid out again in pre-order, its leaves kept
+    bfs = tree_from_class(descriptor_of(t), [0.5, 1.5, 3.5, 2.5], [0, 1, 0, 1, 0])
+    assert bfs.nodes != t.nodes
+    assert preorder_tree(bfs.nodes).nodes == t.nodes
 
 
 @pytest.mark.parametrize("nodes", [
