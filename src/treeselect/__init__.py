@@ -8,9 +8,9 @@ from .grow import GrowLimits, best_split, grow_maximal
 from .oracle import (ResourceCapError, brute_force_best_subtree, catalan,
                      class_count, enumerate_classes, erm_in_class,
                      exhaustive_select, shattering_count)
-from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
+from .penalties import (CVConfig, CVCurve, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
-                        VCPenalty, cv_select_alpha, penalty_value, select_tree)
+                        VCPenalty, cv_curve, cv_select_alpha, penalty_value, select_tree)
 from .prune import (PrunedSequence, best_in_sequence, sequence_to_csv,
                     subtree_at_alpha, weakest_link)
 from .tree import (ClassDescriptor, Internal, Leaf, TreeClassifier,

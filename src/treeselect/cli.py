@@ -17,10 +17,10 @@ import click
 
 from . import experiment as xp
 from . import verify as suite
-from .designs import (DesignSpec, generate, load_dataset, save_dataset, strict_float,
-                      strict_int)
+from .designs import (DesignSpec, check_integer, generate, load_dataset, save_dataset,
+                      strict_float, strict_int)
 from .grow import GrowLimits, grow_maximal
-from .penalties import (CVConfig, GeyPenalty, LinearPenalty,
+from .penalties import (CV_RULES, CVConfig, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
                         VCPenalty, cv_select_alpha, select_tree)
 from .prune import sequence_to_csv, weakest_link
@@ -173,7 +173,7 @@ def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--folds", type=_INT, default=CVConfig.folds)
-@click.option("--rule", type=click.Choice(["min", "1se"]), default=CVConfig.rule)
+@click.option("--rule", type=click.Choice(CV_RULES), default=CVConfig.rule)
 @click.option("--seed", type=_INT, default=CVConfig.seed)
 @click.option("--out", type=click.Path(), default=None)
 def cv(data_path, folds, rule, seed, out):
@@ -234,6 +234,7 @@ def _float_list(text) -> tuple[float, ...]:
 def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
                folds, test_samples, jobs, seed, out_dir):
     """Run the full sweep; writes results.csv, fit.csv and figure3_<d>.dat."""
+    check_integer("seed", seed, least=0)  # named for the flag, not for master_seed
     cfg_file = _parse_config_file(config_path) if config_path else {}
 
     def pick(flag, key, conv):

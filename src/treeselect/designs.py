@@ -193,17 +193,13 @@ class DesignSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("design_id", "n", "p"):
-            check_integer(name, getattr(self, name))
+        for name, least in (("design_id", None), ("n", 1), ("p", 2)):
+            check_integer(name, getattr(self, name), least)
         check_integer("seed", self.seed, least=0)
         if not math.isfinite(self.noise):
             raise ValueError(f"noise must be finite, got {self.noise!r}")
         if self.design_id not in (1, 2, 3, 4):
             raise ValueError("design_id must be in {1,2,3,4}")
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        if self.p < 2:
-            raise ValueError("p must be at least 2")
         if self.design_id == 4 and self.p < 3:
             raise ValueError("design 4 needs p >= 3")
         if self.design_id == 1:

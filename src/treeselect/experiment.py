@@ -59,14 +59,8 @@ class ExperimentConfig:
         if not self.designs or not self.n_grid or not self.p_grid:
             raise ValueError("all grids must be nonempty")
         for name in ("replications", "jobs", "test_samples"):
-            check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name), least=1)
         check_integer("master_seed", self.master_seed, least=0)
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.jobs < 1:
-            raise ValueError("need at least one job")
-        if self.test_samples < 1:
-            raise ValueError("need at least one test sample")
         CVConfig(folds=self.folds)  # raises on a fold count CV cannot use
         for d in self.designs:
             if d not in self.noise_grids or not self.noise_grids[d]:

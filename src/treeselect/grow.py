@@ -73,7 +73,7 @@ class Split:
     err_count: int  # total child misclassifications
 
 
-def best_split(data: Dataset, rows, min_node_size: int = 1,
+def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_size,
                order: np.ndarray | None = None) -> Split | None:
     """Exhaustive scan over all variables and all cuts between consecutive
     distinct sorted values; None when no cut strictly beats the

@@ -25,8 +25,10 @@ __all__ = [
     "NobelPenalty",
     "GeyPenalty",
     "CVConfig",
+    "CVCurve",
     "penalty_value",
     "select_tree",
+    "cv_curve",
     "cv_select_alpha",
 ]
 
@@ -122,8 +124,8 @@ class GeyPenalty:
 
 
 def penalty_value(spec, k: int, n: int, p: int) -> float:
-    if k < 1 or n < 1 or p < 2:
-        raise ValueError("require k >= 1, n >= 1, p >= 2")
+    for name, value, least in (("k", k, 1), ("n", n, 1), ("p", p, 2)):
+        check_integer(name, value, least)
     return spec.value(k, n, p)
 
 
@@ -138,6 +140,9 @@ def select_tree(data: Dataset, spec, limits: GrowLimits | None = None
     return seq.subtree(idx), float(cost)
 
 
+CV_RULES = ("min", "1se")
+
+
 @dataclass(frozen=True)
 class CVConfig:
     folds: int = 10
@@ -145,12 +150,10 @@ class CVConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_integer("folds", self.folds)
+        check_integer("folds", self.folds, least=2)
         check_integer("seed", self.seed, least=0)
-        if self.folds < 2:
-            raise ValueError("need at least 2 folds")
-        if self.rule not in ("min", "1se"):
-            raise ValueError("rule must be 'min' or '1se'")
+        if self.rule not in CV_RULES:
+            raise ValueError(f"rule must be {' or '.join(map(repr, CV_RULES))}")
 
 
 def _candidate_alphas(seq: PrunedSequence) -> list[float]:
@@ -176,42 +179,55 @@ def _picks(seq: PrunedSequence, alphas: np.ndarray) -> np.ndarray:
     return len(seq.sizes) - 1 - costs.argmin(axis=1)
 
 
-def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier]:
-    """Q-fold cross-validated choice of the linear penalty weight for maximal trees.
+@dataclass(frozen=True, eq=False)
+class CVCurve:
+    """Q-fold CV risk curve of the linear penalty weight.  `candidates` are
+    increasing, and element c of the full-data `sequence` is its pick at
+    candidates[c].  fold_errors[f, c] counts fold f's held-out rows that the
+    fold-f tree's pick at candidates[c] misclassifies, of fold_sizes[f]."""
 
-    Returns the winning alpha and the full-data weakest-link element
-    selected at it.  The winner is the last candidate (the largest alpha,
-    i.e. the simplest tree) whose mean held-out risk is at most a bound:
-    the minimum mean risk under rule "min", and that plus the standard
-    error of the last candidate at the minimum under rule "1se".
-    """
+    sequence: PrunedSequence
+    candidates: tuple[float, ...]
+    fold_errors: np.ndarray
+    fold_sizes: np.ndarray
+
+    def pick(self, rule: str) -> int:
+        """Index of the last candidate (the largest alpha, i.e. the simplest
+        tree) whose mean risk is at most the minimum, plus under rule "1se"
+        the standard error of the per-fold risks at the last minimum."""
+        CVConfig(rule=rule)  # raises on an unknown rule
+        mean_risk = self.fold_errors.sum(axis=0) / self.fold_sizes.sum()
+        bound = float(mean_risk.min())
+        if rule == "1se":
+            at_min = int(np.flatnonzero(mean_risk == bound)[-1])
+            per_fold = self.fold_errors[:, at_min] / self.fold_sizes
+            bound += float(per_fold.std(ddof=1) / math.sqrt(len(self.fold_sizes)))
+        return int(np.flatnonzero(mean_risk <= bound)[-1])
+
+
+def cv_curve(data: Dataset, cfg: CVConfig) -> CVCurve:
+    """The CVCurve of `data` under cfg; the full-data sequence is built before any fold's."""
     if cfg.folds > data.n:
         raise ValueError("more folds than observations")
-
-    full_seq = weakest_link(grow_maximal(data), data)
-    cands = _candidate_alphas(full_seq)
-    rng = np.random.default_rng(cfg.seed)
-    perm = rng.permutation(data.n)
-    folds = np.array_split(perm, cfg.folds)
-
-    # fold_err[f][c]: held-out misclassifications of candidate c on fold f
-    fold_err = np.zeros((cfg.folds, len(cands)), dtype=np.float64)
-    fold_sizes = np.array([f.size for f in folds], dtype=np.float64)
-    alphas = np.array(cands)
+    sequence = weakest_link(grow_maximal(data), data)
+    alphas = np.array(_candidate_alphas(sequence))
+    folds = np.array_split(np.random.default_rng(cfg.seed).permutation(data.n), cfg.folds)
+    fold_errors = np.empty((cfg.folds, alphas.size), dtype=np.int64)
     for f, held in enumerate(folds):
         keep = np.ones(data.n, dtype=bool)
         keep[held] = False
         train = data.subset(np.flatnonzero(keep))
         seq = weakest_link(grow_maximal(train), train)
-        errors = np.array(seq.errors_on(data.subset(held)))
-        fold_err[f] = errors[_picks(seq, alphas)]
+        fold_errors[f] = np.array(seq.errors_on(data.subset(held)))[_picks(seq, alphas)]
+    fold_sizes = np.array([held.size for held in folds], dtype=np.int64)
+    fold_errors.flags.writeable = fold_sizes.flags.writeable = False
+    return CVCurve(sequence, tuple(alphas.tolist()), fold_errors, fold_sizes)
 
-    mean_risk = fold_err.sum(axis=0) / data.n
-    bound = float(mean_risk.min())
-    if cfg.rule == "1se":
-        at_min = int(np.flatnonzero(mean_risk == bound)[-1])
-        per_fold = fold_err[:, at_min] / fold_sizes
-        bound += float(per_fold.std(ddof=1) / math.sqrt(cfg.folds))
-    alpha = cands[int(np.flatnonzero(mean_risk <= bound)[-1])]
-    idx, _ = best_in_sequence(full_seq, lambda k: alpha * k)
-    return alpha, full_seq.subtree(idx)
+
+def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier]:
+    """Q-fold CV choice of the linear penalty weight: the candidate of
+    `cv_curve` that cfg.rule picks, and the full-data element picked at it."""
+    curve = cv_curve(data, cfg)
+    alpha = curve.candidates[curve.pick(cfg.rule)]
+    idx, _ = best_in_sequence(curve.sequence, lambda k: alpha * k)
+    return alpha, curve.sequence.subtree(idx)

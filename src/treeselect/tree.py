@@ -229,8 +229,7 @@ def loss_estimate(tree: TreeClassifier, spec: DesignSpec, m: int, seed: int) -> 
     m x p draw while at most a block of it is held at a time.  The tree is
     routed as a copy whose variables are renumbered to the kept columns.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
+    check_integer("m", m, least=1)
     if tree.max_var() > spec.p:
         raise ValueError(f"the tree splits on x{tree.max_var()}, "
                          f"but the design has p = {spec.p}")
@@ -363,9 +362,7 @@ class ClassDescriptor:
         if len(self.variables) != _leaf_count(self.configuration) - 1:
             raise ValueError("variable list length must equal internal-node count")
         for v in self.variables:
-            check_integer("class variable", v)
-            if v < 1:
-                raise ValueError(f"class variables are 1-based, got {v}")
+            check_integer("class variable", v, least=1)
 
     @property
     def size(self) -> int:

@@ -132,7 +132,7 @@ def test_experiment_rejects_a_negative_seed(tmp_path):
     result = CliRunner().invoke(main, ["experiment", "--seed", "-1",
                                        "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
-    assert result.output.splitlines()[-1] == "Error: master_seed must be >= 0"
+    assert result.output.splitlines()[-1] == "Error: seed must be >= 0"
     assert not (tmp_path / "results.csv").exists()
 
 
@@ -145,7 +145,7 @@ def test_experiment_rejects_zero_jobs(tmp_path):
     result = CliRunner().invoke(main, ["experiment", "--seed", "1", "--jobs", "0",
                                        "--out-dir", str(tmp_path)])
     assert result.exit_code == 2
-    assert "Error: need at least one job" in result.output
+    assert "Error: jobs must be >= 1" in result.output
     assert not (tmp_path / "results.csv").exists()
 
 

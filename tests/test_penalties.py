@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from treeselect import (CVConfig, Dataset, DesignSpec, GeyPenalty, GrowLimits,
                         LinearPenalty, MarginAdaptivePenalty, MinCombinedPenalty,
-                        NobelPenalty, VCPenalty, cv_select_alpha, generate,
+                        NobelPenalty, VCPenalty, cv_curve, cv_select_alpha, generate,
                         loss_estimate, penalty_value, select_tree)
 from treeselect import prune
 from treeselect.penalties import _candidate_alphas, _picks
@@ -102,8 +102,10 @@ def test_min_combined_is_min():
 
 
 def test_penalty_argument_validation():
-    with pytest.raises(ValueError):
-        penalty_value(LinearPenalty(0.1), 0, 10, 5)
+    # a leaf count, sample size and dimension are integers of at least 1, 1 and 2
+    for k, n, p in ((0, 10, 5), (2.5, 10, 5), (True, 10, 5), (1, 10.5, 5), (1, 10, 1)):
+        with pytest.raises(ValueError):
+            penalty_value(LinearPenalty(0.1), k, n, p)
     with pytest.raises(ValueError):
         MarginAdaptivePenalty(kappa=0.5)
     with pytest.raises(ValueError):
@@ -254,8 +256,11 @@ def test_cv_folds_validation():
         cv_select_alpha(d, CVConfig(folds=10))
     with pytest.raises(ValueError):
         CVConfig(folds=1)
-    with pytest.raises(ValueError):
-        CVConfig(rule="best")
+    # one check, so CVCurve.pick rejects a rule with CVConfig's message
+    for reject in (lambda: CVConfig(rule="best"),
+                   lambda: cv_curve(d, CVConfig(folds=2)).pick("best")):
+        with pytest.raises(ValueError, match="^rule must be 'min' or '1se'$"):
+            reject()
 
 
 @pytest.mark.parametrize("kwargs", [dict(folds=2.5), dict(folds=10.0), dict(seed=0.5)])
@@ -337,11 +342,13 @@ ONE_CANDIDATE = [
 
 
 def _assert_cv_matches_reference(data, folds, seed):
+    curve = cv_curve(data, CVConfig(folds=folds, seed=seed))
     for rule in ("min", "1se"):
         cfg = CVConfig(folds=folds, rule=rule, seed=seed)
         alpha, tree = cv_select_alpha(data, cfg)
         ref_alpha, ref_tree = _reference_cv_select_alpha(data, cfg)
         assert alpha == ref_alpha and type(alpha) is float
+        assert curve.candidates[curve.pick(rule)] == ref_alpha
         assert tree_to_text(tree) == tree_to_text(ref_tree)
 
 
@@ -366,6 +373,27 @@ def test_cv_rules_match_the_reference_on_random_data(seed):
 def test_cv_rules_match_the_reference_on_tied_data(data, folds, seed):
     if folds <= data.n:
         _assert_cv_matches_reference(data, folds, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_datasets() | neighbour_datasets())
+def test_cv_curve_is_the_curve_cv_select_alpha_picks_from(data):
+    curve = cv_curve(data, CVConfig(folds=2))
+    seq, cands = curve.sequence, curve.candidates
+    assert len(cands) == len(seq.alphas)
+    assert all(a < b for a, b in zip(cands, cands[1:]))
+    assert [best_in_sequence(seq, lambda k: a * k)[0] for a in cands] == \
+        list(range(len(cands)))
+    errors, sizes = curve.fold_errors, curve.fold_sizes
+    assert errors.dtype == sizes.dtype == np.int64 and errors.shape == (2, len(cands))
+    assert not errors.flags.writeable and not sizes.flags.writeable
+    assert (0 <= errors).all() and (errors <= sizes[:, None]).all()
+    assert sizes.sum() == data.n
+    for rule in ("min", "1se"):
+        alpha, tree = cv_select_alpha(data, CVConfig(folds=2, rule=rule))
+        c = curve.pick(rule)
+        assert alpha == cands[c]
+        assert tree_to_text(tree) == tree_to_text(seq.subtree(c))
 
 
 @settings(max_examples=80, deadline=None)

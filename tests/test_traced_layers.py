@@ -61,6 +61,23 @@ def test_best_split_counters_match_the_calls_grow_makes(monkeypatch):
     assert totals["hits"] == sum(splits) == tree.n_leaves - 1 > 2
 
 
+def test_cv_candidates_counter_reads_the_full_data_sequence():
+    # the tracer counts the critical alphas of the first sequence built
+    # inside cv_select_alpha; on this input every fold's sequence is
+    # shorter, so building a fold's first would miscount without an error
+    layers = _load("layers")
+    data = random_dataset(np.random.default_rng(3), 60, 3)
+    cfg = treeselect.CVConfig(folds=5, seed=1)
+    curve = treeselect.cv_curve(data, cfg)
+    tracer = layers.Tracer()
+    with tracer.traced():
+        treeselect.cv_select_alpha(data, cfg)
+    totals = tracer.totals
+    assert totals["penalties.cv_select_alpha"]["candidates"] == len(curve.candidates) == 6
+    assert totals["prune.weakest_link"]["calls"] == cfg.folds + 1
+    assert totals["prune.best_in_sequence"]["calls"] == 1
+
+
 # seed-0 operations replayed per workload: every sweep-narrow cell eight
 # times over, and two of the slower sweep-wide ones
 REPLAYED_OPS = {"sweep-narrow": 24, "sweep-wide": 2}
