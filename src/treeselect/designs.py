@@ -50,6 +50,28 @@ def check_integer(name: str, value, least: int | None = None) -> None:
         raise ValueError(f"{name} must be >= {least}")
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool or NaN (-inf and +inf are real).  NaN
+    is tested as unequal to itself, so no value is converted to float."""
+    return ((type(value) is float or (isinstance(value, numbers.Real)
+                                      and not isinstance(value, bool)))
+            and value == value)
+
+
+def check_real(name: str, value, least=None, above=None, below=None) -> None:
+    """Raise ValueError unless value is a finite real number (see ``is_real``:
+    an int, numpy float or Fraction passes, nothing is coerced) and, for each
+    bound given, value >= least, value > above and value < below."""
+    if not (is_real(value) and -math.inf < value < math.inf):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if above is not None and value <= above:
+        raise ValueError(f"{name} must be > {above}")
+    if below is not None and value >= below:
+        raise ValueError(f"{name} must be < {below}")
+
+
 # an ASCII decimal float, as repr writes one: no underscore, nan or inf
 FLOAT_PATTERN = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 _INT_PATTERN = re.compile(r"[+-]?[0-9]+")
@@ -196,17 +218,14 @@ class DesignSpec:
         for name, least in (("design_id", None), ("n", 1), ("p", 2)):
             check_integer(name, getattr(self, name), least)
         check_integer("seed", self.seed, least=0)
-        if not math.isfinite(self.noise):
-            raise ValueError(f"noise must be finite, got {self.noise!r}")
         if self.design_id not in (1, 2, 3, 4):
             raise ValueError("design_id must be in {1,2,3,4}")
         if self.design_id == 4 and self.p < 3:
             raise ValueError("design 4 needs p >= 3")
         if self.design_id == 1:
-            if not 0.0 < self.noise < 0.5:
-                raise ValueError("design 1 noise is a flip probability q in (0, 1/2)")
-        elif self.noise <= 0.0:
-            raise ValueError("designs 2-4 noise is a variance, must be > 0")
+            check_real("design 1 noise", self.noise, above=0, below=0.5)
+        else:
+            check_real("noise", self.noise, above=0)
 
 
 @dataclass(frozen=True)
@@ -226,13 +245,10 @@ class MarginSpec:
         if self.kind not in ("MA1", "MA2"):
             raise ValueError("kind must be 'MA1' or 'MA2'")
         if self.kind == "MA1":
-            if self.C0 <= 0:
-                raise ValueError("C0 must be positive")
-            if self.kappa <= 1:
-                raise ValueError("MA1 needs kappa > 1")
+            check_real("C0", self.C0, above=0)
+            check_real("kappa", self.kappa, above=1)
         else:
-            if not 0.0 < self.h < 1.0:
-                raise ValueError("MA2 needs h in (0,1)")
+            check_real("h", self.h, above=0, below=1)
 
 
 # float64 cells per block of the Gaussian noise draw (512 KiB)
@@ -412,30 +428,33 @@ def _normal_cdf(a: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
+def _mixture(spec: DesignSpec) -> tuple[float, float]:
+    """(mu, sd) of designs 2 and 3, whose signal S (x1, resp. x1 + x2) is
+    N(mu * y, sd^2) given the label y, with eta increasing in S - mu / 2."""
+    sigma = math.sqrt(spec.noise)
+    return (1.0, sigma) if spec.design_id == 2 else (2.0, sigma * math.sqrt(2.0))
+
+
 def bayes_risk(spec: DesignSpec) -> float:
     """Analytic misclassification rate of the optimal rule."""
     if spec.design_id == 1:
         return spec.noise
-    if spec.design_id == 2:
-        sigma = math.sqrt(spec.noise)
-        return _normal_cdf(-1.0 / (2.0 * sigma))
-    if spec.design_id == 3:
-        sigma = math.sqrt(spec.noise)
-        return _normal_cdf(-1.0 / (sigma * math.sqrt(2.0)))
-    return 0.0
+    if spec.design_id == 4:
+        return 0.0
+    mu, sd = _mixture(spec)
+    return _normal_cdf(-mu / (2.0 * sd))
 
 
 def margin_mass(spec: DesignSpec, t: float) -> float:
     """Exact P(|2 eta(X) - 1| <= t).
 
-    Designs 2 and 3 reduce to interval probabilities of a Gaussian mixture
-    in x1 (resp. x1 + x2), so no quadrature is needed.  Design 4 has
+    Designs 2 and 3 reduce to interval probabilities of the Gaussian
+    mixture of ``_mixture``, so no quadrature is needed.  Design 4 has
     deterministic labels, so the mass is 0 below t = 1 even though the
     source text states its margin condition fails; we report the analytic
     value.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    check_real("t", t, least=0)
     if t >= 1.0:
         return 1.0
     if spec.design_id == 1:
@@ -443,21 +462,13 @@ def margin_mass(spec: DesignSpec, t: float) -> float:
         return 1.0 if t >= gap else 0.0
     if spec.design_id == 4:
         return 0.0
-    s2 = spec.noise
-    sigma = math.sqrt(s2)
-    if spec.design_id == 2:
-        # |2 eta - 1| = |tanh(u/2)| with u = (2 x1 - 1)/(2 sigma^2)
-        delta = 2.0 * s2 * math.atanh(t)
-        lo, hi = 0.5 - delta, 0.5 + delta
-        m0 = _normal_cdf(hi / sigma) - _normal_cdf(lo / sigma)
-        m1 = _normal_cdf((hi - 1.0) / sigma) - _normal_cdf((lo - 1.0) / sigma)
-        return 0.5 * (m0 + m1)
-    # design 3: u = (x1 + x2 - 1)/sigma^2, S = x1 + x2 ~ N(2y, 2 sigma^2)
-    delta = 2.0 * s2 * math.atanh(t)
-    sd = sigma * math.sqrt(2.0)
-    lo, hi = 1.0 - delta, 1.0 + delta
+    # |2 eta - 1| = |tanh(u/2)| with u = mu (S - mu/2) / sd^2, and
+    # sd^2 / mu = sigma^2 in both designs: |S - mu/2| <= 2 sigma^2 atanh(t)
+    mu, sd = _mixture(spec)
+    delta = 2.0 * spec.noise * math.atanh(t)
+    lo, hi = mu / 2.0 - delta, mu / 2.0 + delta
     m0 = _normal_cdf(hi / sd) - _normal_cdf(lo / sd)
-    m1 = _normal_cdf((hi - 2.0) / sd) - _normal_cdf((lo - 2.0) / sd)
+    m1 = _normal_cdf((hi - mu) / sd) - _normal_cdf((lo - mu) / sd)
     return 0.5 * (m0 + m1)
 
 
@@ -481,8 +492,7 @@ def write_csv(path, header, rows) -> None:
 def save_dataset(data: Dataset, path) -> None:
     """Write CSV with header x1,...,xp,y."""
     write_csv(path, [f"x{j}" for j in range(1, data.p + 1)] + ["y"],
-              ([repr(float(v)) for v in data.X[i]] + [int(data.y[i])]
-               for i in range(data.n)))
+              (data.X[i].tolist() + [int(data.y[i])] for i in range(data.n)))
 
 
 def load_dataset(path) -> Dataset:

@@ -11,7 +11,7 @@ import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ DEFAULT_NOISE_GRIDS = {
 }
 
 # noise level used for the per-design plot-data file when present in the grid
-FIGURE_NOISE = {1: 0.3, 2: 2.0, 3: 2.0, 4: 0.2}
+FIGURE_NOISE = {d: max(grid) for d, grid in DEFAULT_NOISE_GRIDS.items()}
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,12 @@ def fit_alpha_vs_logp(results: tuple[CellResult, ...]) -> list[FitResult]:
 def write_results_csv(results: tuple[CellResult, ...], path) -> None:
     write_csv(path, ["design", "n", "p", "noise", "mean_alpha", "sd_alpha",
                      "mean_test_loss", "mean_tree_size", "R"],
-              ([r.design, r.n, r.p, repr(r.noise), repr(r.mean_alpha), repr(r.sd_alpha),
-                repr(r.mean_test_loss), repr(r.mean_tree_size), r.replications]
-               for r in results))
+              map(astuple, results))
 
 
 def write_fit_csv(fits: list[FitResult], path) -> None:
     write_csv(path, ["design", "n", "noise", "slope", "intercept", "r_squared"],
-              ([f.design, f.n, repr(f.noise), repr(f.slope), repr(f.intercept),
-                repr(f.r_squared)] for f in fits))
+              map(astuple, fits))
 
 
 def write_figure_data(results: tuple[CellResult, ...], out_dir) -> list[str]:

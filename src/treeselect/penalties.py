@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import Dataset, check_integer
+from .designs import Dataset, check_integer, check_real
 from .grow import GrowLimits, grow_maximal
 from .prune import PrunedSequence, best_in_sequence, weakest_link
 from .tree import TreeClassifier
@@ -38,8 +38,7 @@ class LinearPenalty:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_real("alpha", self.alpha, least=0)
 
     def value(self, k: int, n: int, p: int) -> float:
         return self.alpha * k
@@ -54,10 +53,9 @@ class MarginAdaptivePenalty:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.kappa < 1:
-            raise ValueError("kappa must be >= 1")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("constants must be positive")
+        check_real("kappa", self.kappa, least=1)
+        check_real("c1", self.c1, above=0)
+        check_real("c2", self.c2, above=0)
 
     def value(self, k: int, n: int, p: int) -> float:
         if self.kappa == 1.0:
@@ -76,8 +74,8 @@ class VCPenalty:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("constants must be positive")
+        check_real("c1", self.c1, above=0)
+        check_real("c2", self.c2, above=0)
 
     def value(self, k: int, n: int, p: int) -> float:
         return self.c1 * math.sqrt(k * math.log(n) / n) + self.c2 * k / n
@@ -101,8 +99,7 @@ class NobelPenalty:
     c1: float = 1.0
 
     def __post_init__(self):
-        if self.c1 <= 0:
-            raise ValueError("constant must be positive")
+        check_real("c1", self.c1, above=0)
 
     def value(self, k: int, n: int, p: int) -> float:
         return self.c1 * math.sqrt(k * p * math.log(n) / n)
@@ -115,8 +112,7 @@ class GeyPenalty:
     c2: float = 1.0
 
     def __post_init__(self):
-        if self.c2 <= 0:
-            raise ValueError("constant must be positive")
+        check_real("c2", self.c2, above=0)
 
     def value(self, k: int, n: int, p: int) -> float:
         lp = math.log(p)

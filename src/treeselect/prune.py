@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
-from .designs import Dataset, write_csv
+from .designs import Dataset, check_real, write_csv
 from .tree import (Internal, Leaf, TreeClassifier, is_pruned_subtree, node_counts,
                    preorder_tree)
 
@@ -172,15 +172,15 @@ def best_in_sequence(seq: PrunedSequence, pen: Callable[[int], float]) -> tuple[
 
 
 def subtree_at_alpha(seq: PrunedSequence, alpha) -> int:
-    """Index of the sequence element active at a given penalty weight."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    """Index of the sequence element active at a given penalty weight: a
+    finite real of at least 0, such as a float or an exact Fraction."""
+    check_real("alpha", alpha, least=0)
     return bisect_right(seq.alphas, alpha) - 1
 
 
 def sequence_to_csv(seq: PrunedSequence, path) -> None:
     write_csv(path, ["size", "risk", "alpha"],
-              ([size, repr(err / seq.n), repr(float(alpha))]
+              ([size, err / seq.n, float(alpha)]
                for size, alpha, err in zip(seq.sizes, seq.alphas, seq.error_counts)))
 
 

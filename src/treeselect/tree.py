@@ -18,8 +18,6 @@ other than those it was grown on.
 
 from __future__ import annotations
 
-import math
-import numbers
 import re
 import weakref
 from dataclasses import dataclass, replace
@@ -27,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import (FLOAT_PATTERN, Dataset, DesignSpec, bayes_risk, check_integer,
-                      generate, is_integer)
+                      check_real, generate, is_integer, is_real)
 
 __all__ = [
     "Leaf",
@@ -60,12 +58,6 @@ class Internal:
     threshold: float
     left: int
     right: int
-
-
-def _is_real(v) -> bool:
-    """A real number that is not a bool or NaN."""
-    return ((type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool)))
-            and not math.isnan(v))
 
 
 @dataclass(frozen=True)
@@ -103,7 +95,7 @@ class TreeClassifier:
                 if not (is_integer(node.var) and node.var >= 1):
                     raise ValueError(f"node {i}: variable {node.var!r} is not an "
                                      f"integer from 1 (variables are 1-based)")
-                if not _is_real(node.threshold):
+                if not is_real(node.threshold):
                     raise ValueError(f"node {i}: threshold {node.threshold!r} is not "
                                      f"a real number")
                 for child in (node.left, node.right):
@@ -323,8 +315,7 @@ def tree_from_text(text: str) -> TreeClassifier:
             var = int(_parse(_VAR, "variable", take()))
             expect(",")
             threshold = float(_parse(FLOAT_PATTERN, "threshold", take()))
-            if not math.isfinite(threshold):
-                raise ValueError(f"threshold {threshold!r} is not finite")
+            check_real("threshold", threshold)
             expect(",")
             nodes.append([var, threshold, None, None])
             open_nodes.append(done)

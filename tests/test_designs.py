@@ -1,10 +1,12 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +16,13 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import treeselect
-from treeselect import (Dataset, DesignSpec, MarginSpec, bayes_predict,
-                        bayes_risk, empirical_risk, eta, generate,
-                        load_dataset, loss_estimate, margin_holds, margin_mass,
-                        save_dataset, stump)
-from treeselect.designs import BLOCK_CELLS, _normal_cdf
+from treeselect import (Dataset, DesignSpec, GeyPenalty, LinearPenalty,
+                        MarginAdaptivePenalty, MarginSpec, NobelPenalty, VCPenalty,
+                        bayes_predict, bayes_risk, empirical_risk, eta, generate,
+                        grow_maximal, load_dataset, loss_estimate, margin_holds,
+                        margin_mass, save_dataset, select_tree, stump, subtree_at_alpha,
+                        tree_from_text, weakest_link)
+from treeselect.designs import BLOCK_CELLS, _normal_cdf, check_real, is_real
 from treeselect.experiment import DEFAULT_NOISE_GRIDS
 from treeselect.tree import Internal, Leaf, TreeClassifier
 
@@ -74,6 +78,90 @@ def test_spec_rejects_a_negative_seed():
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         DesignSpec(1, 10, 5, 0.3, seed=-1)
     assert DesignSpec(1, 10, 5, 0.3, seed=0).seed == 0
+
+
+def _pruned_sequence():
+    data = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]),
+                   np.array([0, 1, 1, 0]))
+    return weakest_link(grow_maximal(data), data)
+
+
+_D2 = DesignSpec(2, 10, 5, 1.0)
+
+# (field as the message names it, a call that checks it, values it accepts,
+# [(out-of-range value, message)]): an int and a numpy float are accepted,
+# except that design 1 noise and h take no int, as none lies in their range
+_REAL_FIELDS = {
+    "LinearPenalty.alpha": ("alpha", lambda v: LinearPenalty(v),
+                            (0, 2, np.float64(0.25)), [(-1, "alpha must be >= 0")]),
+    "MarginAdaptivePenalty.kappa": ("kappa", lambda v: MarginAdaptivePenalty(kappa=v),
+                                    (1, 3, np.float64(1.5)), [(0.5, "kappa must be >= 1")]),
+    "MarginAdaptivePenalty.c1": ("c1", lambda v: MarginAdaptivePenalty(c1=v),
+                                 (2, np.float64(0.5)), [(0, "c1 must be > 0")]),
+    "MarginAdaptivePenalty.c2": ("c2", lambda v: MarginAdaptivePenalty(c2=v),
+                                 (2, np.float64(0.5)), [(0, "c2 must be > 0")]),
+    "VCPenalty.c1": ("c1", lambda v: VCPenalty(c1=v),
+                     (2, np.float64(0.5)), [(-1, "c1 must be > 0")]),
+    "VCPenalty.c2": ("c2", lambda v: VCPenalty(c2=v),
+                     (2, np.float64(0.5)), [(0.0, "c2 must be > 0")]),
+    "NobelPenalty.c1": ("c1", lambda v: NobelPenalty(c1=v),
+                        (2, np.float64(0.5)), [(0, "c1 must be > 0")]),
+    "GeyPenalty.c2": ("c2", lambda v: GeyPenalty(c2=v),
+                      (2, np.float64(0.5)), [(0, "c2 must be > 0")]),
+    "DesignSpec.noise(design 1)": ("design 1 noise", lambda v: DesignSpec(1, 10, 5, v),
+                                   (np.float64(0.25),),
+                                   [(0, "design 1 noise must be > 0"),
+                                    (0.5, "design 1 noise must be < 0.5")]),
+    "DesignSpec.noise(design 2)": ("noise", lambda v: DesignSpec(2, 10, 5, v),
+                                   (2, np.float64(0.5)), [(0, "noise must be > 0")]),
+    "DesignSpec.noise(design 4)": ("noise", lambda v: DesignSpec(4, 10, 5, v),
+                                   (1, np.float64(0.2)), [(-0.2, "noise must be > 0")]),
+    "MarginSpec.C0": ("C0", lambda v: MarginSpec("MA1", C0=v),
+                      (2, np.float64(0.5)), [(0, "C0 must be > 0")]),
+    "MarginSpec.kappa": ("kappa", lambda v: MarginSpec("MA1", kappa=v),
+                         (2, np.float64(1.5)), [(1, "kappa must be > 1")]),
+    "MarginSpec.h": ("h", lambda v: MarginSpec("MA2", h=v),
+                     (np.float64(0.5),), [(0, "h must be > 0"), (1, "h must be < 1")]),
+    "subtree_at_alpha": ("alpha", lambda v: subtree_at_alpha(_pruned_sequence(), v),
+                         (0, 1, np.float64(0.2), Fraction(1, 4)),
+                         [(-Fraction(1, 9), "alpha must be >= 0")]),
+    "margin_mass.t": ("t", lambda v: margin_mass(_D2, v),
+                      (0, 1, np.float64(0.5)), [(-0.5, "t must be >= 0")]),
+}
+
+
+@pytest.mark.parametrize("name,call,good,out_of_range", _REAL_FIELDS.values(),
+                         ids=list(_REAL_FIELDS))
+def test_real_fields_fail_loudly_at_the_boundary(name, call, good, out_of_range):
+    for bad in (math.nan, math.inf, -math.inf, True, "0.5"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite real number, "
+                                             f"got {re.escape(repr(bad))}$"):
+            call(bad)
+    for value, message in out_of_range:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    for value in good:
+        call(value)
+
+
+def test_a_nan_weight_cannot_reach_selection_or_tree_text():
+    with pytest.raises(ValueError, match="^alpha must be a finite real number"):
+        select_tree(generate(_D2), LinearPenalty(math.nan))
+    for threshold in ("1e999", "-1e999"):
+        with pytest.raises(ValueError, match="^threshold must be a finite real number"):
+            tree_from_text(f"node(1, {threshold}, leaf(0), leaf(1))")
+
+
+def test_is_real_converts_nothing_to_float():
+    # ints and Fractions too large for a float are real; +-inf are real but
+    # not finite; a bool, a numpy bool, a string, None and NaN are not real
+    for value in (0, 10 ** 400, Fraction(10 ** 400, 3), np.int64(4), np.float32(2.5),
+                  math.inf, -math.inf):
+        assert is_real(value)
+    for value in (math.nan, np.float64("nan"), True, np.bool_(True), "0.5", None, 1j):
+        assert not is_real(value)
+    check_real("x", 10 ** 400, above=0)
+    check_real("x", Fraction(-(10 ** 400), 3), below=0)
 
 
 def test_eta_design1_quadrant():
@@ -226,6 +314,13 @@ def test_csv_round_trip(tmp_path):
     back = load_dataset(path)
     assert np.array_equal(d.X, back.X)
     assert np.array_equal(d.y, back.y)
+    # numpy-typed input: float32 features and uint8 labels are written as
+    # the float64 values and 0/1 labels the Dataset holds
+    narrow = Dataset(d.X.astype(np.float32), d.y.astype(np.uint8))
+    save_dataset(narrow, path)
+    assert load_dataset(path).X.tobytes() == narrow.X.tobytes()
+    save_dataset(Dataset(narrow.X.tolist(), d.y.tolist()), tmp_path / "listed.csv")
+    assert path.read_bytes() == (tmp_path / "listed.csv").read_bytes()
 
 
 @st.composite

@@ -7,7 +7,8 @@ import pytest
 
 from treeselect import CVConfig
 from treeselect.experiment import (CellResult, ExperimentConfig, fit_alpha_vs_logp,
-                                   run_sweep, write_figure_data, write_results_csv)
+                                   run_sweep, write_figure_data, write_fit_csv,
+                                   write_results_csv)
 
 SMALL = ExperimentConfig(designs=(1,), n_grid=(30,), p_grid=(5, 10),
                          noise_grids={1: (0.1,)}, replications=3,
@@ -132,7 +133,7 @@ def test_config_rejects_repeated_grid_values(kwargs, message):
     (dict(n_grid=(50.5,)), "n must be an integer"),
     (dict(p_grid=(30, 60.0)), "p must be an integer"),
     (dict(designs=(1.0,), noise_grids={1.0: (0.1,)}), "design_id must be an integer"),
-    (dict(designs=(2,), noise_grids={2: (1.0, math.inf)}), "noise must be finite"),
+    (dict(designs=(2,), noise_grids={2: (1.0, math.inf)}), "noise must be a finite real number"),
 ])
 def test_config_rejects_non_integral_and_non_finite_values(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -163,3 +164,18 @@ def test_results_bytes_designs_2_to_4(tmp_path):
     write_results_csv(run_sweep(cfg), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "3d7e98b534ff91fb21a8afa042d135cb369ee351cabcb6a3f9506757e86bce58"
+
+
+def test_writers_take_numpy_scalars_as_the_numbers_they_are(tmp_path):
+    # a noise level passed as np.float64 writes the same bytes as the float
+    written = []
+    for noise in (np.float64(0.3), 0.3):
+        cfg = dataclasses.replace(SMALL, noise_grids={1: (noise,)}, replications=2)
+        results = run_sweep(cfg)
+        out = tmp_path / type(noise).__name__
+        out.mkdir()
+        write_results_csv(results, out / "results.csv")
+        write_fit_csv(fit_alpha_vs_logp(results), out / "fit.csv")
+        written.append([(out / name).read_bytes() for name in ("results.csv", "fit.csv")])
+    assert written[0] == written[1]
+    assert b",0.3," in written[0][0] and b",0.3," in written[0][1]

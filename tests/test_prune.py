@@ -118,6 +118,10 @@ def test_sequence_csv(tmp_path, three_leaf):
     assert lines[0] == "size,risk,alpha"
     assert len(lines) == 3
     assert lines[1].startswith("3,0.0,0.0")
+    # numpy-typed counts write the same bytes as Python ints
+    typed = replace(seq, error_counts=tuple(map(np.int64, seq.error_counts)), n=np.int64(seq.n))
+    sequence_to_csv(typed, tmp_path / "typed.csv")
+    assert (tmp_path / "typed.csv").read_bytes() == path.read_bytes()
 
 
 @settings(max_examples=200, deadline=None)

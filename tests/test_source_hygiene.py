@@ -1,9 +1,12 @@
-"""No unused import and no unused module-private name in src/treeselect.
+"""No unused import and no unused module-private name in src/treeselect,
+and one module that reads and writes CSV.
 
 A name counts as used when its module reads it.  A module-private name
 (one leading underscore, not a dunder) also counts as used when another
 module of the package imports it or reads it as an attribute.  The
 package's ``__init__`` only re-exports, so its imports are not checked.
+Only ``designs`` imports the csv module, so ``write_csv`` and
+``load_dataset`` stay the one home of the CSV format.
 """
 
 import ast
@@ -67,10 +70,47 @@ def unused_names(sources: dict[str, str]) -> list[str]:
     return found
 
 
-def test_package_has_no_unused_imports_or_private_names():
+def modules_importing(sources: dict[str, str], top: str) -> list[str]:
+    """The modules of {module name: source} that import the top-level
+    module `top`, or anything inside it, under any name."""
+    found = []
+    for module, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == top for name in names):
+                found.append(module)
+                break
+    return found
+
+
+def _package_sources() -> dict[str, str]:
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert len(sources) > 5
-    assert unused_names(sources) == []
+    return sources
+
+
+def test_package_has_no_unused_imports_or_private_names():
+    assert unused_names(_package_sources()) == []
+
+
+def test_only_designs_imports_csv():
+    assert modules_importing(_package_sources(), "csv") == ["designs"]
+
+
+def test_guard_flags_every_way_to_import_a_module():
+    sources = {
+        "a": "import csv as table\n",
+        "b": "from csv import writer\n",
+        "c": "def f():\n    import os, csv\n",
+        "d": "from .designs import write_csv\nimport csvkit\n",
+        "e": "import numpy as np\n",
+    }
+    assert modules_importing(sources, "csv") == ["a", "b", "c"]
 
 
 def test_guard_flags_an_unused_import_and_an_unused_private_name():
