@@ -226,6 +226,8 @@ class DesignSpec:
             check_real("design 1 noise", self.noise, above=0, below=0.5)
         else:
             check_real("noise", self.noise, above=0)
+        if not isinstance(self.noise, (int, float)):  # written to results.csv as is
+            raise ValueError(f"noise must be an int or a float, got {self.noise!r}")
 
 
 @dataclass(frozen=True)
@@ -352,7 +354,7 @@ def eta(spec: DesignSpec, x) -> np.ndarray | float:
 def bayes_predict(spec: DesignSpec, x) -> np.ndarray | int:
     """The optimal rule 1{eta(x) >= 1/2}."""
     e = eta(spec, x)
-    if np.isscalar(e) or getattr(e, "ndim", 0) == 0:
+    if isinstance(e, float):
         return int(e >= 0.5)
     return (e >= 0.5).astype(np.int64)
 
@@ -396,9 +398,7 @@ def _p1evl(x: float, coef) -> float:
 
 
 def _erf(x: float) -> float:
-    """erf(x) for |x| <= 1."""
-    if x < 0.0:
-        return -_erf(-x)
+    """erf(x) for |x| <= 1 (odd, as rounding is sign-symmetric)."""
     z = x * x
     return x * _polevl(z, _T) / _p1evl(z, _U)
 

@@ -7,7 +7,8 @@ arena invariant once, at construction: every child index lies after its
 parent's index and inside the arena, and every node other than the root has
 exactly one parent.  So the arena is one tree with every node reachable from
 node 0, and a sweep in index order meets every parent before its children;
-no walk here needs recursion.
+no walk here needs recursion.  `_from_preorder` is the one place that derives
+child indices from a pre-order layout.
 
 `leaf_assignment` is the one vectorised router; `predict_batch` and the
 per-node training counts read its result.  The routing convention is strict:
@@ -173,6 +174,23 @@ def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[in
     return n0, n1
 
 
+def _from_preorder(nodes) -> TreeClassifier:
+    """The tree whose pre-order is `nodes`, whatever child indices they carry:
+    read from the end, a stack of subtree roots gives each ``Internal`` its
+    left, then its right child.  A missing child gets index len(nodes), which
+    ``TreeClassifier`` rejects, as it rejects a subtree left without a parent."""
+    nodes = list(nodes)
+    roots: list[int] = []
+    for i in range(len(nodes) - 1, -1, -1):
+        nd = nodes[i]
+        if isinstance(nd, Internal):
+            left = roots.pop() if roots else len(nodes)
+            right = roots.pop() if roots else len(nodes)
+            nodes[i] = Internal(nd.var, nd.threshold, left, right)
+        roots.append(i)
+    return TreeClassifier(tuple(nodes))
+
+
 def preorder_tree(nodes, counts=None) -> TreeClassifier:
     """The tree below node 0 of an arena of ``Leaf`` and ``Internal`` nodes,
     laid out in pre-order.  The nodes that node 0 reaches must satisfy the
@@ -180,25 +198,16 @@ def preorder_tree(nodes, counts=None) -> TreeClassifier:
     ``Internal`` was, are dropped.  With counts = (data, n0, n1),
     the label counts of each node of `nodes` on `data`, the tree carries
     them for ``node_counts``."""
-    source: list[int] = []  # arena index of each emitted node, in pre-order
-    children: list = []     # emitted [left, right] of each emitted internal node
-    stack = [(0, None, 0)]  # (arena index, emitted parent, side)
+    source: list[int] = []  # arena index of each reached node, in pre-order
+    stack = [0]
     while stack:
-        i, parent, side = stack.pop()
-        if parent is not None:
-            children[parent][side] = len(source)
+        i = stack.pop()
+        source.append(i)
         nd = nodes[i]
         if isinstance(nd, Internal):
-            stack.append((nd.right, len(source), 1))
-            stack.append((nd.left, len(source), 0))
-            children.append([0, 0])
-        else:
-            children.append(None)
-        source.append(i)
-    tree = TreeClassifier(tuple(
-        nodes[i] if kids is None
-        else Internal(nodes[i].var, nodes[i].threshold, kids[0], kids[1])
-        for i, kids in zip(source, children)))
+            stack.append(nd.right)
+            stack.append(nd.left)
+    tree = _from_preorder([nodes[i] for i in source])
     if counts is not None:
         data, n0, n1 = counts
         object.__setattr__(tree, "_counts", (weakref.ref(data), [n0[i] for i in source],
@@ -272,6 +281,7 @@ def tree_to_text(tree: TreeClassifier) -> str:
 _TOKEN = re.compile(r"\s*(node|leaf|\(|\)|,|[^\s(),]+)")
 _LABEL = re.compile(r"[01]")
 _VAR = re.compile(r"[1-9][0-9]*")
+_MALFORMED = "malformed tree text: not the text tree_to_text writes"
 
 
 def _parse(pattern: re.Pattern, what: str, token: str) -> str:
@@ -280,61 +290,40 @@ def _parse(pattern: re.Pattern, what: str, token: str) -> str:
     return token
 
 
+def _skeleton(tokens: list[str]) -> list[str]:
+    """The keywords and punctuation of a token list, each value as '#'."""
+    return [tok if tok in ("node", "leaf", "(", ")", ",") else "#" for tok in tokens]
+
+
 def tree_from_text(text: str) -> TreeClassifier:
-    """Parse the text ``tree_to_text`` writes, and nothing else: a label is
-    0 or 1, a variable a decimal from 1 with no sign or leading zero, and a
-    threshold a finite decimal float (no underscore, nan or inf)."""
+    """Parse the text ``tree_to_text`` writes, and nothing else: pre-order
+    nodes, where a label is 0 or 1, a variable a decimal from 1 with no sign
+    or leading zero and a threshold a finite decimal float (no underscore, nan
+    or inf), and between them the punctuation ``tree_to_text`` writes."""
     tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def expect(tok):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            raise ValueError(f"malformed tree text near token {pos}: expected {tok!r}")
-        pos += 1
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of tree text")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    nodes: list = []  # pre-order: Leaf, or [var, threshold, left, right]
-    open_nodes: list[int] = []  # internal nodes whose right child is not done
-    while True:
-        kind = take()
-        done = len(nodes)
-        if kind == "leaf":
-            expect("(")
-            nodes.append(Leaf(int(_parse(_LABEL, "label", take()))))
-            expect(")")
-        elif kind == "node":
-            expect("(")
-            var = int(_parse(_VAR, "variable", take()))
-            expect(",")
-            threshold = float(_parse(FLOAT_PATTERN, "threshold", take()))
+    words = [tok for tok in tokens if tok not in ("(", ")", ",")]
+    nodes: list = []  # pre-order
+    k = 0
+    while k < len(words):
+        kind, values = words[k], words[k + 1:k + 3]
+        if kind == "leaf" and values:
+            nodes.append(Leaf(int(_parse(_LABEL, "label", values[0]))))
+            k += 2
+        elif kind == "node" and len(values) == 2:
+            var = int(_parse(_VAR, "variable", values[0]))
+            threshold = float(_parse(FLOAT_PATTERN, "threshold", values[1]))
             check_real("threshold", threshold)
-            expect(",")
-            nodes.append([var, threshold, None, None])
-            open_nodes.append(done)
-            continue  # its left subtree follows
+            nodes.append(Internal(var, threshold, 0, 0))
+            k += 3
         else:
-            raise ValueError(f"unexpected token {kind!r}")
-        # the subtree at `done` is complete: close every parent it completes
-        while open_nodes and nodes[open_nodes[-1]][2] is not None:
-            parent = open_nodes.pop()
-            nodes[parent][3] = done
-            expect(")")
-            done = parent
-        if not open_nodes:
-            break
-        nodes[open_nodes[-1]][2] = done
-        expect(",")
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after tree text")
-    return TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd) for nd in nodes))
+            raise ValueError(_MALFORMED)
+    try:
+        tree = _from_preorder(nodes)
+    except ValueError:
+        raise ValueError(_MALFORMED) from None
+    if _skeleton(tokens) != _skeleton(_TOKEN.findall(tree_to_text(tree))):
+        raise ValueError(_MALFORMED)
+    return tree
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from treeselect import (Dataset, DesignSpec, GeyPenalty, LinearPenalty,
                         margin_mass, save_dataset, select_tree, stump, subtree_at_alpha,
                         tree_from_text, weakest_link)
 from treeselect.designs import BLOCK_CELLS, _normal_cdf, check_real, is_real
-from treeselect.experiment import DEFAULT_NOISE_GRIDS
+from treeselect.experiment import DEFAULT_NOISE_GRIDS, ExperimentConfig
 from treeselect.tree import Internal, Leaf, TreeClassifier
 
 from conftest import finite_floats, tied_datasets
@@ -142,6 +142,18 @@ def test_real_fields_fail_loudly_at_the_boundary(name, call, good, out_of_range)
             call(value)
     for value in good:
         call(value)
+
+
+def test_noise_is_an_int_or_a_float():
+    # a Fraction or a float32 would reach results.csv in its own form
+    for bad in (Fraction(1, 4), np.float32(0.25)):
+        with pytest.raises(ValueError, match="^noise must be an int or a float"):
+            DesignSpec(1, 20, 3, bad)
+        with pytest.raises(ValueError, match="^noise must be an int or a float"):
+            ExperimentConfig(designs=(1,), noise_grids={1: (bad,)})
+    for good in (0.25, np.float64(0.25)):
+        assert DesignSpec(1, 20, 3, good).noise == 0.25
+    assert DesignSpec(2, 20, 3, 1).noise == 1
 
 
 def test_a_nan_weight_cannot_reach_selection_or_tree_text():

@@ -6,7 +6,9 @@ A name counts as used when its module reads it.  A module-private name
 module of the package imports it or reads it as an attribute.  The
 package's ``__init__`` only re-exports, so its imports are not checked.
 Only ``designs`` imports the csv module, so ``write_csv`` and
-``load_dataset`` stay the one home of the CSV format.
+``load_dataset`` stay the one home of the CSV format.  No function calls
+itself by its bare name, so no code path depends on Python's recursion
+limit.
 """
 
 import ast
@@ -88,6 +90,22 @@ def modules_importing(sources: dict[str, str], top: str) -> list[str]:
     return found
 
 
+def self_calls(sources: dict[str, str]) -> list[str]:
+    """'module:line: name calls itself' for each call of a function, by its
+    bare name, inside that function's body in {module name: source}.  A
+    method call through an attribute (``self.value()``, ``super().f()``) is
+    not counted."""
+    found = []
+    for module, text in sorted(sources.items()):
+        for func in ast.walk(ast.parse(text)):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{module}:{node.lineno}: {func.name} calls itself"
+                          for node in ast.walk(func)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == func.name]
+    return found
+
+
 def _package_sources() -> dict[str, str]:
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert len(sources) > 5
@@ -100,6 +118,28 @@ def test_package_has_no_unused_imports_or_private_names():
 
 def test_only_designs_imports_csv():
     assert modules_importing(_package_sources(), "csv") == ["designs"]
+
+
+def test_no_function_calls_itself():
+    assert self_calls(_package_sources()) == []
+
+
+def test_guard_flags_a_function_that_calls_itself():
+    sources = {
+        "a": "def f(x):\n    return f(x - 1) if x else 0\n",
+        "b": ("def outer():\n"
+              "    def inner(n):\n"
+              "        return [inner(n - 1)] if n else []\n"
+              "    return inner\n"),
+        "c": ("class C:\n"
+              "    def value(self):\n"
+              "        return self.margin.value()\n"
+              "    def invoke(self):\n"
+              "        return super().invoke()\n"
+              "def g():\n"
+              "    return f()\n"),
+    }
+    assert self_calls(sources) == ["a:2: f calls itself", "b:3: inner calls itself"]
 
 
 def test_guard_flags_every_way_to_import_a_module():

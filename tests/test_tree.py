@@ -195,7 +195,12 @@ def test_serialization_exact_floats():
 def test_malformed_text_rejected():
     for bad in ["node(1, 0.5, leaf(0))", "tree(1)", "leaf(2, 3)", "",
                 "node(1, nan, leaf(0), leaf(1))", "node(1, inf, leaf(0), leaf(1))",
-                "node(1, -inf, leaf(0), leaf(1))"]:
+                "node(1, -inf, leaf(0), leaf(1))",
+                # structural faults: a missing right child, an extra child, an
+                # extra ")", two roots, a missing comma, bare keywords
+                "node(1, 0.5, leaf(0)", "node(1, 0.5, leaf(0), leaf(1), leaf(0))",
+                "node(1, 0.5, leaf(0), leaf(1)))", "leaf(0) leaf(1)",
+                "node(1 0.5, leaf(0), leaf(1))", "node", "leaf("]:
         with pytest.raises(ValueError):
             tree_from_text(bad)
 
