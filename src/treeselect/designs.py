@@ -301,7 +301,7 @@ def generate(spec: DesignSpec, columns=None) -> Dataset:
     cols = _kept_columns(columns, p)
     if spec.design_id == 1:
         q = spec.noise
-        need = np.union1d(cols, (0, 1))  # the labels read x1 and x2
+        need = np.concatenate(([0, 1], cols[cols > 1]))  # the labels read x1 and x2
         W = _normal_columns(rng, n, p, need)
         in_quadrant = (W[:, 0] > 0) & (W[:, 1] > 0)
         prob = np.where(in_quadrant, q, 1.0 - q)

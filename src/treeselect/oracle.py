@@ -11,6 +11,9 @@ assignments are routed in blocks of at most BLOCK_CELLS (assignment, row)
 cells, one _route walk of the class shape per block, and in-class ERM
 counts a whole block with one bincount.  Each split variable's candidate
 thresholds are computed once per search and shared by all of its classes.
+Exhaustive selection prices each size before enumerating it: the risk is
+never negative, so a size whose penalty alone reaches the incumbent's cost
+cannot win and is skipped, and only the overall winner is built as a tree.
 Brute-force pruning routes the tree once for every node's leaf error,
 scores each pruning from the errors and leaf count carried with it, and
 builds only the winner.
@@ -166,11 +169,13 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    return _erm_in_class(desc, data, _Candidates(data.X))
+    best, risk = _erm_in_class(desc, data, _Candidates(data.X))
+    return tree_from_class(desc, *best), risk
 
 
 def _erm_in_class(desc: ClassDescriptor, data: Dataset, candidates: _Candidates
-                  ) -> tuple[TreeClassifier, Fraction]:
+                  ) -> tuple[tuple[list, list], Fraction]:
+    """The class's minimizer as (thresholds, labels), and its risk."""
     k = desc.size
     best_err = best = None
     for thresholds, cells in _assignments(desc, candidates, 1, "threshold combinations"):
@@ -183,23 +188,33 @@ def _erm_in_class(desc: ClassDescriptor, data: Dataset, candidates: _Candidates
             # argmax takes the first maximum, so a tied cell is labelled 0
             best_err = int(errs[i])
             best = thresholds[i].tolist(), counts[i].argmax(axis=1).tolist()
-    return tree_from_class(desc, *best), Fraction(best_err, data.n)
+    return best, Fraction(best_err, data.n)
 
 
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
     """Global minimizer of empirical risk + penalty over every class of
-    size at most k_max (exact in-class ERM per class)."""
+    size at most k_max (exact in-class ERM per class); ties go to the
+    first class in size, then enumerate_classes, order.
+
+    A size whose penalty alone is at least the incumbent's cost is skipped
+    unenumerated, so its classes never count against CLASS_CAP or
+    COMBO_CAP: the risk is never negative and only a strictly smaller
+    cost replaces the incumbent, so the result is that of the full search
+    for any penalty, monotone in k or not.  Only the winner is built."""
     check_integer("k_max", k_max, least=1)
-    best_tree = None
-    best_cost = None
+    best = best_cost = None
     candidates = _Candidates(data.X)
     for k in range(1, k_max + 1):
+        pen = penalty_value(spec, k, data.n, data.p)
+        if best_cost is not None and pen >= best_cost:
+            continue
         for desc in enumerate_classes(data.p, k):
-            tree, risk = _erm_in_class(desc, data, candidates)
-            cost = float(risk) + penalty_value(spec, k, data.n, data.p)
+            fit, risk = _erm_in_class(desc, data, candidates)
+            cost = float(risk) + pen
             if best_cost is None or cost < best_cost:
-                best_tree, best_cost = tree, cost
-    return best_tree, best_cost
+                best, best_cost = (desc, fit), cost
+    desc, fit = best
+    return tree_from_class(desc, *fit), best_cost
 
 
 def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:

@@ -276,6 +276,21 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_design1_pipeline_loads_no_numpy_ma():
+    # numpy.ma costs about 15 ms to import, and np.unique and its set
+    # routines import it on their first call
+    src = str(Path(treeselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, treeselect as ts; "
+            "spec = ts.DesignSpec(1, 40, 5, 0.2, seed=3); "
+            "_, tree = ts.cv_select_alpha(ts.generate(spec), ts.CVConfig()); "
+            "ts.loss_estimate(tree, spec, 500, 7); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_margin_mass_design1():
     spec = DesignSpec(1, 10, 5, 0.3)
     assert margin_mass(spec, 0.3) == 0.0

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
-                        ResourceCapError, brute_force_best_subtree, catalan,
+                        MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
+                        ResourceCapError, VCPenalty, brute_force_best_subtree, catalan,
                         class_count, empirical_risk, enumerate_classes, erm_in_class,
-                        exhaustive_select, grow_maximal, select_tree,
+                        exhaustive_select, grow_maximal, penalty_value, select_tree,
                         shattering_count, tree_from_text, tree_to_text)
 from treeselect import oracle
-from treeselect.oracle import enumerate_shapes
+from treeselect.oracle import CLASS_CAP, enumerate_shapes
 from treeselect.designs import BLOCK_CELLS
 from treeselect.tree import (LEAF_SHAPE, Internal, Leaf, TreeClassifier, leaf,
                              tree_from_class)
@@ -252,23 +253,105 @@ def test_exhaustive_beats_heuristic_separable(line_dataset):
     assert cost_ex == pytest.approx(0.02)
 
 
+def _class_fits(data, k_max):
+    """erm_in_class of every class of size at most k_max, as (desc, tree,
+    risk) in the order exhaustive_select searches them."""
+    return [(desc, *erm_in_class(desc, data))
+            for k in range(1, k_max + 1) for desc in enumerate_classes(data.p, k)]
+
+
+def _reference_select(fits, data, spec, k_max):
+    """The unbounded per-class loop exhaustive_select replaced: every class
+    of size at most k_max is scored, and the first minimum is kept."""
+    best = best_cost = None
+    for desc, tree, risk in fits:
+        if desc.size > k_max:
+            break
+        cost = float(risk) + penalty_value(spec, desc.size, data.n, data.p)
+        if best_cost is None or cost < best_cost:
+            best, best_cost = tree, cost
+    return best, best_cost
+
+
 def test_exhaustive_shares_each_variables_candidates(monkeypatch):
     rng = np.random.default_rng(41)
     d = Dataset(rng.normal(size=(9, 3)).round(1), rng.integers(0, 2, size=9))
     spec = LinearPenalty(0.05)
-    # the per-class loop exhaustive_select replaced
-    ref_tree = ref_cost = None
-    for desc in (c for k in range(1, 4) for c in enumerate_classes(d.p, k)):
-        tree, risk = erm_in_class(desc, d)
-        cost = float(risk) + 0.05 * desc.size
-        if ref_cost is None or cost < ref_cost:
-            ref_tree, ref_cost = tree, cost
+    ref_tree, ref_cost = _reference_select(_class_fits(d, 3), d, spec, 3)
     unique = np.unique
     calls = []
     monkeypatch.setattr(np, "unique", lambda a: calls.append(1) or unique(a))
     tree, cost = exhaustive_select(d, spec, k_max=3)
     assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
     assert len(calls) == d.p  # once per variable, not once per class
+
+
+class _DipPenalty:
+    """A penalty that is not monotone in k: a skipped size 2, then a free size 3."""
+
+    def value(self, k, n, p):
+        return (0.1, 5.0, 0.0)[k - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_datasets())
+def test_size_bound_matches_the_unbounded_search(drawn):
+    # labelled by the sign of x1 the data is separable at size 2, so a size
+    # whose penalty is just below the incumbent's cost can still win
+    for data in (drawn, Dataset(drawn.X, (drawn.X[:, 0] > 0).astype(int))):
+        _check_size_bound(data)
+
+
+def _check_size_bound(data):
+    fits = _class_fits(data, 3)
+    r1 = float(fits[0][2])  # the one-leaf risk
+    r2 = min(float(risk) for desc, _, risk in fits if desc.size == 2)
+    # at alpha = r1 the size-2 penalty equals the one-leaf cost exactly, and
+    # at alpha = r2 the size-3 penalty equals the best size-2 cost
+    assert penalty_value(LinearPenalty(r1), 2, data.n, data.p) == r1 + r1
+    # (1 - 1e-12) * r1 is a hair below the boundary: no slack may skip it
+    specs = [LinearPenalty(a) for a in (0.0, r2 / 2, r2, r1 / 2, 0.99 * r1,
+                                        (1 - 1e-12) * r1, r1, 1.01 * r1, 2 * r1, 1.0)]
+    specs += [MarginAdaptivePenalty(kappa=1), MarginAdaptivePenalty(kappa=2),
+              MarginAdaptivePenalty(kappa=1, c1=0.02, c2=0.02),
+              MarginAdaptivePenalty(kappa=2, c1=0.02, c2=0.02),
+              VCPenalty(), VCPenalty(c1=0.02, c2=0.02), MinCombinedPenalty(),
+              NobelPenalty(), NobelPenalty(c1=0.02), _DipPenalty()]
+    for spec in specs:
+        for k_max in (1, 2, 3):
+            tree, cost = exhaustive_select(data, spec, k_max)
+            ref_tree, ref_cost = _reference_select(fits, data, spec, k_max)
+            assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
+
+
+def test_exhaustive_searches_only_sizes_its_penalty_has_not_lost(monkeypatch):
+    d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
+    searched, built = [], []
+    erm, build = oracle._erm_in_class, oracle.tree_from_class
+    monkeypatch.setattr(oracle, "_erm_in_class",
+                        lambda desc, *args: searched.append(desc) or erm(desc, *args))
+    monkeypatch.setattr(oracle, "tree_from_class",
+                        lambda *args: built.append(1) or build(*args))
+    for calls in (1, 2):
+        # the one-leaf cost 1/3 + 0.9 is below the size-2 penalty 1.8
+        tree, cost = exhaustive_select(d, LinearPenalty(0.9), k_max=3)
+        assert tree == leaf(1) and cost == 1 / 3 + 0.9
+        assert searched == [SINGLE] * calls
+        assert len(built) == calls  # only the winner is built
+
+
+def test_a_skipped_size_is_never_enumerated():
+    # 230 columns: the 230^2 * 2 classes of size 3 exceed the class cap
+    rng = np.random.default_rng(7)
+    assert class_count(230, 3) > CLASS_CAP
+    d = Dataset(rng.normal(size=(6, 230)), rng.integers(0, 2, size=6))
+    tree, _ = exhaustive_select(d, LinearPenalty(1.0), k_max=3)
+    assert tree.n_leaves == 1
+    # three points, each once with either label: every class has risk 1/2,
+    # so size 3 is not skipped and its enumeration hits the cap
+    tied = Dataset(np.repeat(rng.normal(size=(3, 230)), 2, axis=0), np.tile([0, 1], 3))
+    with pytest.raises(ResourceCapError, match="105800"):
+        exhaustive_select(tied, LinearPenalty(0.01), k_max=3)
 
 
 def test_exhaustive_never_loses_to_heuristic():
