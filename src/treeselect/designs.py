@@ -139,7 +139,7 @@ class Dataset:
         if y.shape != (X.shape[0],):
             raise ValueError("label vector length must match the row count")
         # check the raw values: a cast first would turn 0.7 into a valid 0
-        if y.dtype.kind not in "biuf" or not np.isin(y, (0, 1)).all():
+        if y.dtype.kind not in "biuf" or not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must be 0 or 1")
         _set_read_only(self, X=X, y=np.array(y, dtype=np.int64))
 

@@ -109,7 +109,7 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
 
     # 2s after each of the m positions of each variable, then |2s - S|
     score = _TWICE_SIGNS.take(data.y).take(order)
-    np.cumsum(score, axis=1, out=score)
+    np.add.accumulate(score, axis=1, out=score)
     S = int(score[0, -1]) // 2
     if abs(S) == m:
         return None  # label-pure

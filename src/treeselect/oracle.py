@@ -14,9 +14,10 @@ thresholds are computed once per search and shared by all of its classes.
 Exhaustive selection prices each size before enumerating it: the risk is
 never negative, so a size whose penalty alone reaches the incumbent's cost
 cannot win and is skipped, and only the overall winner is built as a tree.
-Brute-force pruning routes the tree once for every node's leaf error,
-scores each pruning from the errors and leaf count carried with it, and
-builds only the winner.
+Brute-force pruning walks each row down the tree once for every node's
+label counts, enumerates every pruning with the errors and leaf count
+carried with it, scores each distinct (errors, leaves) pair once, and
+builds only the winner, labelled from the counts.
 """
 
 from __future__ import annotations
@@ -233,20 +234,24 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     return len(seen)
 
 
-def _leaf_errors(tree: TreeClassifier, data: Dataset) -> list:
-    """Each node's training errors as a majority-labelled leaf, min(n0, n1)
-    over the rows reaching it, from one forward walk of the arena (parents
-    precede their children)."""
-    rows_at = [np.arange(data.n)] + [None] * (len(tree.nodes) - 1)
-    errors = []
-    for idx, nd in enumerate(tree.nodes):
-        rows, rows_at[idx] = rows_at[idx], None
-        n1 = int(data.y[rows].sum())
-        errors.append(min(rows.size - n1, n1))
-        if isinstance(nd, Internal):
-            right = data.X[rows, nd.var - 1] > nd.threshold
-            rows_at[nd.left], rows_at[nd.right] = rows[~right], rows[right]
-    return errors
+def _leaf_counts(tree: TreeClassifier, data: Dataset) -> list:
+    """Each node's [n0, n1], the rows of label 0 and 1 reaching it: every
+    row walks down from the root once, going right when x[var - 1] >
+    threshold, and adds itself to each node it passes."""
+    counts = [[0, 0] for _ in tree.nodes]
+    # (var - 1, threshold, left, right) per internal node, None per leaf
+    splits = [(nd.var - 1, nd.threshold, nd.left, nd.right) if isinstance(nd, Internal)
+              else None for nd in tree.nodes]
+    for x, label in zip(data.X.tolist(), data.y.tolist()):
+        idx = 0
+        while True:
+            counts[idx][label] += 1
+            split = splits[idx]
+            if split is None:
+                break
+            var, threshold, left, right = split
+            idx = right if x[var] > threshold else left
+    return counts
 
 
 def _prunings(tree: TreeClassifier, errors: list) -> list:
@@ -268,38 +273,39 @@ def _prunings(tree: TreeClassifier, errors: list) -> list:
     return below[0]
 
 
-def _materialize(tree: TreeClassifier, pattern, data: Dataset
-                 ) -> tuple[TreeClassifier, int]:
-    """Build the pruned subtree in pre-order with majority leaf labels;
-    returns the tree and its training misclassification count."""
+def _materialize(tree: TreeClassifier, pattern, labels: list) -> TreeClassifier:
+    """Build the pruned subtree in pre-order; a collapsed node becomes a
+    leaf with labels[node]."""
     nodes: list = []
-    err_total = 0
-    # (tree index, pattern, rows reaching it, arena parent, child slot)
-    stack = [(0, pattern, np.arange(data.n), None, 0)]
+    # (tree index, pattern, arena parent, child slot)
+    stack = [(0, pattern, None, 0)]
     while stack:
-        idx, pat, rows, parent, slot = stack.pop()
+        idx, pat, parent, slot = stack.pop()
         if parent is not None:
             nodes[parent][slot] = len(nodes)
         if pat is None:
-            n1 = int(data.y[rows].sum())
-            n0 = rows.size - n1
-            nodes.append(Leaf(0 if n0 >= n1 else 1))
-            err_total += min(n0, n1)
+            nodes.append(Leaf(labels[idx]))
         else:
             nd = tree.nodes[idx]
-            right = data.X[rows, nd.var - 1] > nd.threshold
             # right is pushed first so the left subtree is laid out first
-            stack.append((nd.right, pat[1], rows[right], len(nodes), 3))
-            stack.append((nd.left, pat[0], rows[~right], len(nodes), 2))
+            stack.append((nd.right, pat[1], len(nodes), 3))
+            stack.append((nd.left, pat[0], len(nodes), 2))
             nodes.append([nd.var, nd.threshold, None, None])
-    return (TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
-                                 for nd in nodes)), err_total)
+    return TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
+                                for nd in nodes))
 
 
 def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
                              ) -> tuple[TreeClassifier, Fraction | float]:
     """Enumerate every pruned subtree (with re-optimized leaf labels) and
-    return the penalized-cost minimizer; ties go to the smallest tree."""
+    return the minimizer of Fraction(errors, n) + pen(leaves); ties go to
+    the smallest tree, then to the first pruning in enumeration order.
+
+    Prunings with the same (errors, leaves) cost the same, so each distinct
+    pair is scored once, through its first pruning, and pen is called once
+    per distinct leaf count.  The rows are walked once, for every node's
+    label counts, and the winner's leaves are labelled from those counts
+    (0 on a tie)."""
     if tree.max_var() > data.p:
         raise ValueError("feature matrix too narrow for this tree")
     # count the prunings by _prunings' reverse sweep before listing any
@@ -310,10 +316,19 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
             count[idx] = 1 + count[nd.left] * count[nd.right]
     if count[0] > COMBO_CAP:
         raise ResourceCapError(f"{count[0]} pruned subtrees exceeds the cap of {COMBO_CAP}")
+    counts = _leaf_counts(tree, data)
+    first: dict = {}  # (errors, leaves) -> its first pruning, in first-seen order
+    for pattern, err, leaves in _prunings(tree, [min(c) for c in counts]):
+        first.setdefault((err, leaves), pattern)
+    pens: dict = {}
     best = None
-    for pattern, err, leaves in _prunings(tree, _leaf_errors(tree, data)):
-        key = (Fraction(err, data.n) + pen(leaves), leaves)
+    for (err, leaves), pattern in first.items():
+        if leaves not in pens:
+            pens[leaves] = pen(leaves)
+        # the first pruning of minimal key is the first pruning of its pair,
+        # and that pair is the first minimal one in first-seen order
+        key = (Fraction(err, data.n) + pens[leaves], leaves)
         if best is None or key < best[0]:
             best = (key, pattern)
-    # only the winner is built
-    return _materialize(tree, best[1], data)[0], best[0][0]
+    labels = [int(n1 > n0) for n0, n1 in counts]
+    return _materialize(tree, best[1], labels), best[0][0]

@@ -398,13 +398,17 @@ def test_dataset_accepts_values_whose_sum_overflows():
     assert Dataset(X, np.array([0, 1, 0])).n == 3
 
 
-@pytest.mark.parametrize("labels", [[0.7, 1.0], [0.0, 2.0], [-1, 1], ["0", "1"]])
+# labels are checked on their raw values behind the dtype-kind gate: only
+# the values 0 and 1 of a bool, integer or float array pass
+@pytest.mark.parametrize("labels", [[0.7, 1.0], [0.0, 2.0], [-1, 1], ["0", "1"],
+                                    [0.0, np.nan], [np.inf, 1.0], np.array(["0", "1"])])
 def test_dataset_rejects_labels_other_than_0_or_1(labels):
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match="^labels must be 0 or 1$"):
         Dataset(np.zeros((2, 2)), labels)
 
 
-@pytest.mark.parametrize("labels", [[0, 1], [False, True], np.array([1, 0], dtype=np.uint8)])
+@pytest.mark.parametrize("labels", [[0, 1], [False, True], np.array([1, 0], dtype=np.uint8),
+                                    np.array([0, 1], dtype=np.int64), [0.0, 1.0], [-0.0, 1.0]])
 def test_dataset_accepts_integer_and_bool_labels(labels):
     d = Dataset(np.zeros((2, 2)), labels)
     assert d.y.dtype == np.int64

@@ -414,8 +414,8 @@ def test_brute_force_single_leaf():
 def test_brute_force_rejects_a_tree_wider_than_the_data(monkeypatch):
     d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
     tree = tree_from_text("node(3, 0.5, leaf(0), leaf(1))")
-    # the width is checked before anything is routed
-    monkeypatch.setattr(oracle, "_leaf_errors", None)
+    # the width is checked before any row is walked
+    monkeypatch.setattr(oracle, "_leaf_counts", None)
     with pytest.raises(ValueError, match="too narrow"):
         brute_force_best_subtree(tree, d, lambda k: Fraction(0))
 
@@ -464,11 +464,116 @@ def trees_on_tied_data(draw, max_depth=4):
 @given(trees_on_tied_data())
 def test_carried_pruning_counts_match_materialized_subtrees(case):
     tree, data = case
-    prunings = oracle._prunings(tree, oracle._leaf_errors(tree, data))
+    counts = oracle._leaf_counts(tree, data)
+    labels = [int(n1 > n0) for n0, n1 in counts]
+    prunings = oracle._prunings(tree, [min(c) for c in counts])
     for pattern, errors, leaves in prunings:
-        sub, err = oracle._materialize(tree, pattern, data)
-        assert (errors, leaves) == (err, sub.n_leaves)
-        assert err == int(np.sum(sub.predict_batch(data.X) != data.y))
+        sub = oracle._materialize(tree, pattern, labels)
+        assert errors == int(np.sum(sub.predict_batch(data.X) != data.y))
+        assert leaves == sub.n_leaves
+
+
+def _reference_brute_force(tree, data, pen):
+    """The per-pruning scan: each node's rows routed by index, a score for
+    every pruning in _prunings order, ties to the smaller tree and then to
+    the first pruning, and the winner built by routing the rows again."""
+    rows_at = [np.arange(data.n)] + [None] * (len(tree.nodes) - 1)
+    errors = []
+    for idx, nd in enumerate(tree.nodes):
+        rows = rows_at[idx]
+        n1 = int(data.y[rows].sum())
+        errors.append(min(rows.size - n1, n1))
+        if isinstance(nd, Internal):
+            right = data.X[rows, nd.var - 1] > nd.threshold
+            rows_at[nd.left], rows_at[nd.right] = rows[~right], rows[right]
+    best = None
+    for pattern, err, leaves in oracle._prunings(tree, errors):
+        key = (Fraction(err, data.n) + pen(leaves), leaves)
+        if best is None or key < best[0]:
+            best = (key, pattern)
+    nodes: list = []
+    stack = [(0, best[1], np.arange(data.n), None, 0)]
+    while stack:
+        idx, pat, rows, parent, slot = stack.pop()
+        if parent is not None:
+            nodes[parent][slot] = len(nodes)
+        if pat is None:
+            n1 = int(data.y[rows].sum())
+            nodes.append(Leaf(0 if rows.size - n1 >= n1 else 1))
+        else:
+            nd = tree.nodes[idx]
+            right = data.X[rows, nd.var - 1] > nd.threshold
+            stack.append((nd.right, pat[1], rows[right], len(nodes), 3))
+            stack.append((nd.left, pat[0], rows[~right], len(nodes), 2))
+            nodes.append([nd.var, nd.threshold, None, None])
+    return (TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
+                                 for nd in nodes)), best[0][0])
+
+
+@st.composite
+def grown_trees(draw):
+    """A tree grown to at most 10 leaves on 10-40 rows, with features
+    rounded to one decimal half of the time so that ties are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = random_dataset(rng, draw(st.integers(10, 40)), draw(st.integers(2, 5)))
+    if draw(st.booleans()):
+        data = Dataset(np.round(data.X, 1), data.y)
+    return grow_maximal(data, GrowLimits(max_leaves=10)), data
+
+
+BRUTE_FORCE_PENALTIES = [
+    lambda k: Fraction(0),
+    lambda k: Fraction(k, 40),
+    lambda k: Fraction(3 * k, 20),
+    lambda k: 0.0 * k,
+    lambda k: 0.03 * k,
+    lambda k: 0.1 * k,
+    lambda k: 0.2 * math.sqrt(k),
+    lambda k: (k - 3) ** 2 / 50,  # not monotone in k
+    # at 1e17 every risk rounds away, so different error counts tie in
+    # float: the first at size 1, the second at size 3
+    lambda k: 1e17 * k,
+    lambda k: 1e17 * (1 + abs(k - 3)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees_on_tied_data() | grown_trees())
+def test_brute_force_matches_the_per_pruning_scan(case):
+    tree, data = case
+    for pen in BRUTE_FORCE_PENALTIES:
+        got, cost = brute_force_best_subtree(tree, data, pen)
+        want, want_cost = _reference_brute_force(tree, data, pen)
+        assert tree_to_text(got) == tree_to_text(want)
+        assert cost == want_cost and repr(cost) == repr(want_cost)
+
+
+def test_brute_force_walks_once_and_prices_each_size_once(monkeypatch):
+    data = random_dataset(np.random.default_rng(3), 30, 3)
+    tree = grow_maximal(data, GrowLimits(max_leaves=8))
+    walks, sizes, built = [], [], []
+    leaf_counts, build = oracle._leaf_counts, oracle.TreeClassifier
+
+    def counting_walk(*args):
+        walks.append(1)
+        return leaf_counts(*args)
+
+    def counting_build(*args):
+        built.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(oracle, "_leaf_counts", counting_walk)
+    monkeypatch.setattr(oracle, "TreeClassifier", counting_build)
+
+    def pen(k):
+        sizes.append(k)
+        return Fraction(k, 60)
+
+    got, cost = brute_force_best_subtree(tree, data, pen)
+    assert (len(walks), len(built)) == (1, 1)
+    assert sorted(sizes) == list(range(1, tree.n_leaves + 1))
+    assert cost == Fraction(int(np.sum(got.predict_batch(data.X) != data.y)), data.n) \
+        + Fraction(got.n_leaves, 60)
 
 
 def test_brute_force_cap(monkeypatch, line_dataset):

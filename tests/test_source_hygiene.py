@@ -8,7 +8,9 @@ package's ``__init__`` only re-exports, so its imports are not checked.
 Only ``designs`` imports the csv module, so ``write_csv`` and
 ``load_dataset`` stay the one home of the CSV format.  No function calls
 itself by its bare name, so no code path depends on Python's recursion
-limit.
+limit.  The oracle reads none of the router, node counts, split search,
+growing, pruning and risk names of the code it checks, so it keeps its own
+routing.
 """
 
 import ast
@@ -106,6 +108,30 @@ def self_calls(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def names_read(sources: dict[str, str], names) -> list[str]:
+    """'module:line: reads name' for each of `names` that a module of
+    {module name: source} reads as a bare name or an attribute, or imports."""
+    names = set(names)
+    found = []
+    for module, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read = [node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read = [node.attr]
+            elif isinstance(node, ast.ImportFrom):
+                read = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: reads {name}" for name in read if name in names]
+    return found
+
+
+# what the oracle checks, so it must not use it
+CHECKED_NAMES = ("leaf_assignment", "predict_batch", "node_counts", "best_split",
+                 "grow_maximal", "weakest_link", "preorder_tree", "empirical_risk")
+
+
 def _package_sources() -> dict[str, str]:
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert len(sources) > 5
@@ -167,3 +193,22 @@ def test_guard_flags_an_unused_import_and_an_unused_private_name():
     }
     assert unused_names(sources) == ["a:3: unused import Fraction",
                                      "a:6: unused private name _unused"]
+
+
+def test_oracle_keeps_its_own_routing():
+    oracle = {"oracle": _package_sources()["oracle"]}
+    assert names_read(oracle, CHECKED_NAMES) == []
+
+
+def test_guard_flags_a_read_of_a_checked_name():
+    sources = {
+        "a": "from .tree import leaf_assignment\n",
+        "b": "def f(tree, X):\n    return tree.predict_batch(X)\n",
+        "c": "from . import grow\nbest = grow.best_split\n",
+        "d": ("def f(tree):\n"
+              "    node_counts = tree.nodes  # a binding, not a read\n"
+              "    return 'weakest_link'\n"),
+    }
+    assert names_read(sources, CHECKED_NAMES) == ["a:1: reads leaf_assignment",
+                                                  "b:2: reads predict_batch",
+                                                  "c:2: reads best_split"]
