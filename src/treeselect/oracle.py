@@ -14,16 +14,21 @@ thresholds are computed once per search and shared by all of its classes.
 Exhaustive selection prices each size before enumerating it: the risk is
 never negative, so a size whose penalty alone reaches the incumbent's cost
 cannot win and is skipped, and only the overall winner is built as a tree.
-Brute-force pruning walks each row down the tree once for every node's
-label counts, enumerates every pruning with the errors and leaf count
-carried with it, scores each distinct (errors, leaves) pair once, and
-builds only the winner, labelled from the counts.
+Brute-force pruning builds a penalty-free table once per (tree, Dataset):
+each row walks down the tree once for every node's label counts, and every
+pruning is enumerated with the errors and leaf count carried with it, down
+to the first pruning of each distinct (errors, leaves) pair.  The last
+table is memoized by weak references, so a tree asked about at many
+penalties is walked and enumerated once; each penalty then scores only the
+distinct pairs, and each distinct winner is built once, labelled from the
+counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -102,7 +107,11 @@ class _Candidates(dict):
         self.X = X
 
     def __missing__(self, v: int) -> np.ndarray:
-        vals = np.unique(self.X[:, v - 1])
+        # np.unique's own steps for floats, without the numpy.ma import its
+        # first call makes: a sort of its kind, which orders tied -0.0 and
+        # 0.0 as it does, then the first value of each run and the first NaN
+        s = np.sort(self.X[:, v - 1])
+        vals = s[np.concatenate(([True], (s[1:] != s[:-1]) & (s[:-1] == s[:-1])))]
         lo, hi = vals[:-1], vals[1:]
         with np.errstate(over="ignore"):
             mid = (lo + hi) / 2.0
@@ -295,17 +304,27 @@ def _materialize(tree: TreeClassifier, pattern, labels: list) -> TreeClassifier:
                                 for nd in nodes))
 
 
-def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
-                             ) -> tuple[TreeClassifier, Fraction | float]:
-    """Enumerate every pruned subtree (with re-optimized leaf labels) and
-    return the minimizer of Fraction(errors, n) + pen(leaves); ties go to
-    the smallest tree, then to the first pruning in enumeration order.
+# the last pruning table built: (weak tree, weak Dataset, pairs, labels,
+# winners); see _pruning_table
+_table = None
 
-    Prunings with the same (errors, leaves) cost the same, so each distinct
-    pair is scored once, through its first pruning, and pen is called once
-    per distinct leaf count.  The rows are walked once, for every node's
-    label counts, and the winner's leaves are labelled from those counts
-    (0 on a tie)."""
+
+def _pruning_table(tree: TreeClassifier, data: Dataset) -> tuple[list, list, dict]:
+    """The penalty-free part of brute_force_best_subtree, as (pairs, labels,
+    winners): pairs holds (Fraction(errors, n), leaves, pattern) for the
+    first pruning of each distinct (errors, leaves) pair, in first-seen
+    order; labels each node's majority label (0 on a tie); winners the
+    trees built so far, by index into pairs.
+
+    Raises ValueError for a tree wider than the data and ResourceCapError
+    for more than COMBO_CAP prunings, before anything is walked, listed or
+    memoized.  The last table is kept with weak references to its tree and
+    Dataset and returned while both are the very objects asked about: both
+    are immutable, so it cannot go stale, and it keeps neither alive."""
+    global _table
+    memo = _table
+    if memo is not None and memo[0]() is tree and memo[1]() is data:
+        return memo[2:]
     if tree.max_var() > data.p:
         raise ValueError("feature matrix too narrow for this tree")
     # count the prunings by _prunings' reverse sweep before listing any
@@ -320,15 +339,38 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
     first: dict = {}  # (errors, leaves) -> its first pruning, in first-seen order
     for pattern, err, leaves in _prunings(tree, [min(c) for c in counts]):
         first.setdefault((err, leaves), pattern)
+    pairs = [(Fraction(err, data.n), leaves, pattern)
+             for (err, leaves), pattern in first.items()]
+    labels = [int(n1 > n0) for n0, n1 in counts]
+    _table = memo = (weakref.ref(tree), weakref.ref(data), pairs, labels, {})
+    return memo[2:]
+
+
+def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
+                             ) -> tuple[TreeClassifier, Fraction | float]:
+    """Enumerate every pruned subtree (with re-optimized leaf labels) and
+    return the minimizer of Fraction(errors, n) + pen(leaves); ties go to
+    the smallest tree, then to the first pruning in enumeration order.
+
+    Prunings with the same (errors, leaves) cost the same, so each distinct
+    pair is scored once, through its first pruning, and pen is called once
+    per distinct leaf count.  The rows are walked and the prunings listed
+    once per (tree, Dataset), not once per call (see _pruning_table), and
+    the winner's leaves are labelled from the walk's counts (0 on a tie).
+    Each distinct winner is built once per (tree, Dataset) and returned
+    again to later calls it wins; trees are immutable."""
+    pairs, labels, winners = _pruning_table(tree, data)
     pens: dict = {}
     best = None
-    for (err, leaves), pattern in first.items():
+    for i, (risk, leaves, _) in enumerate(pairs):
         if leaves not in pens:
             pens[leaves] = pen(leaves)
         # the first pruning of minimal key is the first pruning of its pair,
         # and that pair is the first minimal one in first-seen order
-        key = (Fraction(err, data.n) + pens[leaves], leaves)
+        key = (risk + pens[leaves], leaves)
         if best is None or key < best[0]:
-            best = (key, pattern)
-    labels = [int(n1 > n0) for n0, n1 in counts]
-    return _materialize(tree, best[1], labels), best[0][0]
+            best = (key, i)
+    (cost, _), i = best
+    if i not in winners:
+        winners[i] = _materialize(tree, pairs[i][2], labels)
+    return winners[i], cost

@@ -291,6 +291,21 @@ def test_design1_pipeline_loads_no_numpy_ma():
     assert out.strip() == "False"
 
 
+def test_oracle_loads_no_numpy_ma():
+    # the oracle sorts its candidate thresholds itself for the same reason
+    src = str(Path(treeselect.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, numpy as np, treeselect as ts; "
+            "d = ts.Dataset(np.array([[0.0, 1.0], [-0.0, 2.0], [3.0, 2.0]]), "
+            "np.array([0, 1, 1])); "
+            "ts.exhaustive_select(d, ts.LinearPenalty(0.1), k_max=2); "
+            "ts.shattering_count(ts.enumerate_classes(2, 2)[0], d.X); "
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_margin_mass_design1():
     spec = DesignSpec(1, 10, 5, 0.3)
     assert margin_mass(spec, 0.3) == 0.0

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,7 @@ from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         class_count, empirical_risk, enumerate_classes, erm_in_class,
                         exhaustive_select, grow_maximal, penalty_value, select_tree,
                         shattering_count, tree_from_text, tree_to_text)
-from treeselect import oracle
+from treeselect import oracle, verify
 from treeselect.oracle import CLASS_CAP, enumerate_shapes
 from treeselect.designs import BLOCK_CELLS
 from treeselect.tree import (LEAF_SHAPE, Internal, Leaf, TreeClassifier, leaf,
@@ -278,12 +280,36 @@ def test_exhaustive_shares_each_variables_candidates(monkeypatch):
     d = Dataset(rng.normal(size=(9, 3)).round(1), rng.integers(0, 2, size=9))
     spec = LinearPenalty(0.05)
     ref_tree, ref_cost = _reference_select(_class_fits(d, 3), d, spec, 3)
-    unique = np.unique
+    sort = np.sort
     calls = []
-    monkeypatch.setattr(np, "unique", lambda a: calls.append(1) or unique(a))
+    monkeypatch.setattr(np, "sort", lambda a: calls.append(1) or sort(a))
     tree, cost = exhaustive_select(d, spec, k_max=3)
     assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
     assert len(calls) == d.p  # once per variable, not once per class
+
+
+def _unique_candidates(column):
+    """The candidates as computed through np.unique, before the oracle
+    sorted them itself."""
+    vals = np.unique(column)
+    lo, hi = vals[:-1], vals[1:]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.concatenate(([-math.inf], np.where((lo <= mid) & (mid < hi), mid, lo),
+                           [math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 1.0, math.nan]),
+                min_size=1, max_size=40))
+def test_candidates_match_np_unique(column):
+    # tied signed zeros must keep the sign np.unique keeps, because a
+    # candidate can be the lower value itself; a sample of shattering_count
+    # may hold NaN, of which np.unique keeps one
+    X = np.column_stack([column, column[::-1]])
+    candidates = oracle._Candidates(X)
+    for v in (1, 2):
+        assert candidates[v].tobytes() == _unique_candidates(X[:, v - 1]).tobytes()
 
 
 class _DipPenalty:
@@ -414,10 +440,14 @@ def test_brute_force_single_leaf():
 def test_brute_force_rejects_a_tree_wider_than_the_data(monkeypatch):
     d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
     tree = tree_from_text("node(3, 0.5, leaf(0), leaf(1))")
-    # the width is checked before any row is walked
+    # the width is checked before any row is walked or a table memoized,
+    # so a second call raises as well
     monkeypatch.setattr(oracle, "_leaf_counts", None)
-    with pytest.raises(ValueError, match="too narrow"):
-        brute_force_best_subtree(tree, d, lambda k: Fraction(0))
+    monkeypatch.setattr(oracle, "_table", None)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="too narrow"):
+            brute_force_best_subtree(tree, d, lambda k: Fraction(0))
+        assert oracle._table is None
 
 
 def test_brute_force_tie_prefers_smaller(line_dataset):
@@ -541,29 +571,27 @@ BRUTE_FORCE_PENALTIES = [
 @given(trees_on_tied_data() | grown_trees())
 def test_brute_force_matches_the_per_pruning_scan(case):
     tree, data = case
-    for pen in BRUTE_FORCE_PENALTIES:
+    # the second pass, in reverse, scores the memoized table and reuses its
+    # winners with each penalty coming after the others
+    for pen in BRUTE_FORCE_PENALTIES + BRUTE_FORCE_PENALTIES[::-1]:
         got, cost = brute_force_best_subtree(tree, data, pen)
         want, want_cost = _reference_brute_force(tree, data, pen)
         assert tree_to_text(got) == tree_to_text(want)
         assert cost == want_cost and repr(cost) == repr(want_cost)
 
 
+def _counting(monkeypatch, name):
+    """Replace oracle.<name> with a wrapper that counts its calls."""
+    calls, wrapped = [], getattr(oracle, name)
+    monkeypatch.setattr(oracle, name, lambda *args: calls.append(1) or wrapped(*args))
+    return calls
+
+
 def test_brute_force_walks_once_and_prices_each_size_once(monkeypatch):
     data = random_dataset(np.random.default_rng(3), 30, 3)
     tree = grow_maximal(data, GrowLimits(max_leaves=8))
-    walks, sizes, built = [], [], []
-    leaf_counts, build = oracle._leaf_counts, oracle.TreeClassifier
-
-    def counting_walk(*args):
-        walks.append(1)
-        return leaf_counts(*args)
-
-    def counting_build(*args):
-        built.append(1)
-        return build(*args)
-
-    monkeypatch.setattr(oracle, "_leaf_counts", counting_walk)
-    monkeypatch.setattr(oracle, "TreeClassifier", counting_build)
+    walks, built = _counting(monkeypatch, "_leaf_counts"), _counting(monkeypatch, "TreeClassifier")
+    sizes = []
 
     def pen(k):
         sizes.append(k)
@@ -576,15 +604,76 @@ def test_brute_force_walks_once_and_prices_each_size_once(monkeypatch):
         + Fraction(got.n_leaves, 60)
 
 
+def test_brute_force_builds_one_table_per_tree_and_dataset(monkeypatch):
+    data = random_dataset(np.random.default_rng(3), 30, 3)
+    tree = grow_maximal(data, GrowLimits(max_leaves=8))
+    twin_data, twin_tree = Dataset(data.X, data.y), TreeClassifier(tree.nodes)
+    pens = [lambda k, a=Fraction(a, 120): a * k for a in range(0, 40, 4)]
+    wanted = [_reference_brute_force(tree, data, pen) for pen in pens]
+    walks, lists = _counting(monkeypatch, "_leaf_counts"), _counting(monkeypatch, "_prunings")
+    built = _counting(monkeypatch, "TreeClassifier")
+    for pen, (want, want_cost) in zip(pens, wanted):
+        got, cost = brute_force_best_subtree(tree, data, pen)
+        assert (tree_to_text(got), cost) == (tree_to_text(want), want_cost)
+    assert (len(walks), len(lists)) == (1, 1)
+    # one build per distinct winner
+    assert len(built) == len({tree_to_text(want) for want, _ in wanted}) > 1
+    # equal arrays or an equal tree in another object are not the same key
+    for other_tree, other_data, calls in ((tree, twin_data, 2), (twin_tree, data, 3)):
+        for pen in pens[:2]:
+            brute_force_best_subtree(other_tree, other_data, pen)
+        assert (len(walks), len(lists)) == (calls, calls)
+
+
+def test_alternating_tables_give_the_fresh_results(monkeypatch):
+    rng = np.random.default_rng(9)
+    datas = [random_dataset(rng, n, 2) for n in (20, 35)]
+    cases = [(grow_maximal(d, GrowLimits(max_leaves=8)), d) for d in datas]
+    fresh = {}
+    for c, (tree, data) in enumerate(cases):
+        for j, pen in enumerate(BRUTE_FORCE_PENALTIES):
+            monkeypatch.setattr(oracle, "_table", None)
+            got, cost = brute_force_best_subtree(tree, data, pen)
+            fresh[c, j] = tree_to_text(got), repr(cost)
+    for j, pen in enumerate(BRUTE_FORCE_PENALTIES):
+        for c, (tree, data) in enumerate(cases):
+            got, cost = brute_force_best_subtree(tree, data, pen)
+            assert (tree_to_text(got), repr(cost)) == fresh[c, j]
+
+
+def test_the_table_keeps_neither_tree_nor_data_alive():
+    data = random_dataset(np.random.default_rng(4), 25, 2)
+    tree = grow_maximal(data, GrowLimits(max_leaves=6))
+    brute_force_best_subtree(tree, data, lambda k: Fraction(k, 25))
+    refs = weakref.ref(tree), weakref.ref(data)
+    del tree, data
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_verify_walks_each_pruning_instance_once(monkeypatch):
+    # 50 alphas for each of 200 trees: one table per tree, not per alpha
+    walks = _counting(monkeypatch, "_leaf_counts")
+    assert verify.check_pruning_oracle() == (
+        True, "weakest link matches brute force in 10000 exact comparisons")
+    assert len(walks) == 200
+
+
 def test_brute_force_cap(monkeypatch, line_dataset):
     text = "leaf(0)"
     for _ in range(5):
         text = f"node(1, 2.5, {text}, {text})"
     tree = tree_from_text(text)  # complete depth 5: 1 + 677^2 = 458,330 prunings
-    # the cap must be checked before any pruning is listed
+    # the cap must be checked before any row is walked, any pruning is
+    # listed or a table memoized, so a second call raises as well
+    monkeypatch.setattr(oracle, "_leaf_counts", None)
     monkeypatch.setattr(oracle, "_prunings", None)
-    with pytest.raises(ResourceCapError, match="458330"):
-        brute_force_best_subtree(tree, line_dataset([0, 1, 1, 0]), lambda k: Fraction(0))
+    monkeypatch.setattr(oracle, "_table", None)
+    data = line_dataset([0, 1, 1, 0])
+    for _ in range(2):
+        with pytest.raises(ResourceCapError, match="458330"):
+            brute_force_best_subtree(tree, data, lambda k: Fraction(0))
+        assert oracle._table is None
 
 
 def test_assignment_caps(monkeypatch):
