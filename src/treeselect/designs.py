@@ -93,6 +93,26 @@ def strict_float(text: str) -> float:
     return value
 
 
+def feature_matrix(name: str, X, copy: bool = False) -> np.ndarray:
+    """X as a float64 array, checked to be 2-D, of bool, integer or float
+    dtype (so no string is parsed and no imaginary part dropped), with at
+    least one row and only finite values; else ValueError.  With copy, the
+    result never shares memory with X."""
+    raw = np.asarray(X)
+    if raw.ndim != 2 or raw.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must be a 2-D array of real numbers")
+    if raw.shape[0] < 1:
+        raise ValueError("need at least one observation")
+    X = raw.astype(np.float64, copy=copy)
+    # a finite sum implies finite entries, without an n x p temporary;
+    # only a sum that overflows needs the entrywise check
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = X.sum()
+    if not np.isfinite(total) and not np.isfinite(X).all():
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    return X
+
+
 def _set_read_only(obj, **arrays) -> None:
     """Set each array, made read-only, as an attribute of a frozen dataclass."""
     for name, a in arrays.items():
@@ -122,20 +142,10 @@ class Dataset:
     _tied: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        X = np.array(self.X, dtype=np.float64)
+        X = feature_matrix("features", self.X, copy=True)
         y = np.asarray(self.y)
-        if X.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        if X.shape[0] < 1:
-            raise ValueError("need at least one observation")
         if X.shape[1] < 2:
             raise ValueError("need at least two feature columns")
-        # a finite sum implies finite entries, without an n x p temporary;
-        # only a sum that overflows needs the entrywise check
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = X.sum()
-        if not np.isfinite(total) and not np.isfinite(X).all():
-            raise ValueError("features must be finite (no NaN or infinity)")
         if y.shape != (X.shape[0],):
             raise ValueError("label vector length must match the row count")
         # check the raw values: a cast first would turn 0.7 into a valid 0

@@ -5,6 +5,12 @@ enumeration and counting, exact in-class empirical risk minimization,
 exact penalized selection over all small classes, shattering counts, and
 brute-force optimization over all pruned subtrees.
 
+A tree class is a ClassDescriptor: a configuration, () for a leaf and
+(left, right) for a split, with one split variable per internal node in
+breadth-first order.  The classes are the oracle's alone, so this module is
+the one that knows their breadth-first layout, which _route, _assignments,
+_erm_in_class and tree_from_class share.
+
 The oracle keeps its own routing, independent of the library's router,
 node counts and split search that it checks.  A class's threshold
 assignments are routed in blocks of at most BLOCK_CELLS (assignment, row)
@@ -29,16 +35,17 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .designs import BLOCK_CELLS, Dataset, check_integer
+from .designs import BLOCK_CELLS, Dataset, check_integer, feature_matrix
 from .penalties import penalty_value
-from .tree import (LEAF_SHAPE, ClassDescriptor, Internal, Leaf, TreeClassifier,
-                   tree_from_class)
+from .tree import Internal, Leaf, TreeClassifier
 
 __all__ = [
+    "ClassDescriptor",
     "ResourceCapError",
     "catalan",
     "class_count",
@@ -57,6 +64,46 @@ COMBO_CAP = 200_000  # threshold combinations, classifiers or pruned subtrees
 
 class ResourceCapError(RuntimeError):
     """An exhaustive procedure would exceed CLASS_CAP or COMBO_CAP."""
+
+
+LEAF_SHAPE = ()  # shape of a single leaf; internal shapes are (left, right)
+
+
+@dataclass(frozen=True)
+class ClassDescriptor:
+    """Shape plus breadth-first-ordered variable list defining a tree class.
+
+    configuration is a nested tuple: () for a leaf, (left, right) otherwise;
+    any other node raises ValueError.  variables[k] is the 1-based variable
+    at the k-th internal node in breadth-first order from the root.
+    """
+
+    configuration: tuple
+    variables: tuple
+
+    def __post_init__(self):
+        if len(self.variables) != _leaf_count(self.configuration) - 1:
+            raise ValueError("variable list length must equal internal-node count")
+        for v in self.variables:
+            check_integer("class variable", v, least=1)
+
+    @property
+    def size(self) -> int:
+        return len(self.variables) + 1  # checked against the shape on construction
+
+
+def _leaf_count(shape) -> int:
+    """The leaves of a configuration, checking each node as it is walked."""
+    count, stack = 0, [shape]
+    while stack:
+        shape = stack.pop()
+        if not isinstance(shape, tuple) or len(shape) not in (0, 2):
+            raise ValueError("a configuration node must be () or a (left, right) pair")
+        if shape == LEAF_SHAPE:
+            count += 1
+        else:
+            stack.extend(shape)
+    return count
 
 
 def catalan(k: int) -> int:
@@ -175,6 +222,22 @@ def _route(desc: ClassDescriptor, goes_right: list, shape: tuple) -> np.ndarray:
     return out
 
 
+def tree_from_class(desc: ClassDescriptor, thresholds, labels) -> TreeClassifier:
+    """Materialize a class member in breadth-first layout: thresholds in BFS
+    internal-node order, labels in BFS leaf order."""
+    splits = zip(desc.variables, thresholds)
+    labels = iter(labels)
+    nodes: list = []
+    queue = [desc.configuration]  # every shape met so far; its index is its arena index
+    for shape in queue:  # children appended below are visited in turn
+        if shape == LEAF_SHAPE:
+            nodes.append(Leaf(next(labels)))
+        else:
+            nodes.append(Internal(*next(splits), len(queue), len(queue) + 1))
+            queue.extend(shape)
+    return TreeClassifier(tuple(nodes))
+
+
 def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, Fraction]:
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
@@ -230,10 +293,9 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
 def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     """Number of distinct sets {x in sample : f(x) = 1} over all classifiers
     in the class, by exact enumeration of threshold positions and leaf
-    labelings with bitmask deduplication."""
-    X = np.asarray(sample, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("sample must be a 2-D array of feature vectors")
+    labelings with bitmask deduplication.  The sample is checked as a
+    Dataset's features are: 2-D, real, finite and not empty."""
+    X = feature_matrix("sample", sample)
     labelings = np.array(list(itertools.product((False, True), repeat=desc.size)))
     seen: set[bytes] = set()
     for _, cells in _assignments(desc, _Candidates(X), len(labelings), "classifier variants"):

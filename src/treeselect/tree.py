@@ -15,6 +15,10 @@ per-node training counts read its result.  The routing convention is strict:
 x moves Right iff x[var] > threshold, so equality goes Left.  A grown tree
 carries its per-node training counts, so `node_counts` routes only rows
 other than those it was grown on.
+
+This is the library's one tree representation.  The exhaustive oracle's
+tree classes, a shape with breadth-first split variables, live in
+``oracle``, which builds its class members as trees of this arena.
 """
 
 from __future__ import annotations
@@ -32,9 +36,7 @@ __all__ = [
     "Leaf",
     "Internal",
     "TreeClassifier",
-    "ClassDescriptor",
     "leaf",
-    "stump",
     "empirical_risk",
     "loss_estimate",
     "node_counts",
@@ -42,10 +44,7 @@ __all__ = [
     "is_pruned_subtree",
     "tree_to_text",
     "tree_from_text",
-    "descriptor_of",
 ]
-
-LEAF_SHAPE = ()  # shape of a single leaf; internal shapes are (left, right)
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,6 @@ class TreeClassifier:
 
 def leaf(label: int = 0) -> TreeClassifier:
     return TreeClassifier((Leaf(label),))
-
-
-def stump(var: int, threshold: float, left_label: int, right_label: int) -> TreeClassifier:
-    return TreeClassifier((Internal(var, threshold, 1, 2), Leaf(left_label), Leaf(right_label)))
 
 
 def node_counts(tree: TreeClassifier, data: Dataset) -> tuple[list[int], list[int]]:
@@ -324,74 +319,3 @@ def tree_from_text(text: str) -> TreeClassifier:
     if _skeleton(tokens) != _skeleton(_TOKEN.findall(tree_to_text(tree))):
         raise ValueError(_MALFORMED)
     return tree
-
-
-@dataclass(frozen=True)
-class ClassDescriptor:
-    """Shape plus breadth-first-ordered variable list defining a tree class.
-
-    configuration is a nested tuple: () for a leaf, (left, right) otherwise.
-    variables[k] is the 1-based variable at the k-th internal node in
-    breadth-first order from the root.
-    """
-
-    configuration: tuple
-    variables: tuple
-
-    def __post_init__(self):
-        if len(self.variables) != _leaf_count(self.configuration) - 1:
-            raise ValueError("variable list length must equal internal-node count")
-        for v in self.variables:
-            check_integer("class variable", v, least=1)
-
-    @property
-    def size(self) -> int:
-        return len(self.variables) + 1  # checked against the shape on construction
-
-
-def _leaf_count(shape) -> int:
-    count, stack = 0, [shape]
-    while stack:
-        shape = stack.pop()
-        if shape == LEAF_SHAPE:
-            count += 1
-        else:
-            stack.extend(shape)
-    return count
-
-
-def shape_of(tree: TreeClassifier) -> tuple:
-    # children follow their parent in the arena: one reverse sweep
-    shapes = [LEAF_SHAPE] * len(tree.nodes)
-    for i in range(len(tree.nodes) - 1, -1, -1):
-        nd = tree.nodes[i]
-        if isinstance(nd, Internal):
-            shapes[i] = (shapes[nd.left], shapes[nd.right])
-    return shapes[0]
-
-
-def descriptor_of(tree: TreeClassifier) -> ClassDescriptor:
-    variables = []
-    queue = [0]  # arena indices in BFS order
-    for i in queue:  # children appended below are visited in turn
-        nd = tree.nodes[i]
-        if isinstance(nd, Internal):
-            variables.append(nd.var)
-            queue += [nd.left, nd.right]
-    return ClassDescriptor(shape_of(tree), tuple(variables))
-
-
-def tree_from_class(desc: ClassDescriptor, thresholds, labels) -> TreeClassifier:
-    """Materialize a class member in breadth-first layout: thresholds in BFS
-    internal-node order, labels in BFS leaf order."""
-    splits = zip(desc.variables, thresholds)
-    labels = iter(labels)
-    nodes: list = []
-    queue = [desc.configuration]  # every shape met so far; its index is its arena index
-    for shape in queue:  # children appended below are visited in turn
-        if shape == LEAF_SHAPE:
-            nodes.append(Leaf(next(labels)))
-        else:
-            nodes.append(Internal(*next(splits), len(queue), len(queue) + 1))
-            queue.extend(shape)
-    return TreeClassifier(tuple(nodes))

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from treeselect import Dataset
-from treeselect.tree import node_counts
+from treeselect.tree import Internal, TreeClassifier, node_counts
 from treeselect.verify import random_dataset  # noqa: F401  (tests import it from here)
 
 
@@ -71,3 +73,16 @@ def searchable_nodes(tree, data, min_node_size=1):
     n0, n1 = node_counts(tree, data)
     return [i for i, (a, b) in enumerate(zip(n0, n1))
             if min(a, b) > 0 and a + b >= 2 * min_node_size]
+
+
+def breadth_first(tree):
+    """The same tree as a breadth-first arena, so not in pre-order."""
+    order = [0]
+    for i in order:  # children appended while iterating: level by level
+        nd = tree.nodes[i]
+        if isinstance(nd, Internal):
+            order += [nd.left, nd.right]
+    at = {old: new for new, old in enumerate(order)}
+    return TreeClassifier(tuple(
+        replace(nd, left=at[nd.left], right=at[nd.right]) if isinstance(nd, Internal) else nd
+        for nd in (tree.nodes[i] for i in order)))

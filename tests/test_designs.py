@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +21,7 @@ from treeselect import (Dataset, DesignSpec, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MarginSpec, NobelPenalty, VCPenalty,
                         bayes_predict, bayes_risk, empirical_risk, eta, generate,
                         grow_maximal, load_dataset, loss_estimate, margin_holds,
-                        margin_mass, save_dataset, select_tree, stump, subtree_at_alpha,
+                        margin_mass, save_dataset, select_tree, subtree_at_alpha,
                         tree_from_text, weakest_link)
 from treeselect.designs import BLOCK_CELLS, _normal_cdf, check_real, is_real
 from treeselect.experiment import DEFAULT_NOISE_GRIDS, ExperimentConfig
@@ -408,6 +409,22 @@ def test_dataset_rejects_non_finite_features(bad):
         Dataset(X, np.array([0, 1, 0]))
 
 
+@pytest.mark.parametrize("X", [[["1", "2"], ["3", "4"]], np.array([[1 + 1j, 2], [3, 4]]),
+                               np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object)])
+def test_dataset_rejects_features_that_are_not_real_numbers(X):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a dropped imaginary part only warns
+        with pytest.raises(ValueError, match="real numbers"):
+            Dataset(X, [0, 1])
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.float16, np.float32])
+def test_dataset_accepts_bool_integer_and_float_features(dtype):
+    X = np.array([[1, 0], [0, 1]], dtype=dtype)
+    d = Dataset(X, [0, 1])
+    assert d.X.dtype == np.float64 and d.X.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+
 def test_dataset_accepts_values_whose_sum_overflows():
     X = np.full((3, 2), 1e308)
     assert Dataset(X, np.array([0, 1, 0])).n == 3
@@ -675,14 +692,16 @@ def test_loss_estimate_equals_risk_on_the_full_draw(d, p):
 
 def test_loss_estimate_rejects_a_tree_wider_than_the_design():
     with pytest.raises(ValueError, match="p = 5"):
-        loss_estimate(stump(6, 0.0, 0, 1), DesignSpec(1, 10, 5, 0.3), 100, 0)
+        loss_estimate(tree_from_text("node(6, 0.0, leaf(0), leaf(1))"),
+                      DesignSpec(1, 10, 5, 0.3), 100, 0)
 
 
 def test_loss_estimate_memory_does_not_grow_with_p():
     # the full 10,000 x 1000 draw alone would take 80 MB
     tracemalloc.start()
     try:
-        loss_estimate(stump(900, 0.0, 0, 1), DesignSpec(1, 50, 1000, 0.3), 10_000, 3)
+        loss_estimate(tree_from_text("node(900, 0.0, leaf(0), leaf(1))"),
+                      DesignSpec(1, 50, 1000, 0.3), 10_000, 3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -17,10 +17,9 @@ from treeselect import (ClassDescriptor, Dataset, GrowLimits, LinearPenalty,
                         exhaustive_select, grow_maximal, penalty_value, select_tree,
                         shattering_count, tree_from_text, tree_to_text)
 from treeselect import oracle, verify
-from treeselect.oracle import CLASS_CAP, enumerate_shapes
+from treeselect.oracle import CLASS_CAP, LEAF_SHAPE, enumerate_shapes, tree_from_class
 from treeselect.designs import BLOCK_CELLS
-from treeselect.tree import (LEAF_SHAPE, Internal, Leaf, TreeClassifier, leaf,
-                             tree_from_class)
+from treeselect.tree import Internal, Leaf, TreeClassifier, leaf
 
 from conftest import NEIGHBOUR_CASES, random_dataset, tied_datasets
 
@@ -196,6 +195,17 @@ def test_class_variables_must_be_positive_integers():
     for bad in (0, -1, 1.0, True, "1"):
         with pytest.raises(ValueError, match="variable"):
             ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (bad,))
+
+
+@pytest.mark.parametrize("configuration,variables", [
+    (((), (), ()), (1, 1)),      # a ternary node, which would count as a stump
+    ((1, 2), (1,)),              # int nodes
+    ([(), ()], (1,)),            # a list node
+    (((), [(), ()]), (1, 1)),    # a list node below a pair
+])
+def test_class_configuration_nodes_must_be_leaves_or_pairs(configuration, variables):
+    with pytest.raises(ValueError, match="configuration node"):
+        ClassDescriptor(configuration, variables)
 
 
 def test_class_wider_than_the_sample_is_rejected(monkeypatch):
@@ -417,6 +427,26 @@ def test_shattering_stump_examples():
     assert 8 <= (2 * 4) ** 2
     X3 = np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)])
     assert shattering_count(STUMP, X3) == 6
+
+
+@pytest.mark.parametrize("sample,match", [
+    (np.zeros((0, 2)), "at least one observation"),
+    ([[np.nan, 0.0], [1.0, 0.0]], "finite"),
+    ([[1.0, 0.0], [-np.inf, 0.0]], "finite"),
+    ([["1", "0"], ["2", "0"]], "real numbers"),
+    (np.array([[1j, 0], [1, 0]]), "real numbers"),
+    ([1.0, 2.0], "2-D"),
+])
+def test_shattering_count_checks_the_sample_as_a_dataset_does(sample, match):
+    with pytest.raises(ValueError, match=match):
+        shattering_count(STUMP, sample)
+    with pytest.raises(ValueError, match=match):
+        Dataset(sample, np.zeros(len(sample)))
+
+
+def test_shattering_count_accepts_a_sample_whose_sum_overflows():
+    assert shattering_count(STUMP, np.full((3, 2), 1e308)) == 2
+    assert shattering_count(STUMP, [[True, False], [False, False]]) == 4
 
 
 def test_entropy_bound_all_small_classes():

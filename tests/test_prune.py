@@ -12,9 +12,9 @@ from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
                         weakest_link)
 from treeselect.oracle import brute_force_best_subtree
 from treeselect.prune import PrunedSequence, check_nested
-from treeselect.tree import Internal, Leaf, descriptor_of, node_counts, tree_from_class
+from treeselect.tree import Internal, Leaf, node_counts
 
-from conftest import leaf_budgets, random_dataset, tied_datasets
+from conftest import breadth_first, leaf_budgets, random_dataset, tied_datasets
 
 
 @pytest.fixture
@@ -185,23 +185,11 @@ def _reference_weakest_link(tree, data):
                           tuple(errors), tuple(sizes), n)
 
 
-def _breadth_first(tree):
-    """The same tree laid out breadth first, so not in pre-order."""
-    thresholds, queue = [], [0]
-    for i in queue:  # grows as the walk goes
-        nd = tree.nodes[i]
-        if isinstance(nd, Internal):
-            thresholds.append(nd.threshold)
-            queue += [nd.left, nd.right]
-    labels = [tree.nodes[i].label for i in queue if isinstance(tree.nodes[i], Leaf)]
-    return tree_from_class(descriptor_of(tree), thresholds, labels)
-
-
 def test_breadth_first_layout_is_the_same_tree():
     rng = np.random.default_rng(4)
     d = random_dataset(rng, 40, 3)
     tree = grow_maximal(d)
-    bfs = _breadth_first(tree)
+    bfs = breadth_first(tree)
     assert bfs.nodes != tree.nodes
     assert np.array_equal(bfs.predict_batch(d.X), tree.predict_batch(d.X))
     assert weakest_link(bfs, d).subtrees == weakest_link(tree, d).subtrees
@@ -216,6 +204,6 @@ def test_weakest_link_matches_reference(data, max_leaves):
     tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves))
     # a tree grown on other rows, as in CV, can have zero-gain links
     other = data.subset(np.arange(data.n) % 2 == 0)
-    for arena in (tree, _breadth_first(tree)):
+    for arena in (tree, breadth_first(tree)):
         for rows in (data, other):
             assert weakest_link(arena, rows) == _reference_weakest_link(arena, rows)

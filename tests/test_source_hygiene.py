@@ -10,7 +10,9 @@ Only ``designs`` imports the csv module, so ``write_csv`` and
 itself by its bare name, so no code path depends on Python's recursion
 limit.  The oracle reads none of the router, node counts, split search,
 growing, pruning and risk names of the code it checks, so it keeps its own
-routing.
+routing.  The tree classes are the oracle's alone: no other module but the
+package's ``__init__`` reads them.  Every name in a module's ``__all__`` is
+one that the module defines.
 """
 
 import ast
@@ -36,8 +38,8 @@ def _imports(tree: ast.AST):
                 yield alias.asname or alias.name, node.lineno
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, line) of each module-level private function, class or variable."""
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function, class or variable."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -48,8 +50,13 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each module-level private function, class or variable."""
+    return ((name, line) for name, line in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__"))
 
 
 def unused_names(sources: dict[str, str]) -> list[str]:
@@ -127,9 +134,29 @@ def names_read(sources: dict[str, str], names) -> list[str]:
     return found
 
 
+def undefined_exports(sources: dict[str, str]) -> list[str]:
+    """'module: exports name' for each name in the ``__all__`` of a module
+    of {module name: source} that no module-level definition binds; an
+    imported name does not count as defined."""
+    found = []
+    for module, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        defined = {name for name, _ in _definitions(tree)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                found += [f"{module}: exports {name}" for name in ast.literal_eval(node.value)
+                          if name not in defined]
+    return found
+
+
 # what the oracle checks, so it must not use it
 CHECKED_NAMES = ("leaf_assignment", "predict_batch", "node_counts", "best_split",
                  "grow_maximal", "weakest_link", "preorder_tree", "empirical_risk")
+
+
+# the tree classes, which only the oracle uses
+CLASS_NAMES = ("ClassDescriptor", "LEAF_SHAPE", "tree_from_class")
 
 
 def _package_sources() -> dict[str, str]:
@@ -212,3 +239,26 @@ def test_guard_flags_a_read_of_a_checked_name():
     assert names_read(sources, CHECKED_NAMES) == ["a:1: reads leaf_assignment",
                                                   "b:2: reads predict_batch",
                                                   "c:2: reads best_split"]
+
+
+def test_only_the_oracle_reads_the_tree_classes():
+    sources = {module: text for module, text in _package_sources().items()
+               if module not in ("oracle", "__init__")}
+    assert names_read(sources, CLASS_NAMES) == []
+
+
+def test_every_module_exports_only_names_it_defines():
+    assert undefined_exports(_package_sources()) == []
+
+
+def test_guard_flags_an_export_the_module_does_not_define():
+    sources = {
+        "a": ("from .b import g\n"
+              "__all__ = ['f', 'C', 'X', 'g']\n"
+              "def f():\n    pass\n"
+              "class C:\n    pass\n"
+              "X: int = 1\n"),
+        "b": "__all__ = ('g', 'h')\ndef g():\n    pass\n",
+        "c": "def f():\n    __all__ = ['nothing']\n",
+    }
+    assert undefined_exports(sources) == ["a: exports g", "b: exports h"]

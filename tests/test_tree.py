@@ -1,6 +1,5 @@
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,17 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from treeselect import (Dataset, DesignSpec, TreeClassifier,
+from treeselect import (ClassDescriptor, Dataset, DesignSpec, TreeClassifier,
                         brute_force_best_subtree, empirical_risk, grow_maximal,
-                        is_pruned_subtree, leaf, loss_estimate, stump,
-                        tree_from_text, tree_to_text, weakest_link)
-from treeselect.tree import Internal, Leaf, descriptor_of, preorder_tree, tree_from_class
+                        is_pruned_subtree, leaf, loss_estimate, tree_from_text,
+                        tree_to_text, weakest_link)
+from treeselect.oracle import tree_from_class
+from treeselect.tree import Internal, Leaf, preorder_tree
 
-from conftest import finite_floats
+from conftest import breadth_first, finite_floats
 
 
 def test_predict_stump():
-    t = stump(1, 0.5, 0, 1)
+    t = tree_from_text("node(1, 0.5, leaf(0), leaf(1))")
     # the boundary row goes Left: not strictly greater
     assert t.predict_batch([[0.7], [0.5], [0.3]]).tolist() == [1, 0, 0]
 
@@ -28,7 +28,7 @@ def test_predict_single_leaf():
 
 
 def test_predict_dimension_mismatch():
-    t = stump(3, 0.0, 0, 1)
+    t = tree_from_text("node(3, 0.0, leaf(0), leaf(1))")
     with pytest.raises(ValueError):
         t.predict_batch([[1.0, 2.0]])
 
@@ -47,7 +47,7 @@ def test_empirical_risk_constant_tree():
 def test_empirical_risk_stump_example():
     X = np.column_stack([np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)])
     d = Dataset(X, np.array([0, 1, 1, 0]))
-    assert empirical_risk(stump(1, 2.5, 0, 1), d) == 0.5
+    assert empirical_risk(tree_from_text("node(1, 2.5, leaf(0), leaf(1))"), d) == 0.5
 
 
 def _predict_row(tree, x):
@@ -187,7 +187,8 @@ def test_serialization_round_trip(tree):
 
 
 def test_serialization_exact_floats():
-    t = stump(2, 0.1 + 0.2, 0, 1)  # 0.30000000000000004 must survive
+    t = tree_from_text("node(2, 0.30000000000000004, leaf(0), leaf(1))")
+    assert t.nodes[0].threshold == 0.1 + 0.2  # must not round to 0.3
     back = tree_from_text(tree_to_text(t))
     assert back.nodes[0].threshold == t.nodes[0].threshold
 
@@ -218,26 +219,13 @@ def test_text_accepts_only_what_tree_to_text_writes(bad):
         tree_from_text(bad)
 
 
-def _breadth_first(tree):
-    """The same tree as a breadth-first arena."""
-    order = [0]
-    for i in order:  # children appended while iterating: level by level
-        nd = tree.nodes[i]
-        if isinstance(nd, Internal):
-            order += [nd.left, nd.right]
-    at = {old: new for new, old in enumerate(order)}
-    return TreeClassifier(tuple(
-        replace(nd, left=at[nd.left], right=at[nd.right]) if isinstance(nd, Internal) else nd
-        for nd in (tree.nodes[i] for i in order)))
-
-
 @settings(max_examples=150, deadline=None)
 @given(random_trees(variables=st.integers(1, 10 ** 6),
                     thresholds=finite_floats),
        st.booleans())
 def test_text_round_trip_keeps_every_bit(tree, bfs):
     # compared as text, so that -0.0 must keep its sign
-    arena = _breadth_first(tree) if bfs else tree
+    arena = breadth_first(tree) if bfs else tree
     text = tree_to_text(arena)
     back = tree_from_text(text)
     assert tree_to_text(back) == text
@@ -308,25 +296,10 @@ def test_every_tree_that_constructs_round_trips_through_text(nodes):
 
 def test_descriptor_round_trip():
     t = tree_from_text("node(2, 0.5, leaf(0), node(1, 1.5, leaf(1), leaf(0)))")
-    desc = descriptor_of(t)
-    assert desc.variables == (2, 1)  # breadth-first internal order
+    desc = ClassDescriptor(((), ((), ())), (2, 1))  # breadth-first internal order
     assert desc.size == 3
     rebuilt = tree_from_class(desc, [0.5, 1.5], [0, 1, 0])
     assert tree_to_text(rebuilt) == tree_to_text(t)
-
-
-def test_descriptor_of_a_wide_tree_lists_variables_breadth_first():
-    # a complete tree of depth 10, 1023 splits, whose variables number the
-    # nodes breadth-first: node k has children 2k and 2k + 1
-    desc = descriptor_of(tree_from_text(_complete_text(10)))
-    assert desc.variables == tuple(range(1, 1024))
-
-
-def _complete_text(depth: int, k: int = 1) -> str:
-    if k >= 2 ** depth:
-        return f"leaf({k % 2})"
-    left, right = _complete_text(depth, 2 * k), _complete_text(depth, 2 * k + 1)
-    return f"node({k}, 0.5, {left}, {right})"
 
 
 def test_preorder_tree_drops_every_node_below_a_leaf_put_where_an_internal_was():
@@ -342,7 +315,7 @@ def test_preorder_tree_drops_every_node_below_a_leaf_put_where_an_internal_was()
     nodes[0] = Leaf(0)
     assert preorder_tree(nodes).nodes == (Leaf(0),)
     # a breadth-first arena is laid out again in pre-order, its leaves kept
-    bfs = tree_from_class(descriptor_of(t), [0.5, 1.5, 3.5, 2.5], [0, 1, 0, 1, 0])
+    bfs = breadth_first(t)
     assert bfs.nodes != t.nodes
     assert preorder_tree(bfs.nodes).nodes == t.nodes
 
@@ -393,7 +366,12 @@ def test_deep_trees_need_no_recursion():
         labels = caterpillar.predict_batch(rows)
         cat_data = Dataset(rows, [k % 2 for k in range(depth)] + [0])
         best, best_cost = brute_force_best_subtree(caterpillar, cat_data, lambda k: 0)
-        desc = descriptor_of(caterpillar)
+        shape = ()
+        for _ in range(depth):
+            shape = ((), shape)
+        desc = ClassDescriptor(shape, (1,) * depth)
+        from_class = tree_to_text(tree_from_class(desc, [k + 0.5 for k in range(depth)],
+                                                  [k % 2 for k in range(depth)] + [0]))
     finally:
         sys.setrecursionlimit(old_limit)
     assert _depth(grown) == 80 and grown.n_leaves == 81
@@ -404,3 +382,4 @@ def test_deep_trees_need_no_recursion():
     assert labels.tolist() == [k % 2 for k in range(depth)] + [0]
     assert best.nodes == caterpillar.nodes and best_cost == 0  # all 201 leaves kept
     assert desc.size == depth + 1
+    assert from_class == text
