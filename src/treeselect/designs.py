@@ -509,7 +509,8 @@ def load_dataset(path) -> Dataset:
     """Read a CSV dataset; the label column must be named 'y', and no two
     header names may be equal.  Each cell, stripped of ASCII spaces, is a
     finite ASCII decimal (see ``strict_float``), and a label equals 0 or 1;
-    an error names the row and the column."""
+    an error names the row and the column.  Blank lines are skipped, and a
+    file with no other line after its header has no observations."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -540,4 +541,6 @@ def load_dataset(path) -> Dataset:
                 raise ValueError(f"row {r}: label {row[ycol]!r} in column 'y' is not 0 or 1")
             X_rows.append(values)
             y_rows.append(int(label))
+    if not X_rows:
+        raise ValueError("CSV file has no observations after its header")
     return Dataset(np.asarray(X_rows), np.asarray(y_rows))

@@ -12,26 +12,32 @@ the one that knows their breadth-first layout, which _route, _assignments,
 _erm_in_class and tree_from_class share.
 
 The oracle keeps its own routing, independent of the library's router,
-node counts and split search that it checks.  A class's threshold
-assignments are routed in blocks of at most BLOCK_CELLS (assignment, row)
-cells, one _route walk of the class shape per block, and in-class ERM
-counts a whole block with one bincount.  Each split variable's candidate
-thresholds are computed once per search and shared by all of its classes.
-Exhaustive selection prices each size before enumerating it: the risk is
-never negative, so a size whose penalty alone reaches the incumbent's cost
-cannot win and is skipped, and only the overall winner is built as a tree.
+node counts and split search that it checks.  The classes of one shape are
+searched together: their threshold assignments, class by class, are routed
+in blocks of at most BLOCK_CELLS (assignment, row) cells, one _route walk
+of the shape per block, and in-class ERM counts a whole block's leaves
+with one matrix product.  Each split variable's candidate thresholds and
+comparison matrix are computed once per search and shared by all of its
+classes.  Exhaustive selection prices each size before searching it: the
+risk is never negative, so a size whose penalty alone reaches the
+incumbent's cost cannot win and is skipped.  It takes a searched size's
+classes from a memoized layout and builds only the overall winner as a
+tree.
+
 Brute-force pruning builds a penalty-free table once per (tree, Dataset):
 each row walks down the tree once for every node's label counts, and every
 pruning is enumerated with the errors and leaf count carried with it, down
-to the first pruning of each distinct (errors, leaves) pair.  The last
-table is memoized by weak references, so a tree asked about at many
-penalties is walked and enumerated once; each penalty then scores only the
-distinct pairs, and each distinct winner is built once, labelled from the
-counts.
+to the first pruning of each distinct (errors, leaves) pair and the fewest
+errors at each leaf count.  The last table is memoized by weak references,
+so a tree asked about at many penalties is walked and enumerated once.
+Each penalty then scores, with exact integers when its values are ints or
+Fractions, one pair per leaf count, and otherwise every distinct pair; each
+distinct winner is built once, labelled from the counts.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -132,12 +138,26 @@ def enumerate_shapes(k: int) -> list:
 
 def enumerate_classes(p: int, k: int) -> tuple[ClassDescriptor, ...]:
     """Every class of size k: by shape in enumerate_shapes order, then by
-    variable list in lexicographic order."""
+    variable list in lexicographic order.  More than CLASS_CAP classes
+    raise ResourceCapError."""
+    return tuple(ClassDescriptor(shape, tuple(variables)) for shape, lists in _class_layout(p, k)
+                 for variables in lists.tolist())
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _class_layout(p: int, k: int) -> tuple:
+    """Every class of size k as one (shape, variables) group per shape, in
+    enumerate_shapes order: variables is the read-only (p^(k-1), k-1) array
+    of the variable lists in lexicographic order, one array shared by every
+    shape.  The last 16 (p, k) are memoized; more than CLASS_CAP classes
+    raise ResourceCapError, which is not memoized."""
     total = class_count(p, k)
     if total > CLASS_CAP:
         raise ResourceCapError(f"{total} classes exceeds the cap of {CLASS_CAP}")
-    return tuple(ClassDescriptor(shape, variables) for shape in enumerate_shapes(k)
-                 for variables in itertools.product(range(1, p + 1), repeat=k - 1))
+    lists = np.array(list(itertools.product(range(1, p + 1), repeat=k - 1)),
+                     dtype=np.int64).reshape(p ** (k - 1), k - 1)
+    lists.flags.writeable = False
+    return tuple((shape, lists) for shape in enumerate_shapes(k))
 
 
 class _Candidates(dict):
@@ -147,11 +167,14 @@ class _Candidates(dict):
     by -inf and +inf so degenerate splits can route everything one way.
     The candidate is the midpoint when lo <= mid < hi, else lo: the
     midpoint of neighbouring doubles may round onto hi, and that of huge
-    values may overflow, and either would lose the cut between them."""
+    values may overflow, and either would lose the cut between them.
+    stack lays the candidates and comparison matrices of several variables
+    out together, for the classes of one shape to index."""
 
     def __init__(self, X: np.ndarray):
         super().__init__()
         self.X = X
+        self._stacks: dict = {}
 
     def __missing__(self, v: int) -> np.ndarray:
         # np.unique's own steps for floats, without the numpy.ma import its
@@ -166,59 +189,95 @@ class _Candidates(dict):
         self[v] = np.concatenate(([-math.inf], cuts, [math.inf]))
         return self[v]
 
+    def stack(self, used: tuple) -> tuple:
+        """(base, size, cuts, right) for the sorted variables used: cuts
+        stacks their candidates and right their (candidates, n) comparison
+        matrices X[:, v - 1] > cut, variable v's size[v] rows starting at
+        base[v].  Built once per set of variables, so once per search."""
+        if used not in self._stacks:
+            n, p = self.X.shape
+            cuts = [self[v] for v in used]
+            size = np.zeros(p + 1, dtype=np.int64)
+            size[list(used)] = [c.size for c in cuts]
+            right = [self.X[:, v - 1] > c[:, None] for v, c in zip(used, cuts)]
+            self._stacks[used] = (np.cumsum(size) - size, size,
+                                  np.concatenate([np.empty(0)] + cuts),
+                                  np.concatenate([np.empty((0, n), dtype=bool)] + right))
+        return self._stacks[used]
 
-def _assignments(desc: ClassDescriptor, candidates: _Candidates, variants: int, what: str):
-    """Yield (thresholds, cells) blocks covering every threshold assignment
-    of the class, in lexicographic (itertools.product) order: thresholds is
-    (b, k-1) in BFS internal-node order and cells (b, n) holds the BFS leaf
-    index each row reaches under each of the b assignments, with b * n at
-    most BLOCK_CELLS (b >= 1).  Raises ValueError for a variable beyond the
-    sample's columns and ResourceCapError when assignments * variants
-    exceeds COMBO_CAP, both before routing anything.  Each split node's
-    (candidates, n) comparison matrix is computed once per class; every
-    block is then routed by one _route call."""
-    X = candidates.X
-    n, p = X.shape
+
+def _one_class(desc: ClassDescriptor, p: int) -> np.ndarray:
+    """The class's variable list as a (1, k-1) array, once it is checked to
+    fit a sample of p columns (else ValueError naming the others)."""
     wide = sorted({v for v in desc.variables if v > p})
     if wide:
         raise ValueError(f"class variables {wide} exceed the sample's {p} columns")
-    cands = [candidates[v] for v in desc.variables]
-    count = math.prod(c.size for c in cands)
-    if count * variants > COMBO_CAP:
-        raise ResourceCapError(f"{count * variants} {what} exceeds the cap of {COMBO_CAP}")
-    goes_right = [X[:, v - 1] > c[:, None] for v, c in zip(desc.variables, cands)]
-    step = max(1, BLOCK_CELLS // max(n, 1))
-    for start in range(0, count, step):
-        block = np.arange(start, min(start + step, count))
-        thresholds = np.empty((block.size, len(cands)))
-        masks = [None] * len(cands)
-        # the mixed-radix digits of the flat index, last threshold fastest,
-        # give the product order
-        for j in range(len(cands) - 1, -1, -1):
-            block, digit = np.divmod(block, cands[j].size)
-            thresholds[:, j] = cands[j][digit]
-            masks[j] = goes_right[j][digit]
-        yield thresholds, _route(desc, masks, (thresholds.shape[0], n))
+    return np.array(desc.variables, dtype=np.int64).reshape(1, desc.size - 1)
 
 
-def _route(desc: ClassDescriptor, goes_right: list, shape: tuple) -> np.ndarray:
-    """BFS-order leaf index each row reaches under each assignment of a
-    block, as an array of the block's (b, n) shape; goes_right[j] is the
-    (b, n) mask of rows the j-th BFS internal node sends right.  One BFS
-    walk of the class shape carries a (b, n) reach mask per node."""
-    queue = [desc.configuration]  # shapes in BFS order, as in tree_from_class
-    reach = [np.ones(shape, dtype=bool)]  # reach[i]: rows reaching queue[i]
+def _assignments(shape, variables: np.ndarray, candidates: _Candidates, variants: int,
+                 what: str):
+    """Yield (first, runs, thresholds, reach) blocks covering every
+    threshold assignment of the classes of one shape, class by class in the
+    order of the rows of variables (m, k-1), and within a class in
+    lexicographic (itertools.product) order.  A block of b assignments
+    holds those of classes first, first + 1, ..., whose runs start at the
+    positions runs; its thresholds (b, k-1) are in BFS internal-node order
+    and reach (k, b, n) is _route's, with b * n at most BLOCK_CELLS
+    (b >= 1).
+
+    Raises ResourceCapError for the first class whose assignments *
+    variants exceed COMBO_CAP, before any comparison matrix is built or
+    anything routed.  The candidates and comparison matrices then come
+    from candidates.stack, and every block is routed by one _route call."""
+    n = candidates.X.shape[0]
+    lists = variables.tolist()
+    counts = [math.prod(candidates[v].size for v in row) for row in lists]
+    for count in counts:
+        if count * variants > COMBO_CAP:
+            raise ResourceCapError(f"{count * variants} {what} exceeds the cap of {COMBO_CAP}")
+    base, size, cuts, right = candidates.stack(tuple(sorted({v for row in lists for v in row})))
+    offsets, sizes = base[variables], size[variables]
+    bounds = np.array([0, *itertools.accumulate(counts)])
+    starts, ends, total = bounds[:-1], bounds[1:], int(bounds[-1])
+    step = max(1, BLOCK_CELLS // n)
+    for start in range(0, total, step):
+        flat = np.arange(start, min(start + step, total))
+        classes = ends.searchsorted(flat, side="right")
+        first = int(classes[0])
+        runs = starts[first:classes[-1] + 1] - start
+        runs[0] = 0  # the first class may have begun in an earlier block
+        local = flat - starts[classes]
+        # each assignment's row of the stack at every node: its class's
+        # offsets plus the mixed-radix digits of its index in the class,
+        # last threshold fastest, which give the product order
+        rows, radix = offsets[classes], sizes[classes]
+        for j in range(variables.shape[1] - 1, -1, -1):
+            local, digit = np.divmod(local, radix[:, j])
+            rows[:, j] += digit
+        yield (first, runs, cuts[rows],
+               _route(shape, [right.take(r, axis=0) for r in rows.T], (flat.size, n)))
+
+
+def _route(shape, goes_right: list, dims: tuple) -> np.ndarray:
+    """The rows reaching each leaf under each assignment of a block, as a
+    (k, b, n) bool array in BFS leaf order for a block of (b, n) dims;
+    goes_right[j] is the (b, n) mask of rows the j-th BFS internal node
+    sends right.  One BFS walk of the class shape carries a (b, n) reach
+    mask per node."""
+    queue = [shape]  # shapes in BFS order, as in tree_from_class
+    reach = [np.ones(dims, dtype=bool)]  # reach[i]: rows reaching queue[i]
     splits = iter(goes_right)
-    out = np.empty(shape, dtype=np.int64)
+    out = np.empty((len(goes_right) + 1,) + dims, dtype=bool)
     leaf_idx = 0
     for node, rows in zip(queue, reach):  # both lists grow as the walk goes
         if node == LEAF_SHAPE:
-            out[rows] = leaf_idx
+            out[leaf_idx] = rows
             leaf_idx += 1
         else:
             right = next(splits)
             queue.extend(node)
-            reach += [rows & ~right, rows & right]
+            reach += [rows > right, rows & right]  # for bools, a > b is a and not b
     return out
 
 
@@ -242,26 +301,48 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    best, risk = _erm_in_class(desc, data, _Candidates(data.X))
-    return tree_from_class(desc, *best), risk
+    errors, thresholds, labels = _erm_in_class(
+        desc.configuration, _one_class(desc, data.p), data, _Candidates(data.X))
+    return (tree_from_class(desc, thresholds[0].tolist(), labels[0].tolist()),
+            Fraction(int(errors[0]), data.n))
 
 
-def _erm_in_class(desc: ClassDescriptor, data: Dataset, candidates: _Candidates
-                  ) -> tuple[tuple[list, list], Fraction]:
-    """The class's minimizer as (thresholds, labels), and its risk."""
-    k = desc.size
-    best_err = best = None
-    for thresholds, cells in _assignments(desc, candidates, 1, "threshold combinations"):
-        b = cells.shape[0]
-        keys = 2 * cells + data.y + 2 * k * np.arange(b)[:, None]
-        counts = np.bincount(keys.ravel(), minlength=2 * k * b).reshape(b, k, 2)
-        errs = counts.min(axis=2).sum(axis=1)
-        i = int(errs.argmin())  # the first minimum: the smallest thresholds in the block
-        if best_err is None or errs[i] < best_err:
-            # argmax takes the first maximum, so a tied cell is labelled 0
-            best_err = int(errs[i])
-            best = thresholds[i].tolist(), counts[i].argmax(axis=1).tolist()
-    return best, Fraction(best_err, data.n)
+def _erm_in_class(shape, variables: np.ndarray, data: Dataset, candidates: _Candidates
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The minimizer of each class of one shape, one per row of variables
+    (m, k-1), as the arrays of their errors (m,), thresholds (m, k-1) and
+    labels (m, k).  A leaf has one assignment and nothing to route."""
+    k = variables.shape[1] + 1
+    if k == 1:
+        n1 = int(data.y.sum())
+        return (np.array([min(n1, data.n - n1)]), np.empty((1, 0)),
+                np.array([[int(n1 > data.n - n1)]]))
+    # each row's indicators of label 0 and label 1: one product then counts
+    # every leaf's rows of either label, exactly as floats
+    labelled = np.eye(2)[data.y]
+    fits: list = []  # per block, [errors, thresholds, labels] of its classes
+    done = 0  # classes begun in earlier blocks
+    for first, runs, thresholds, reach in _assignments(shape, variables, candidates, 1,
+                                                       "threshold combinations"):
+        b = reach.shape[1]
+        counts = (reach.reshape(k * b, data.n) @ labelled).reshape(k, b, 2)
+        errs = np.minimum(counts[..., 0], counts[..., 1]).sum(axis=0).astype(np.int64)
+        # each class's first minimum in the block, its smallest thresholds
+        # here: the least errs * b + position over the class's run
+        err, at = np.divmod(np.minimum.reduceat(errs * b + np.arange(b), runs), b)
+        # a tied leaf is labelled 0, as in growing
+        fit = [err, thresholds[at], (counts[:, at, 1] > counts[:, at, 0]).T]
+        if first < done:
+            # the first class began in an earlier block, whose minimum wins a tie
+            if err[0] < fits[-1][0][-1]:
+                for kept, found in zip(fits[-1], fit):
+                    kept[-1] = found[0]
+            fit = [part[1:] for part in fit]
+        if fit[0].size:  # a block inside one class adds no class
+            fits.append(fit)
+        done = first + runs.size
+    errors, thresholds, labels = (np.concatenate(part) for part in zip(*fits))
+    return errors, thresholds, labels.astype(np.int64)
 
 
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
@@ -273,7 +354,8 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
     unenumerated, so its classes never count against CLASS_CAP or
     COMBO_CAP: the risk is never negative and only a strictly smaller
     cost replaces the incumbent, so the result is that of the full search
-    for any penalty, monotone in k or not.  Only the winner is built."""
+    for any penalty, monotone in k or not.  The classes of one shape are
+    searched together, and only the winner is built."""
     check_integer("k_max", k_max, least=1)
     best = best_cost = None
     candidates = _Candidates(data.X)
@@ -281,13 +363,17 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
         pen = penalty_value(spec, k, data.n, data.p)
         if best_cost is not None and pen >= best_cost:
             continue
-        for desc in enumerate_classes(data.p, k):
-            fit, risk = _erm_in_class(desc, data, candidates)
-            cost = float(risk) + pen
-            if best_cost is None or cost < best_cost:
-                best, best_cost = (desc, fit), cost
-    desc, fit = best
-    return tree_from_class(desc, *fit), best_cost
+        for shape, variables in _class_layout(data.p, k):
+            errors, thresholds, labels = _erm_in_class(shape, variables, data, candidates)
+            # e / n is rounded once, as float(Fraction(e, n)) is; the first
+            # least cost of the shape is its first class of least cost
+            costs = [e / data.n + pen for e in errors.tolist()]
+            i = costs.index(min(costs))
+            if best_cost is None or costs[i] < best_cost:
+                best, best_cost = (shape, variables[i], thresholds[i], labels[i]), costs[i]
+    shape, variables, thresholds, labels = best
+    return (tree_from_class(ClassDescriptor(shape, tuple(variables.tolist())),
+                            thresholds.tolist(), labels.tolist()), best_cost)
 
 
 def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
@@ -298,7 +384,9 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     X = feature_matrix("sample", sample)
     labelings = np.array(list(itertools.product((False, True), repeat=desc.size)))
     seen: set[bytes] = set()
-    for _, cells in _assignments(desc, _Candidates(X), len(labelings), "classifier variants"):
+    for *_, reach in _assignments(desc.configuration, _one_class(desc, X.shape[1]),
+                                    _Candidates(X), len(labelings), "classifier variants"):
+        cells = reach.argmax(axis=0)  # the BFS leaf each row reaches
         for labels in labelings:
             # each assignment's set under this labeling, as a packed row bitmask
             seen.update(map(bytes, np.packbits(labels[cells], axis=1)))
@@ -366,17 +454,19 @@ def _materialize(tree: TreeClassifier, pattern, labels: list) -> TreeClassifier:
                                 for nd in nodes))
 
 
-# the last pruning table built: (weak tree, weak Dataset, pairs, labels,
-# winners); see _pruning_table
+# the last pruning table built: (weak tree, weak Dataset, pairs, fewest,
+# labels, winners); see _pruning_table
 _table = None
 
 
-def _pruning_table(tree: TreeClassifier, data: Dataset) -> tuple[list, list, dict]:
-    """The penalty-free part of brute_force_best_subtree, as (pairs, labels,
-    winners): pairs holds (Fraction(errors, n), leaves, pattern) for the
-    first pruning of each distinct (errors, leaves) pair, in first-seen
-    order; labels each node's majority label (0 on a tie); winners the
-    trees built so far, by index into pairs.
+def _pruning_table(tree: TreeClassifier, data: Dataset) -> tuple[list, dict, list, dict]:
+    """The penalty-free part of brute_force_best_subtree, as (pairs, fewest,
+    labels, winners): pairs holds (Fraction(errors, n), leaves, pattern)
+    for the first pruning of each distinct (errors, leaves) pair, in
+    first-seen order; fewest maps each leaf count, in first-seen order, to
+    (errors, index into pairs) of its fewest errors; labels holds each
+    node's majority label (0 on a tie); winners the trees built so far, by
+    index into pairs.
 
     Raises ValueError for a tree wider than the data and ResourceCapError
     for more than COMBO_CAP prunings, before anything is walked, listed or
@@ -401,10 +491,13 @@ def _pruning_table(tree: TreeClassifier, data: Dataset) -> tuple[list, list, dic
     first: dict = {}  # (errors, leaves) -> its first pruning, in first-seen order
     for pattern, err, leaves in _prunings(tree, [min(c) for c in counts]):
         first.setdefault((err, leaves), pattern)
-    pairs = [(Fraction(err, data.n), leaves, pattern)
-             for (err, leaves), pattern in first.items()]
+    pairs, fewest = [], {}
+    for i, ((err, leaves), pattern) in enumerate(first.items()):
+        pairs.append((Fraction(err, data.n), leaves, pattern))
+        if leaves not in fewest or err < fewest[leaves][0]:
+            fewest[leaves] = (err, i)
     labels = [int(n1 > n0) for n0, n1 in counts]
-    _table = memo = (weakref.ref(tree), weakref.ref(data), pairs, labels, {})
+    _table = memo = (weakref.ref(tree), weakref.ref(data), pairs, fewest, labels, {})
     return memo[2:]
 
 
@@ -415,24 +508,39 @@ def brute_force_best_subtree(tree: TreeClassifier, data: Dataset, pen
     the smallest tree, then to the first pruning in enumeration order.
 
     Prunings with the same (errors, leaves) cost the same, so each distinct
-    pair is scored once, through its first pruning, and pen is called once
-    per distinct leaf count.  The rows are walked and the prunings listed
-    once per (tree, Dataset), not once per call (see _pruning_table), and
-    the winner's leaves are labelled from the walk's counts (0 on a tie).
-    Each distinct winner is built once per (tree, Dataset) and returned
-    again to later calls it wins; trees are immutable."""
-    pairs, labels, winners = _pruning_table(tree, data)
-    pens: dict = {}
+    pair is scored at most once, through its first pruning, and pen is
+    called once per distinct leaf count, in first-seen order.  When every
+    pen value is an int or a Fraction, the costs are exact: at one leaf
+    count the fewest errors cost least, so only that pair is scored, by
+    cross-multiplied integers, and one Fraction is built, the winner's
+    cost.  Any other value is added to each pair's Fraction risk, as the
+    scan over every pruning would add it, so the cost keeps its type.
+
+    The rows are walked and the prunings listed once per (tree, Dataset),
+    not once per call (see _pruning_table), and the winner's leaves are
+    labelled from the walk's counts (0 on a tie).  Each distinct winner is
+    built once per (tree, Dataset) and returned again to later calls it
+    wins; trees are immutable."""
+    pairs, fewest, labels, winners = _pruning_table(tree, data)
+    pens = {leaves: pen(leaves) for leaves in fewest}
     best = None
-    for i, (risk, leaves, _) in enumerate(pairs):
-        if leaves not in pens:
-            pens[leaves] = pen(leaves)
-        # the first pruning of minimal key is the first pruning of its pair,
-        # and that pair is the first minimal one in first-seen order
-        key = (risk + pens[leaves], leaves)
-        if best is None or key < best[0]:
-            best = (key, i)
-    (cost, _), i = best
+    if all(type(v) is int or type(v) is Fraction for v in pens.values()):
+        for leaves, (err, i) in fewest.items():
+            # err / n + pen as num / den, both denominators positive
+            v = pens[leaves]
+            num, den = err * v.denominator + v.numerator * data.n, data.n * v.denominator
+            if best is None or (num * best[1], leaves) < (best[0] * den, best[2]):
+                best = (num, den, leaves, i)
+    else:
+        # a rounded sum may tie two risks of one leaf count, and then the
+        # first pruning wins, so every pair is scored; the first pair of
+        # minimal key holds the first pruning of minimal key
+        for i, (risk, leaves, _) in enumerate(pairs):
+            key = (risk + pens[leaves], leaves)
+            if best is None or key < best[:2]:
+                best = (*key, i)
+    i = best[-1]
+    risk, leaves, pattern = pairs[i]
     if i not in winners:
-        winners[i] = _materialize(tree, pairs[i][2], labels)
-    return winners[i], cost
+        winners[i] = _materialize(tree, pattern, labels)
+    return winners[i], risk + pens[leaves]

@@ -22,10 +22,11 @@ def line_dataset():
 
 
 @st.composite
-def tied_datasets(draw):
-    """Small datasets whose features take few values, so ties are common."""
+def tied_datasets(draw, p=None):
+    """Small datasets whose features take few values, so ties are common;
+    p columns, or 2 or 3 drawn when p is None."""
     n = draw(st.integers(2, 30))
-    p = draw(st.integers(2, 3))
+    p = draw(st.integers(2, 3)) if p is None else p
     values = st.integers(-3, 3).map(float)
     X = np.array(draw(st.lists(st.lists(values, min_size=p, max_size=p),
                                min_size=n, max_size=n)))

@@ -562,6 +562,14 @@ def test_csv_rejects_malformed_rows(tmp_path, body, message):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("body", ["x1,x2,y\n", "x1,x2,y\n\n\n"])
+def test_csv_with_no_rows_after_its_header_has_no_observations(tmp_path, body):
+    path = tmp_path / "empty.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match="^CSV file has no observations after its header$"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("row,message", [
     ("1_0,0.5,1", "row 1, column 'x1': '1_0' is not a finite decimal number"),
     ("\u0661,0.2,0", "row 1, column 'x1': '\u0661' is not a finite decimal number"),

@@ -84,8 +84,11 @@ def test_enumerate_classes_matches_count():
 
 
 def test_enumerate_classes_cap():
-    with pytest.raises(ResourceCapError):
-        enumerate_classes(10, 8)  # 10^7 * 429 classes
+    hits = oracle._class_layout.cache_info().hits
+    for _ in range(2):  # the failure is not memoized, so it is raised again
+        with pytest.raises(ResourceCapError):
+            enumerate_classes(10, 8)  # 10^7 * 429 classes
+    assert oracle._class_layout.cache_info().hits == hits
 
 
 def test_erm_stump_example():
@@ -360,12 +363,82 @@ def _check_size_bound(data):
             assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
 
 
+BLOCK_SPECS = [LinearPenalty(0.0), LinearPenalty(0.02), LinearPenalty(0.1),
+               MarginAdaptivePenalty(kappa=1, c1=0.02, c2=0.02), VCPenalty(c1=0.02, c2=0.02),
+               _DipPenalty()]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_block_search_matches_the_per_class_search(p, data):
+    # the classes of each shape are searched in one block, against one
+    # erm_in_class call per class
+    d = data.draw(tied_datasets(p=p))
+    fits = _class_fits(d, 3)
+    for spec in BLOCK_SPECS:
+        for k_max in (2, 3):
+            tree, cost = exhaustive_select(d, spec, k_max)
+            ref_tree, ref_cost = _reference_select(fits, d, spec, k_max)
+            assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_classes_of_one_shape_that_tie_go_to_the_first(p):
+    # equal columns: the classes of a shape differ only in their variables,
+    # so all tie, and the first variable list, all 1s, must win
+    x = np.arange(6.0)
+    for labels, size in (([0, 0, 0, 1, 1, 1], 2), ([0, 0, 1, 1, 0, 0], 3)):
+        d = Dataset(np.column_stack([x] * p), np.array(labels))
+        fits = _class_fits(d, 3)
+        for shape in enumerate_shapes(size):
+            assert len({risk for desc, _, risk in fits if desc.configuration == shape}) == 1
+        tree, cost = exhaustive_select(d, LinearPenalty(0.01), k_max=3)
+        ref_tree, ref_cost = _reference_select(fits, d, LinearPenalty(0.01), 3)
+        assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
+        assert tree.n_leaves == size
+        assert {nd.var for nd in tree.nodes if isinstance(nd, Internal)} == {1}
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+def test_block_search_across_block_boundaries(monkeypatch, rows_per_block):
+    # rounded features tie often, so a class's first minimum may sit in any
+    # block; with a few assignments per block, classes span several blocks
+    # and blocks span several classes
+    rng = np.random.default_rng(29)
+    cases = []
+    for n in (5, 8, 11):
+        X, y = rng.normal(size=(n, 3)).round(0), rng.integers(0, 2, size=n)
+        # a row repeated with the other label: no class reaches risk 0, so
+        # a zero penalty searches every size
+        cases.append(Dataset(np.vstack([X, X[:1]]), np.append(y, 1 - y[0])))
+    wanted = [(_class_fits(d, 3), [_reference_erm(desc, d) for desc in
+                                   (c for k in range(1, 4) for c in enumerate_classes(3, k))])
+              for d in cases]
+    routes = _counting(monkeypatch, "_route")
+    for d, (fits, erms) in zip(cases, wanted):
+        monkeypatch.setattr(oracle, "BLOCK_CELLS", rows_per_block * d.n)
+        for (desc, _, _), (ref_tree, ref_risk) in zip(fits, erms):
+            tree, risk = erm_in_class(desc, d)
+            assert (tree_to_text(tree), risk) == (tree_to_text(ref_tree), ref_risk)
+        for spec in BLOCK_SPECS:
+            tree, cost = exhaustive_select(d, spec, k_max=3)
+            ref_tree, ref_cost = _reference_select(fits, d, spec, 3)
+            assert (tree_to_text(tree), cost) == (tree_to_text(ref_tree), ref_cost)
+        # a zero penalty searches every size, here in more blocks than
+        # there are routed classes, so some class spans several blocks
+        routes.clear()
+        exhaustive_select(d, LinearPenalty(0.0), k_max=3)
+        assert len(routes) > sum(desc.size > 1 for desc, _, _ in fits)
+
+
 def test_exhaustive_searches_only_sizes_its_penalty_has_not_lost(monkeypatch):
     d = Dataset(np.column_stack([[1.0, 2.0, 3.0], np.zeros(3)]), np.array([0, 1, 1]))
     searched, built = [], []
     erm, build = oracle._erm_in_class, oracle.tree_from_class
-    monkeypatch.setattr(oracle, "_erm_in_class",
-                        lambda desc, *args: searched.append(desc) or erm(desc, *args))
+    # the classes of each searched shape, as the block search is given them
+    monkeypatch.setattr(oracle, "_erm_in_class", lambda shape, variables, *args: searched.extend(
+        ClassDescriptor(shape, tuple(v)) for v in variables.tolist()) or erm(shape, variables, *args))
     monkeypatch.setattr(oracle, "tree_from_class",
                         lambda *args: built.append(1) or build(*args))
     for calls in (1, 2):
@@ -594,6 +667,11 @@ BRUTE_FORCE_PENALTIES = [
     # float: the first at size 1, the second at size 3
     lambda k: 1e17 * k,
     lambda k: 1e17 * (1 + abs(k - 3)),
+    # a Fraction at odd sizes and a float at even ones: every cost is added
+    # as a scan would add it, so each keeps its own type
+    lambda k: Fraction(k, 30) if k % 2 else 0.04 * k,
+    lambda k: np.float64(0.05) * k,  # costs stay np.float64, repr and all
+    lambda k: abs(k - 3) // 2,  # plain ints, tied at sizes 2 to 4
 ]
 
 
@@ -608,6 +686,27 @@ def test_brute_force_matches_the_per_pruning_scan(case):
         want, want_cost = _reference_brute_force(tree, data, pen)
         assert tree_to_text(got) == tree_to_text(want)
         assert cost == want_cost and repr(cost) == repr(want_cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_on_tied_data() | grown_trees())
+def test_the_table_keeps_the_fewest_errors_per_leaf_count(case):
+    tree, data = case
+    counts = oracle._leaf_counts(tree, data)
+    prunings = oracle._prunings(tree, [min(c) for c in counts])
+    seen = list(dict.fromkeys(leaves for _, _, leaves in prunings))  # first-seen order
+    pairs, fewest, _, _ = oracle._pruning_table(tree, data)
+    assert list(fewest) == seen  # one entry per distinct leaf count
+    for leaves, (err, i) in fewest.items():
+        assert err == min(e for _, e, size in prunings if size == leaves)
+        first = next(pattern for pattern, e, size in prunings if (e, size) == (err, leaves))
+        assert pairs[i] == (Fraction(err, data.n), leaves, first)
+    # pen is called once per leaf count, in first-seen order, whichever
+    # path scores its values
+    for value in (lambda k: Fraction(k, 7), lambda k: k / 7):
+        called = []
+        brute_force_best_subtree(tree, data, lambda k: called.append(k) or value(k))
+        assert called == seen
 
 
 def _counting(monkeypatch, name):
@@ -710,8 +809,10 @@ def test_assignment_caps(monkeypatch):
     # three splits on x1 over 60 distinct values: 61^3 threshold assignments
     desc = ClassDescriptor(enumerate_shapes(4)[0], (1, 1, 1))
     d = Dataset(np.column_stack([np.arange(60.0), np.zeros(60)]), np.arange(60) % 2)
-    # the caps must be checked before any assignment is routed
+    # the caps must be checked before any comparison matrix is built or
+    # any assignment routed
     monkeypatch.setattr(oracle, "_route", None)
+    monkeypatch.setattr(oracle._Candidates, "stack", None)
     with pytest.raises(ResourceCapError, match="226981"):
         erm_in_class(desc, d)
     with pytest.raises(ResourceCapError, match="476656"):  # 31^3 * 2^4 classifiers
