@@ -15,6 +15,7 @@ import numbers
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,8 +62,10 @@ def is_real(value) -> bool:
 def check_real(name: str, value, least=None, above=None, below=None) -> None:
     """Raise ValueError unless value is a finite real number (see ``is_real``:
     an int, numpy float or Fraction passes, nothing is coerced) and, for each
-    bound given, value >= least, value > above and value < below."""
-    if not (is_real(value) and -math.inf < value < math.inf):
+    bound given, value >= least, value > above and value < below.  A
+    Fraction, such as an exact critical alpha, is finite and real by
+    construction, so it skips the comparisons with float infinity."""
+    if type(value) is not Fraction and not (is_real(value) and -math.inf < value < math.inf):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be >= {least}")
@@ -178,11 +181,12 @@ class Dataset:
 
     def _presort(self) -> None:
         # the default sort is faster and gives the stable permutation in every
-        # column of distinct values; only the tied columns are sorted again
+        # column of distinct values; only tied columns, if any, are sorted again
         order = np.argsort(self.X.T, axis=1)
-        svals = np.take_along_axis(self.X.T, order, 1)
+        svals = self.X.T[np.arange(self.p)[:, None], order]
         tied = np.flatnonzero((svals[:, 1:] == svals[:, :-1]).any(axis=1))
-        order[tied] = np.argsort(self.X.T[tied], axis=1, kind="stable")
+        if tied.size:
+            order[tied] = np.argsort(self.X.T[tied], axis=1, kind="stable")
         _set_read_only(self, _order=order, _tied=tied)
 
     def subset(self, rows) -> "Dataset":

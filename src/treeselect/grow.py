@@ -110,7 +110,7 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
     # 2s after each of the m positions of each variable, then |2s - S|
     score = _TWICE_SIGNS.take(data.y).take(order)
     np.add.accumulate(score, axis=1, out=score)
-    S = int(score[0, -1]) // 2
+    S = score.item(m - 1) // 2
     if abs(S) == m:
         return None  # label-pure
     score -= S
@@ -126,14 +126,14 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
 
     # the first maximum is the smallest variable index, and within it the
     # smallest cut position, i.e. threshold
-    var0, i = divmod(int(score.argmax()), m)
-    g = int(score[var0, i])
+    best = int(score.argmax())
+    g = score.item(best)
     if g <= abs(S):
         return None
-    col = data.X[:, var0]
-    lo, hi = float(col[order[var0, i]]), float(col[order[var0, i + 1]])
+    var0, i = divmod(best, m)
+    lo, hi = data.X.item(order.item(var0, i), var0), data.X.item(order.item(var0, i + 1), var0)
     mid = (lo + hi) / 2.0
-    ones_left = int(data.y.take(order[var0, :i + 1]).sum())
+    ones_left = int(np.count_nonzero(data.y.take(order[var0, :i + 1])))
     return Split(var0 + 1, mid if lo <= mid < hi else lo, i + 1, ones_left, (m - g) // 2)
 
 

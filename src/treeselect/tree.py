@@ -86,8 +86,22 @@ class TreeClassifier:
         object.__setattr__(self, "nodes", nodes)
         if not nodes:
             raise ValueError("a tree needs at least one node")
-        parents = [0] * len(nodes)
+        size = len(nodes)
+        parents = [0] * size
         for i, node in enumerate(nodes):
+            # the exact types the library builds pass here; anything else,
+            # valid or not, takes the general checks below
+            kind = type(node)
+            if kind is Internal:
+                var, left, right, threshold = node.var, node.left, node.right, node.threshold
+                if (type(var) is int and type(left) is int and type(right) is int
+                        and type(threshold) is float and var >= 1 and threshold == threshold
+                        and i < left < size and i < right < size):
+                    parents[left] += 1
+                    parents[right] += 1
+                    continue
+            elif kind is Leaf and type(node.label) is int and node.label in (0, 1):
+                continue
             if isinstance(node, Leaf):
                 if not (is_integer(node.label) and node.label in (0, 1)):
                     raise ValueError(f"node {i}: leaf label {node.label!r} is not 0 or 1")
@@ -99,13 +113,14 @@ class TreeClassifier:
                     raise ValueError(f"node {i}: threshold {node.threshold!r} is not "
                                      f"a real number")
                 for child in (node.left, node.right):
-                    if not (is_integer(child) and i < child < len(nodes)):
+                    if not (is_integer(child) and i < child < size):
                         raise ValueError(f"node {i}: child index {child!r} must be an "
                                          f"integer after the node and inside the arena")
                     parents[child] += 1
             else:
                 raise TypeError("nodes must be Leaf or Internal")
-        if any(count != 1 for count in parents[1:]):
+        # no child index is 0, so parents[0] is 0 and the rest must all be 1
+        if parents.count(1) != size - 1:
             raise ValueError("every node but the root needs exactly one parent")
 
     @property

@@ -177,6 +177,35 @@ def test_is_real_converts_nothing_to_float():
     check_real("x", Fraction(-(10 ** 400), 3), below=0)
 
 
+class _Rational(Fraction):
+    """A Fraction subclass, so not the exact type check_real lets through
+    without its float-infinity test."""
+
+
+def test_exact_alphas_keep_their_bounds(monkeypatch):
+    tested = []  # every value check_real hands to is_real
+    real = treeselect.designs.is_real
+    monkeypatch.setattr(treeselect.designs, "is_real", lambda v: tested.append(v) or real(v))
+    check_real("a", Fraction(1, 3), least=0, above=Fraction(1, 4), below=Fraction(1, 2))
+    for value, bounds, message in ((Fraction(-1, 5), {"least": 0}, "a must be >= 0"),
+                                   (Fraction(0), {"above": 0}, "a must be > 0"),
+                                   (Fraction(1, 2), {"below": Fraction(1, 2)}, "a must be < 1/2")):
+        for number in (value, _Rational(value)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_real("a", number, **bounds)
+    with pytest.raises(ValueError, match="^alpha must be >= 0$"):
+        subtree_at_alpha(_pruned_sequence(), Fraction(-1, 5))
+    # only the subclass took the general path
+    assert [type(v) for v in tested] == [_Rational] * 3
+    tested.clear()
+    check_real("a", np.float64(0.5), least=0)
+    for bad in (math.inf, -math.inf, np.float64(math.inf), np.float64(-math.inf)):
+        with pytest.raises(ValueError, match=f"^a must be a finite real number, "
+                                             f"got {re.escape(repr(bad))}$"):
+            check_real("a", bad, least=0)
+    assert [type(v) for v in tested] == [np.float64, float, float, np.float64, np.float64]
+
+
 def test_eta_design1_quadrant():
     spec = DesignSpec(1, 10, 5, 0.1)
     assert eta(spec, [0.5, 0.5, 0.0, 0.0, 0.0]) == 0.1
@@ -468,6 +497,37 @@ def test_dataset_order_is_a_stable_argsort(seed):
 @settings(max_examples=100, deadline=None)
 @given(tied_datasets())
 def test_presort_equals_the_stable_argsort_on_tied_data(d):
+    assert np.array_equal(d.order, _stable_argsort(d.X))
+
+
+def _argsort_kinds(d):
+    """The kind argument of each np.argsort call that d's presort makes."""
+    kinds, argsort = [], np.argsort
+
+    def counting(*args, **kwargs):
+        kinds.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "argsort", counting)
+        d.order
+    return kinds
+
+
+def test_presort_sorts_again_only_when_a_column_is_tied():
+    rng = np.random.default_rng(5)
+    distinct = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
+    assert _argsort_kinds(distinct) == [None]
+    assert distinct.tied.size == 0
+    assert _argsort_kinds(_tied_dataset(0)) == [None, "stable"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tied_datasets())
+def test_presort_does_no_empty_work_on_tied_data(d):
+    tied = [j for j in range(d.p) if np.unique(d.X[:, j]).size < d.n]
+    assert _argsort_kinds(d) == [None] + ["stable"] * bool(tied)
+    assert d.tied.tolist() == tied
     assert np.array_equal(d.order, _stable_argsort(d.X))
 
 

@@ -1,5 +1,7 @@
 import math
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from treeselect import (ClassDescriptor, Dataset, DesignSpec, TreeClassifier,
                         brute_force_best_subtree, empirical_risk, grow_maximal,
                         is_pruned_subtree, leaf, loss_estimate, tree_from_text,
                         tree_to_text, weakest_link)
+from treeselect.designs import is_integer, is_real
 from treeselect.oracle import tree_from_class
 from treeselect.tree import Internal, Leaf, preorder_tree
 
@@ -334,6 +337,113 @@ def test_preorder_tree_drops_every_node_below_a_leaf_put_where_an_internal_was()
 def test_malformed_arena_rejected(nodes):
     with pytest.raises(ValueError):
         TreeClassifier(nodes)
+
+
+def _reference_check(nodes) -> None:
+    """TreeClassifier's arena check as it was before its exact-type fast
+    path: generic integer and real tests for every field of every node."""
+    nodes = tuple(nodes)
+    if not nodes:
+        raise ValueError("a tree needs at least one node")
+    parents = [0] * len(nodes)
+    for i, node in enumerate(nodes):
+        if isinstance(node, Leaf):
+            if not (is_integer(node.label) and node.label in (0, 1)):
+                raise ValueError(f"node {i}: leaf label {node.label!r} is not 0 or 1")
+        elif isinstance(node, Internal):
+            if not (is_integer(node.var) and node.var >= 1):
+                raise ValueError(f"node {i}: variable {node.var!r} is not an "
+                                 f"integer from 1 (variables are 1-based)")
+            if not is_real(node.threshold):
+                raise ValueError(f"node {i}: threshold {node.threshold!r} is not "
+                                 f"a real number")
+            for child in (node.left, node.right):
+                if not (is_integer(child) and i < child < len(nodes)):
+                    raise ValueError(f"node {i}: child index {child!r} must be an "
+                                     f"integer after the node and inside the arena")
+                parents[child] += 1
+        else:
+            raise TypeError("nodes must be Leaf or Internal")
+    if any(count != 1 for count in parents[1:]):
+        raise ValueError("every node but the root needs exactly one parent")
+
+
+def _outcome(check, nodes):
+    try:
+        check(nodes)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def _mutated_arenas(draw):
+    """A valid arena with up to three fields replaced: a field's own value
+    under another type (bool, float or numpy), other labels, variables and
+    thresholds, child indices out of range, backward or shared with another
+    node, or a node that is neither a Leaf nor an Internal."""
+    nodes = list(draw(random_trees(thresholds=finite_floats)
+                      .filter(lambda tree: len(tree.nodes) > 1)).nodes)
+    size = len(nodes)
+    internal = [i for i, nd in enumerate(nodes) if isinstance(nd, Internal)]
+    retype = st.sampled_from([bool, float, np.int64, np.float64])
+    index = st.integers(-1, size + 2)
+
+    def pick(*pools):  # each pool equally likely, however many values it holds
+        return draw(st.sampled_from(pools).flatmap(lambda pool: pool))
+
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.sampled_from(internal) | st.integers(0, size - 1))
+        nd = nodes[i]
+        if isinstance(nd, tuple) or draw(st.integers(0, 20)) == 0:
+            nodes[i] = ("leaf", 0)
+        elif isinstance(nd, Leaf):
+            nodes[i] = Leaf(pick(_ANY_LABEL, retype.map(lambda f: f(nd.label))))
+        else:
+            field = draw(st.sampled_from(["var", "threshold", "left", "right"]))
+            own = getattr(nd, field)
+            if field == "threshold":
+                value = pick(st.sampled_from([math.nan, math.inf, -math.inf, np.float64(own)]),
+                             _ANY_THRESHOLD)
+            elif field == "var":
+                value = pick(retype.map(lambda f: f(own)), _ANY_VAR)
+            else:  # out of range, backward, or the left child twice
+                value = pick(retype.map(lambda f: f(own)), index,
+                             st.integers(-1, i) | st.just(nd.left))
+            nodes[i] = replace(nd, **{field: value})
+    return tuple(nodes)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_arenas())
+def test_the_tree_check_keeps_its_rules(nodes):
+    expected = _outcome(_reference_check, nodes)
+    assert _outcome(TreeClassifier, nodes) == expected
+    if expected is None:
+        assert TreeClassifier(nodes).nodes == nodes
+
+
+_BASE = (Internal(1, 0.5, 1, 2), Leaf(0), Internal(2, 1.5, 3, 4), Leaf(1), Leaf(0))
+
+
+@pytest.mark.parametrize("i,field,value", [
+    (i, field, value)
+    for i, field, values in [
+        (1, "label", [True, False, 1.0, np.float64(0.0), np.int64(1), np.uint8(1), 2, -1]),
+        (2, "var", [0, -1, True, 1.0, np.int64(2), np.float64(2.0), 3, 10 ** 20]),
+        (2, "threshold", [math.nan, math.inf, -math.inf, np.float64(1.5), np.float64("nan"),
+                          np.float32(1.5), 1, np.int64(1), True, Fraction(3, 2), "1.5"]),
+        (2, "left", [np.int64(3), 3.0, np.float64(3.0), True, 1, 2, 0, -1, 5, 4]),
+        (2, "right", [np.int64(4), 4.0, np.float64(4.0), True, 3, 2, 0, -1, 5]),
+        (0, "left", [np.int64(1), 1.0, True, 0, 2, 5]),
+        (0, "right", [np.int64(2), 2.0, True, 1, 0, 5]),
+    ] for value in values
+])
+def test_the_tree_check_keeps_its_rules_field_by_field(i, field, value):
+    nodes = list(_BASE)
+    nodes[i] = replace(nodes[i], **{field: value})
+    expected = _outcome(_reference_check, nodes)
+    assert _outcome(TreeClassifier, nodes) == expected
 
 
 def _frame_depth() -> int:
