@@ -12,8 +12,11 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import os
 import re
+import stat
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -495,9 +498,37 @@ def margin_holds(spec: DesignSpec, margin: MarginSpec) -> bool:
     return all(margin_mass(spec, float(t)) <= margin.C0 * float(t) ** expo for t in t_grid)
 
 
+@contextmanager
+def replace_file(path, newline=None):
+    """Open a text file for writing in place of `path`, which it replaces
+    only when the block ends without error, so no reader sees a partial file.
+    It is a new file beside `path` (through a symbolic link, beside its
+    target): on an error it is removed and `path` keeps its old bytes.  It
+    takes the mode of the file it replaces, or the mode a plain ``open``
+    gives a new file.  A device or pipe is written in place."""
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline=newline) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "x", newline=newline)  # never an existing file; mode 0o666 less the umask
+    try:
+        with fh:
+            if os.path.exists(path):
+                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_csv(path, header, rows) -> None:
-    """Write a header line and then each row as CSV."""
-    with open(path, "w", newline="") as fh:
+    """Write a header line and then each row as CSV, replacing `path` only
+    once every row is written (see ``replace_file``)."""
+    with replace_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

@@ -12,10 +12,12 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field
+from functools import partial
+from itertools import islice, product
 
 import numpy as np
 
-from .designs import DesignSpec, check_integer, generate, write_csv
+from .designs import DesignSpec, check_integer, generate, replace_file, write_csv
 from .penalties import CVConfig, cv_select_alpha
 from .tree import loss_estimate
 
@@ -23,6 +25,8 @@ __all__ = [
     "ExperimentConfig",
     "CellResult",
     "FitResult",
+    "sweep_records",
+    "aggregate",
     "run_sweep",
     "fit_alpha_vs_logp",
     "write_results_csv",
@@ -62,6 +66,8 @@ class ExperimentConfig:
             check_integer(name, getattr(self, name), least=1)
         check_integer("master_seed", self.master_seed, least=0)
         CVConfig(folds=self.folds)  # raises on a fold count CV cannot use
+        # a copy of its own, so that a caller's later edit cannot reach a checked config
+        object.__setattr__(self, "noise_grids", {d: tuple(g) for d, g in self.noise_grids.items()})
         for d in self.designs:
             if d not in self.noise_grids or not self.noise_grids[d]:
                 raise ValueError(f"no noise grid for design {d}")
@@ -113,44 +119,44 @@ def _seeds_for(master_seed: int, design: int, n: int, p: int, noise_idx: int,
                rep: int) -> tuple[int, int, int]:
     ss = np.random.SeedSequence(entropy=master_seed,
                                 spawn_key=(design, n, p, noise_idx, rep))
-    data_ss, cv_ss, test_ss = ss.spawn(3)
-    return (int(data_ss.generate_state(1, dtype=np.uint64)[0]),
-            int(cv_ss.generate_state(1, dtype=np.uint64)[0]),
-            int(test_ss.generate_state(1, dtype=np.uint64)[0]))
+    return tuple(int(child.generate_state(1, dtype=np.uint64)[0]) for child in ss.spawn(3))
 
 
-def _run_replication(task) -> tuple[float, float, int]:
-    (master_seed, design, n, p, noise, noise_idx, rep, folds, test_samples) = task
-    data_seed, cv_seed, test_seed = _seeds_for(master_seed, design, n, p, noise_idx, rep)
+def _run_replication(cfg: ExperimentConfig, cell, rep: int) -> tuple[float, float, int]:
+    design, n, p, noise, noise_idx = cell
+    data_seed, cv_seed, test_seed = _seeds_for(cfg.master_seed, design, n, p, noise_idx, rep)
     spec = DesignSpec(design, n, p, noise, seed=data_seed)
-    data = generate(spec)
-    alpha, tree = cv_select_alpha(data, CVConfig(folds=folds, seed=cv_seed))
-    _, loss = loss_estimate(tree, spec, test_samples, test_seed)
+    alpha, tree = cv_select_alpha(generate(spec), CVConfig(folds=cfg.folds, seed=cv_seed))
+    _, loss = loss_estimate(tree, spec, cfg.test_samples, test_seed)
     return alpha, loss, tree.n_leaves
+
+
+def sweep_records(cfg: ExperimentConfig):
+    """Yield each cell of ``cfg.cells()``, in order, with its R (alpha, test loss, tree size)
+    triples once they are done; closing it cancels the replications not yet started."""
+    cells, reps = zip(*product(cfg.cells(), range(cfg.replications)))
+    run = partial(_run_replication, cfg)
+    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    try:
+        triples = map(run, cells, reps) if pool is None else pool.map(run, cells, reps, chunksize=4)
+        for cell in cfg.cells():
+            yield cell, tuple(islice(triples, cfg.replications))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def aggregate(cell, triples) -> CellResult:
+    """The results.csv row of a cell from its ``sweep_records`` triples."""
+    alphas, losses, sizes = (np.array(column, dtype=np.float64) for column in zip(*triples))
+    return CellResult(*cell[:4], float(alphas.mean()),
+                      float(alphas.std(ddof=1)) if len(triples) > 1 else 0.0,
+                      float(losses.mean()), float(sizes.mean()), len(triples))
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[CellResult, ...]:
     """One aggregated row per grid cell, in ``cfg.cells()`` order."""
-    R = cfg.replications
-    cells = list(cfg.cells())
-    tasks = [(cfg.master_seed, *cell, rep, cfg.folds, cfg.test_samples)
-             for cell in cells for rep in range(R)]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_run_replication, tasks, chunksize=4))
-    else:
-        results = [_run_replication(t) for t in tasks]
-
-    rows = []
-    for i, (d, n, p, noise, _) in enumerate(cells):
-        chunk = results[i * R:(i + 1) * R]
-        alphas = np.array([c[0] for c in chunk])
-        losses = np.array([c[1] for c in chunk])
-        sizes = np.array([c[2] for c in chunk], dtype=np.float64)
-        sd = float(alphas.std(ddof=1)) if R > 1 else 0.0
-        rows.append(CellResult(d, n, p, noise, float(alphas.mean()), sd,
-                               float(losses.mean()), float(sizes.mean()), R))
-    return tuple(rows)
+    return tuple(aggregate(cell, triples) for cell, triples in sweep_records(cfg))
 
 
 def fit_alpha_vs_logp(results: tuple[CellResult, ...]) -> list[FitResult]:
@@ -195,7 +201,7 @@ def write_figure_data(results: tuple[CellResult, ...], out_dir) -> list[str]:
         noises = sorted({r.noise for r in drows})
         noise = FIGURE_NOISE.get(d) if FIGURE_NOISE.get(d) in noises else noises[0]
         path = os.path.join(out_dir, f"figure3_{d}.dat")
-        with open(path, "w") as fh:
+        with replace_file(path) as fh:
             fh.write("ln_p mean_alpha sd_alpha n\n")
             for n in sorted({r.n for r in drows}):
                 series = sorted((r for r in drows if r.n == n and r.noise == noise),

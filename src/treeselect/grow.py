@@ -93,16 +93,19 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
     can win.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
-    feature over the node's rows); without it the search runs on
-    ``data.subset(rows)`` and that subset's ``order``.  Only the columns in
-    ``data.tied`` are checked for ties.  The threshold between neighbours
-    lo < hi is their midpoint when lo <= mid < hi, else lo, so
-    ``x > threshold`` routes exactly the partition scored, which
-    ``Split.left_size`` and ``left_ones`` count: the first ``left_size``
-    rows of the split variable's order."""
+    feature over the node's rows), so with it ``rows`` must be the m rows
+    that ``order`` sorts, and another count raises ``ValueError``; without
+    it the search runs on ``data.subset(rows)`` and that subset's
+    ``order``.  Only the columns in ``data.tied`` are checked for ties.  The
+    threshold between neighbours lo < hi is their midpoint when
+    lo <= mid < hi, else lo, so ``x > threshold`` routes exactly the
+    partition scored, which ``Split.left_size`` and ``left_ones`` count:
+    the first ``left_size`` rows of the split variable's order."""
     if order is None:
         data = data.subset(rows)
         order = data.order
+    elif len(rows) != order.shape[1]:
+        raise ValueError(f"order sorts {order.shape[1]} rows, but {len(rows)} rows were given")
     m = order.shape[1]
     if m < 2 * min_node_size:
         return None  # too small for two children

@@ -1,9 +1,11 @@
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -23,7 +25,7 @@ from treeselect import (Dataset, DesignSpec, GeyPenalty, LinearPenalty,
                         grow_maximal, load_dataset, loss_estimate, margin_holds,
                         margin_mass, save_dataset, select_tree, subtree_at_alpha,
                         tree_from_text, weakest_link)
-from treeselect.designs import BLOCK_CELLS, _normal_cdf, check_real, is_real
+from treeselect.designs import BLOCK_CELLS, _normal_cdf, check_real, is_real, write_csv
 from treeselect.experiment import DEFAULT_NOISE_GRIDS, ExperimentConfig
 from treeselect.tree import Internal, Leaf, TreeClassifier
 
@@ -393,6 +395,59 @@ def test_csv_round_trip(tmp_path):
     assert load_dataset(path).X.tobytes() == narrow.X.tobytes()
     save_dataset(Dataset(narrow.X.tolist(), d.y.tolist()), tmp_path / "listed.csv")
     assert path.read_bytes() == (tmp_path / "listed.csv").read_bytes()
+
+
+def _failing_rows():
+    yield [3]
+    raise RuntimeError("row generator failed")
+
+
+def test_failed_csv_write_leaves_the_target_as_it_was(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a"], [[1], [2]])
+    before = path.read_bytes()
+    os.chmod(path, 0o640)
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        write_csv(path, ["a"], _failing_rows())
+    assert path.read_bytes() == before == b"a\r\n1\r\n2\r\n"
+    assert os.listdir(tmp_path) == ["t.csv"]  # no temporary file left
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    # a failed first write leaves no file at all
+    with pytest.raises(RuntimeError, match="row generator failed"):
+        write_csv(tmp_path / "new.csv", ["a"], _failing_rows())
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_csv_write_keeps_the_mode_and_links_a_plain_open_keeps(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    write_csv(tmp_path / "new.csv", ["a"], [[1]])
+    assert stat.S_IMODE((tmp_path / "new.csv").stat().st_mode) == \
+        stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+    old = tmp_path / "old.csv"
+    old.write_text("stale\n")
+    os.chmod(old, 0o600)
+    write_csv(old, ["a"], [[1]])
+    assert old.read_bytes() == b"a\r\n1\r\n" and stat.S_IMODE(old.stat().st_mode) == 0o600
+    # through a symbolic link the link stays, and its target is replaced
+    link = tmp_path / "link.csv"
+    link.symlink_to(old)
+    write_csv(link, ["b"], [[2]])
+    assert link.is_symlink() and old.read_bytes() == b"b\r\n2\r\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.csv", "new.csv", "old.csv", "plain"]
+
+
+def test_csv_write_to_a_pipe_writes_the_pipe(tmp_path):
+    # a pipe or device is not replaced by a regular file
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(pipe.read_bytes()), daemon=True)
+    reader.start()
+    write_csv(pipe, ["a"], [[1]])
+    reader.join(timeout=30)
+    assert read == [b"a\r\n1\r\n"]
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
 
 @st.composite

@@ -1,13 +1,17 @@
 import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
 
 from treeselect import CVConfig
-from treeselect.experiment import (CellResult, ExperimentConfig, fit_alpha_vs_logp,
-                                   run_sweep, write_figure_data, write_fit_csv,
+from treeselect import experiment as xp
+from treeselect.experiment import (CellResult, ExperimentConfig, aggregate, fit_alpha_vs_logp,
+                                   run_sweep, sweep_records, write_figure_data, write_fit_csv,
                                    write_results_csv)
 
 SMALL = ExperimentConfig(designs=(1,), n_grid=(30,), p_grid=(5, 10),
@@ -39,6 +43,48 @@ def test_parallel_matches_serial(tmp_path):
     write_results_csv(a, pa)
     write_results_csv(b, pb)
     assert pa.read_bytes() == pb.read_bytes()
+
+
+def test_sweep_records_yield_each_cell_in_order_with_the_same_triples_at_any_jobs():
+    records = list(sweep_records(SMALL))
+    assert [cell for cell, _ in records] == list(SMALL.cells())
+    assert all(len(triples) == SMALL.replications for _, triples in records)
+    assert list(sweep_records(dataclasses.replace(SMALL, jobs=2))) == records
+
+
+def test_aggregate_gives_run_sweeps_rows():
+    records = list(sweep_records(SMALL))
+    rows = run_sweep(SMALL)
+    assert [dataclasses.astuple(aggregate(cell, triples)) for cell, triples in records] == \
+        [dataclasses.astuple(row) for row in rows]
+    cell, triples = records[0]
+    one = aggregate(cell, triples[:1])
+    alpha, loss, size = triples[0]
+    assert (one.mean_alpha, one.sd_alpha, one.mean_test_loss, one.mean_tree_size,
+            one.replications) == (alpha, 0.0, loss, size, 1)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers see the counting patch only when forked")
+def test_closing_sweep_records_cancels_the_replications_not_started(tmp_path, monkeypatch):
+    log = tmp_path / "started"
+    generate = xp.generate
+
+    def counting_generate(spec):
+        with open(log, "a") as fh:  # one byte per replication started, in any worker
+            fh.write(".")
+        return generate(spec)
+
+    monkeypatch.setattr(xp, "generate", counting_generate)
+    cfg = dataclasses.replace(SMALL, n_grid=(30, 40), p_grid=(5, 10, 15, 20, 25, 30),
+                              replications=8, jobs=2)
+    records = sweep_records(cfg)
+    cell, triples = next(records)
+    records.close()
+    assert multiprocessing.active_children() == []
+    assert cell == next(cfg.cells()) and len(triples) == cfg.replications
+    started = len(log.read_text())
+    assert cfg.replications <= started < len(list(cfg.cells())) * cfg.replications
 
 
 def test_different_seed_differs():
@@ -89,6 +135,19 @@ def test_figure_data_layout(tmp_path):
     assert series == ["50", "50", "200", "200"]  # one series per n
 
 
+def test_failed_figure_write_leaves_the_old_file(tmp_path):
+    rows = tuple(CellResult(1, n, p, 0.3, 0.1, 0.01, 0.0, 2.0, 5)
+                 for n in (50, 200) for p in (10, 100))
+    write_figure_data(rows, tmp_path)
+    before = (tmp_path / "figure3_1.dat").read_bytes()
+    # ln p fails in the second series, after the first is written
+    bad = rows[:2] + (dataclasses.replace(rows[2], p=0, mean_alpha=0.5),) + rows[3:]
+    with pytest.raises(ValueError, match="math domain error"):
+        write_figure_data(bad, tmp_path)
+    assert (tmp_path / "figure3_1.dat").read_bytes() == before
+    assert os.listdir(tmp_path) == ["figure3_1.dat"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(designs=())
@@ -115,6 +174,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="folds"):
         ExperimentConfig(n_grid=(50, 5), folds=10)
     ExperimentConfig(n_grid=(5,), folds=5)
+
+
+def test_config_keeps_its_own_noise_grids():
+    grids = {1: [0.1, 0.2]}
+    cfg = dataclasses.replace(SMALL, noise_grids=grids)
+    grids[1] = (0.7,)  # a noise design 1 cannot draw, set after the config was checked
+    assert cfg.noise_grids == {1: (0.1, 0.2)}
+    assert [cell[3] for cell in cfg.cells()] == [0.1, 0.2, 0.1, 0.2]
+    assert pickle.loads(pickle.dumps(cfg)) == cfg  # workers receive it pickled
 
 
 @pytest.mark.parametrize("kwargs,message", [

@@ -402,6 +402,12 @@ def test_best_split_rejects_empty_rows(rows):
         best_split(d, rows)
 
 
+def test_best_split_rejects_rows_that_its_order_does_not_sort():
+    d = Dataset(np.arange(20.0).reshape(10, 2), np.array([0] * 7 + [1] * 3))
+    with pytest.raises(ValueError, match="^order sorts 10 rows, but 2 rows were given$"):
+        best_split(d, np.arange(2), 1, d.order)
+
+
 @pytest.mark.parametrize("X,y", NEIGHBOUR_CASES)
 def test_neighbouring_values_grow_the_cut_that_was_scored(X, y):
     # the midpoint of each pair rounds onto the larger value or overflows,

@@ -6,7 +6,9 @@ A name counts as used when its module reads it.  A module-private name
 module of the package imports it or reads it as an attribute.  The
 package's ``__init__`` only re-exports, so its imports are not checked.
 Only ``designs`` imports the csv module, so ``write_csv`` and
-``load_dataset`` stay the one home of the CSV format.  No function calls
+``load_dataset`` stay the one home of the CSV format.  Only ``experiment``
+imports ``concurrent`` and no module imports ``multiprocessing``, so the
+sweep's record stream stays the one place that starts worker processes.  No function calls
 itself by its bare name, so no code path depends on Python's recursion
 limit.  The oracle reads none of the router, node counts, split search,
 growing, pruning and risk names of the code it checks, so it keeps its own
@@ -171,6 +173,12 @@ def test_package_has_no_unused_imports_or_private_names():
 
 def test_only_designs_imports_csv():
     assert modules_importing(_package_sources(), "csv") == ["designs"]
+
+
+def test_only_experiment_starts_processes():
+    sources = _package_sources()
+    assert modules_importing(sources, "concurrent") == ["experiment"]
+    assert modules_importing(sources, "multiprocessing") == []
 
 
 def test_no_function_calls_itself():
