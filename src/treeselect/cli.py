@@ -17,8 +17,8 @@ import click
 
 from . import experiment as xp
 from . import verify as suite
-from .designs import (DesignSpec, check_integer, generate, load_dataset, save_dataset,
-                      strict_float, strict_int)
+from .designs import (DesignSpec, check_integer, generate, load_dataset, replace_file,
+                      save_dataset, strict_float, strict_int)
 from .grow import GrowLimits, grow_maximal
 from .penalties import (CV_RULES, CVConfig, GeyPenalty, LinearPenalty,
                         MarginAdaptivePenalty, MinCombinedPenalty, NobelPenalty,
@@ -73,10 +73,11 @@ def _build_penalty(penalty, alpha, kappa, c1, c2):
 
 
 def _emit_tree(tree, out):
-    """Write the tree's text to the --out path, or echo it when none is given."""
+    """Write the tree's text in place of the --out path (see ``replace_file``),
+    or echo it when none is given."""
     text = tree_to_text(tree)
     if out:
-        with open(out, "w") as fh:
+        with replace_file(out) as fh:
             fh.write(text + "\n")
     else:
         click.echo(text)
@@ -261,8 +262,8 @@ def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
                                         **{d: noise_override for d in cfg.designs}})
     if len(cfg.p_grid) < 2:  # the fit below needs two; check before the sweep
         raise click.UsageError("need at least 2 distinct p values to fit")
+    os.makedirs(out_dir, exist_ok=True)  # before the sweep, so a bad path costs no work
     result = xp.run_sweep(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     xp.write_results_csv(result, os.path.join(out_dir, "results.csv"))
     xp.write_fit_csv(xp.fit_alpha_vs_logp(result), os.path.join(out_dir, "fit.csv"))
     paths = xp.write_figure_data(result, out_dir)

@@ -348,10 +348,10 @@ def generate(spec: DesignSpec, columns=None) -> Dataset:
 
 
 def eta(spec: DesignSpec, x) -> np.ndarray | float:
-    """Exact P(Y=1 | X=x) for the design; accepts a vector or an (m,p) array."""
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    pts = np.atleast_2d(arr)
+    """Exact P(Y=1 | X=x) for the design; accepts a vector or an (m,p) array,
+    checked by ``feature_matrix``."""
+    single = np.ndim(x) == 1
+    pts = feature_matrix("features", np.atleast_2d(x))
     if pts.shape[1] != spec.p:
         raise ValueError(f"expected {spec.p} coordinates, got {pts.shape[1]}")
     if spec.design_id == 1:

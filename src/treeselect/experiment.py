@@ -52,7 +52,8 @@ class ExperimentConfig:
     designs: tuple[int, ...] = (1,)
     n_grid: tuple[int, ...] = (50, 100, 200)
     p_grid: tuple[int, ...] = (30, 60, 125, 250, 500, 1000)
-    noise_grids: dict = field(default_factory=lambda: dict(DEFAULT_NOISE_GRIDS))
+    # left out of the hash, as a dict has none; == still compares it
+    noise_grids: dict = field(default_factory=lambda: dict(DEFAULT_NOISE_GRIDS), hash=False)
     replications: int = 50
     folds: int = CVConfig.folds
     master_seed: int = 0

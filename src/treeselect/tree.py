@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .designs import (FLOAT_PATTERN, Dataset, DesignSpec, bayes_risk, check_integer,
-                      check_real, generate, is_integer, is_real)
+                      check_real, feature_matrix, generate, is_integer, is_real)
 
 __all__ = [
     "Leaf",
@@ -89,19 +89,6 @@ class TreeClassifier:
         size = len(nodes)
         parents = [0] * size
         for i, node in enumerate(nodes):
-            # the exact types the library builds pass here; anything else,
-            # valid or not, takes the general checks below
-            kind = type(node)
-            if kind is Internal:
-                var, left, right, threshold = node.var, node.left, node.right, node.threshold
-                if (type(var) is int and type(left) is int and type(right) is int
-                        and type(threshold) is float and var >= 1 and threshold == threshold
-                        and i < left < size and i < right < size):
-                    parents[left] += 1
-                    parents[right] += 1
-                    continue
-            elif kind is Leaf and type(node.label) is int and node.label in (0, 1):
-                continue
             if isinstance(node, Leaf):
                 if not (is_integer(node.label) and node.label in (0, 1)):
                     raise ValueError(f"node {i}: leaf label {node.label!r} is not 0 or 1")
@@ -135,9 +122,10 @@ class TreeClassifier:
         return labels[self.leaf_assignment(X)]
 
     def leaf_assignment(self, X: np.ndarray) -> np.ndarray:
-        """Arena index of the leaf each row lands in."""
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] < self.max_var():
+        """Arena index of the leaf each row lands in; X is checked by
+        ``feature_matrix``, as a ``Dataset``'s features are."""
+        X = feature_matrix("features", X)
+        if X.shape[1] < self.max_var():
             raise ValueError("feature matrix too narrow for this tree")
         out = np.empty(X.shape[0], dtype=np.int64)
         stack = [(0, np.arange(X.shape[0]))]

@@ -1,8 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import treeselect.verify
+from treeselect import experiment as xp
 from treeselect.cli import main
 from treeselect import Dataset, load_dataset, save_dataset, tree_from_text
 
@@ -110,6 +114,44 @@ def test_experiment_with_config_and_overrides(tmp_path):
     assert results[1].split(",")[-1] == "2"  # CLI flag overrode the config file
     assert (out / "fit.csv").exists()
     assert (out / "figure3_1.dat").exists()
+
+
+def test_experiment_makes_its_out_dir_before_any_replication(tmp_path, monkeypatch):
+    started = []
+    replicate = xp._run_replication
+    monkeypatch.setattr(xp, "_run_replication",
+                        lambda *args: started.append(args) or replicate(*args))
+    grid = ["experiment", "--seed", "1", "--n-grid", "30", "--p-grid", "5,10",
+            "--noise-grid", "0.1", "--replications", "2", "--folds", "5",
+            "--test-samples", "100", "--out-dir"]
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory\n")
+    result = CliRunner().invoke(main, grid + [str(blocker)])
+    assert isinstance(result.exception, FileExistsError)
+    assert started == [] and blocker.read_text() == "a file, not a directory\n"
+    run(*grid, str(tmp_path / "run"))
+    assert len(started) == 4 and (tmp_path / "run" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["grow", "select", "cv"])
+def test_tree_out_replaces_the_file_and_keeps_its_mode(tmp_path, command):
+    data = _make_data(tmp_path)
+    text = run(command, "--data", str(data)).output.splitlines()[0] + "\n"
+    out = tmp_path / "tree.txt"
+    out.write_text("stale\n")
+    os.chmod(out, 0o600)
+    stale = out.stat().st_ino
+    run(command, "--data", str(data), "--out", str(out))
+    assert out.read_text() == text and stat.S_IMODE(out.stat().st_mode) == 0o600
+    assert out.stat().st_ino != stale  # a new file took its place: never a partial one
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "tree.txt"]  # no temporary file left
+    # through a symbolic link the link stays, and its target is replaced
+    link = tmp_path / "link.txt"
+    link.symlink_to(out)
+    out.write_text("stale\n")
+    run(command, "--data", str(data), "--out", str(link))
+    assert link.is_symlink() and out.read_text() == text
+    assert sorted(os.listdir(tmp_path)) == ["d.csv", "link.txt", "tree.txt"]
 
 
 def test_cv_rejects_a_negative_seed(tmp_path):

@@ -185,6 +185,15 @@ def test_config_keeps_its_own_noise_grids():
     assert pickle.loads(pickle.dumps(cfg)) == cfg  # workers receive it pickled
 
 
+def test_equal_configs_hash_equal_and_a_noise_grid_still_tells_them_apart():
+    a, b = ExperimentConfig(), ExperimentConfig()
+    assert a == b and hash(a) == hash(b)
+    assert {a: "run"}[b] == "run"
+    other = dataclasses.replace(a, noise_grids={**a.noise_grids, 1: (0.1, 0.2)})
+    assert other != a and len({a, b, other}) == 2
+    assert hash(dataclasses.replace(SMALL, noise_grids={1: [0.1]})) == hash(SMALL)
+
+
 @pytest.mark.parametrize("kwargs,message", [
     (dict(designs=(1, 1)), "designs repeats 1"),
     (dict(n_grid=(40, 50, 40, 50)), "n_grid repeats 40, 50"),

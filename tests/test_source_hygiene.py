@@ -6,7 +6,8 @@ A name counts as used when its module reads it.  A module-private name
 module of the package imports it or reads it as an attribute.  The
 package's ``__init__`` only re-exports, so its imports are not checked.
 Only ``designs`` imports the csv module, so ``write_csv`` and
-``load_dataset`` stay the one home of the CSV format.  Only ``experiment``
+``load_dataset`` stay the one home of the CSV format, and only ``designs``
+opens a file for writing, so ``replace_file`` stays the one file writer.  Only ``experiment``
 imports ``concurrent`` and no module imports ``multiprocessing``, so the
 sweep's record stream stays the one place that starts worker processes.  No function calls
 itself by its bare name, so no code path depends on Python's recursion
@@ -18,6 +19,7 @@ one that the module defines.
 """
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "treeselect"
@@ -101,6 +103,31 @@ def modules_importing(sources: dict[str, str], top: str) -> list[str]:
     return found
 
 
+_MODE = re.compile(r"[rwxabt+]+")
+
+
+def files_opened_for_writing(sources: dict[str, str]) -> list[str]:
+    """'module:line: opens a file for writing' for each call of ``open``, by
+    its bare name or as an attribute (``io.open``, ``path.open``), in
+    {module name: source} whose mode holds w, x or a.  The mode is the
+    ``mode`` keyword, or else the first of the first two positional
+    arguments that is a string of mode letters; a mode that is not a string
+    constant is not read."""
+    found = []
+    for module, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call) and "open" in (getattr(node.func, "id", None),
+                                                              getattr(node.func, "attr", None))):
+                continue
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] or [
+                arg for arg in node.args[:2]
+                if isinstance(arg, ast.Constant) and _MODE.fullmatch(str(arg.value))]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else ""
+            if set(str(mode)) & set("wxa"):
+                found.append(f"{module}:{node.lineno}: opens a file for writing")
+    return found
+
+
 def self_calls(sources: dict[str, str]) -> list[str]:
     """'module:line: name calls itself' for each call of a function, by its
     bare name, inside that function's body in {module name: source}.  A
@@ -173,6 +200,24 @@ def test_package_has_no_unused_imports_or_private_names():
 
 def test_only_designs_imports_csv():
     assert modules_importing(_package_sources(), "csv") == ["designs"]
+
+
+def test_only_designs_opens_files_for_writing():
+    found = files_opened_for_writing(_package_sources())
+    assert found and {line.split(":")[0] for line in found} == {"designs"}
+
+
+def test_guard_flags_every_way_to_open_a_file_for_writing():
+    sources = {
+        "a": "fh = open(path, 'w')\n",
+        "b": "with open(p, newline='', mode='a') as fh:\n    pass\n",
+        "c": "import io\nio.open(p, 'x')\npath.open('rb+')\npath.open(mode='wb')\n",
+        "d": ("open(p)\nopen(p, 'r')\nopen(p, newline='')\npath.open()\n"
+              "open('a.txt')\nos.open(p, flags)\nopen(p, mode)\n"),
+    }
+    assert files_opened_for_writing(sources) == [
+        "a:1: opens a file for writing", "b:1: opens a file for writing",
+        "c:2: opens a file for writing", "c:4: opens a file for writing"]
 
 
 def test_only_experiment_starts_processes():

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from treeselect import (ClassDescriptor, Dataset, DesignSpec, TreeClassifier,
-                        brute_force_best_subtree, empirical_risk, grow_maximal,
+                        brute_force_best_subtree, empirical_risk, eta, grow_maximal,
                         is_pruned_subtree, leaf, loss_estimate, tree_from_text,
                         tree_to_text, weakest_link)
 from treeselect.designs import is_integer, is_real
@@ -34,6 +35,56 @@ def test_predict_dimension_mismatch():
     t = tree_from_text("node(3, 0.0, leaf(0), leaf(1))")
     with pytest.raises(ValueError):
         t.predict_batch([[1.0, 2.0]])
+
+
+def _zeros_but(bad):
+    X = np.zeros((3, 2))
+    X[1, 0] = bad
+    return X
+
+
+# the features a Dataset rejects (see test_designs.py), as a routed batch
+_BAD_BATCHES = {
+    **{f"x={bad}": _zeros_but(bad) for bad in (np.nan, np.inf, -np.inf)},
+    "strings": [["1", "2"], ["3", "4"]],
+    "complex": np.array([[1 + 1j, 2], [3, 4]]),
+    "objects": np.array([[1.0, 2.0], [3.0, 4.0]], dtype=object),
+}
+
+_ROUTES = {
+    "predict_batch": lambda X: tree_from_text("node(2, 0.5, leaf(0), leaf(1))").predict_batch(X),
+    "leaf_assignment": lambda X: leaf(1).leaf_assignment(X),
+    "eta": lambda X: eta(DesignSpec(2, 10, 2, 1.0), X),
+}
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+@pytest.mark.parametrize("batch", _BAD_BATCHES)
+def test_routing_rejects_the_features_a_dataset_rejects(route, batch):
+    X = _BAD_BATCHES[batch]
+    with pytest.raises(ValueError) as expected:
+        Dataset(X, [0, 1] if len(X) == 2 else [0, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a dropped imaginary part only warns
+        with pytest.raises(ValueError) as got:
+            _ROUTES[route](X)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("route", _ROUTES)
+def test_routing_an_empty_batch_raises_as_an_empty_dataset_does(route):
+    with pytest.raises(ValueError, match="need at least one observation"):
+        _ROUTES[route](np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.int64, np.float32, float])
+def test_bool_integer_and_float_batches_route_as_their_float_values(dtype):
+    X = np.array([[0, 0], [1, 1], [0, 1], [1, 0]], dtype=dtype)
+    t = tree_from_text("node(2, 0.5, leaf(0), leaf(1))")
+    assert t.predict_batch(X).tolist() == [0, 1, 1, 0]
+    assert t.leaf_assignment(X).tolist() == [1, 2, 2, 1]
+    spec = DesignSpec(2, 10, 2, 1.0)
+    assert eta(spec, X).tolist() == eta(spec, X.astype(np.float64)).tolist()
 
 
 def test_leaf_minus_internal_is_one():
@@ -341,8 +392,7 @@ def test_malformed_arena_rejected(nodes):
 
 def _reference_check(nodes) -> None:
     """The arena check with the generic integer and real tests for every
-    field of every node: the reference for TreeClassifier's check, which
-    tests the exact types the library builds first."""
+    field of every node: the reference for TreeClassifier's check."""
     nodes = tuple(nodes)
     if not nodes:
         raise ValueError("a tree needs at least one node")
