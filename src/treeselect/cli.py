@@ -84,13 +84,13 @@ def _emit_tree(tree, out):
 
 
 class _Group(click.Group):
-    """Reports a value the library rejects as a usage error: exit code 2 and
-    `Error: <message>`, with no traceback."""
+    """Reports a value the library rejects, and a path the OS refuses, as a
+    usage error: exit code 2 and `Error: <message>`, with no traceback."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
 
 
@@ -116,13 +116,13 @@ def simulate(design, n, p, noise, seed, out):
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
 @click.option("--max-leaves", type=_INT, default=None)
-@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
+@click.option("--min-node-size", type=_INT, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def grow(data_path, max_leaves, min_node_size, out):
     """Grow the maximal tree on a CSV dataset."""
     data = load_dataset(data_path)
-    tree = grow_maximal(data, GrowLimits(max_leaves=max_leaves,
-                                         min_node_size=min_node_size))
+    tree = grow_maximal(data, GrowLimits(**_given(max_leaves=max_leaves,
+                                                  min_node_size=min_node_size)))
     _emit_tree(tree, out)
     click.echo(f"leaves={tree.n_leaves} training_risk={empirical_risk(tree, data):.6f}")
 
@@ -159,28 +159,28 @@ def prune(data_path, tree_path, max_leaves, min_node_size, out):
 @click.option("--c1", type=_FLOAT, default=None)
 @click.option("--c2", type=_FLOAT, default=None)
 @click.option("--max-leaves", type=_INT, default=None)
-@click.option("--min-node-size", type=_INT, default=GrowLimits.min_node_size)
+@click.option("--min-node-size", type=_INT, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def select(data_path, penalty, alpha, kappa, c1, c2, max_leaves, min_node_size, out):
     """Penalized tree selection over the pruned sequence."""
     data = load_dataset(data_path)
     spec = _build_penalty(penalty, alpha, kappa, c1, c2)
-    tree, cost = select_tree(data, spec, GrowLimits(max_leaves=max_leaves,
-                                                    min_node_size=min_node_size))
+    limits = GrowLimits(**_given(max_leaves=max_leaves, min_node_size=min_node_size))
+    tree, cost = select_tree(data, spec, limits)
     _emit_tree(tree, out)
     click.echo(f"leaves={tree.n_leaves} penalized_cost={cost!r}")
 
 
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True), required=True)
-@click.option("--folds", type=_INT, default=CVConfig.folds)
-@click.option("--rule", type=click.Choice(CV_RULES), default=CVConfig.rule)
-@click.option("--seed", type=_INT, default=CVConfig.seed)
+@click.option("--folds", type=_INT, default=None)
+@click.option("--rule", type=click.Choice(CV_RULES), default=None)
+@click.option("--seed", type=_INT, default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cv(data_path, folds, rule, seed, out):
     """Cross-validated tuning of the linear penalty weight."""
     data = load_dataset(data_path)
-    alpha, tree = cv_select_alpha(data, CVConfig(folds=folds, rule=rule, seed=seed))
+    alpha, tree = cv_select_alpha(data, CVConfig(**_given(folds=folds, rule=rule, seed=seed)))
     _emit_tree(tree, out)
     click.echo(f"alpha={alpha!r} leaves={tree.n_leaves}")
 
@@ -218,6 +218,13 @@ def _float_list(text) -> tuple[float, ...]:
     return tuple(strict_float(v.strip()) for v in _items(text))
 
 
+# experiment's config keys and their parsers, in the order they are read;
+# noise_grid replaces the noise grid of every selected design
+_CONFIG_KEYS = {"designs": _int_list, "n_grid": _int_list, "p_grid": _int_list,
+                "replications": strict_int, "folds": strict_int,
+                "test_samples": strict_int, "jobs": strict_int, "noise_grid": _float_list}
+
+
 @main.command()
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="flat key=value file; flags override its entries")
@@ -232,31 +239,17 @@ def _float_list(text) -> tuple[float, ...]:
 @click.option("--jobs", type=str, default=None, metavar="INTEGER")
 @click.option("--seed", type=_INT, required=True)
 @click.option("--out-dir", type=click.Path(), default=".")
-def experiment(config_path, designs, n_grid, p_grid, noise_grid, replications,
-               folds, test_samples, jobs, seed, out_dir):
+def experiment(config_path, seed, out_dir, **flags):
     """Run the full sweep; writes results.csv, fit.csv and figure3_<d>.dat."""
     check_integer("seed", seed, least=0)  # named for the flag, not for master_seed
-    cfg_file = _parse_config_file(config_path) if config_path else {}
-
-    def pick(flag, key, conv):
-        """Parse the flag's text, or else the config file's; both are strings."""
-        text = cfg_file.pop(key, None)  # what is left after every pick is unknown
-        if flag is not None:
-            text = flag
-        return None if text is None else conv(text)
-
-    given = _given(
-        designs=pick(designs, "designs", _int_list),
-        n_grid=pick(n_grid, "n_grid", _int_list),
-        p_grid=pick(p_grid, "p_grid", _int_list),
-        replications=pick(replications, "replications", strict_int),
-        folds=pick(folds, "folds", strict_int),
-        test_samples=pick(test_samples, "test_samples", strict_int),
-        jobs=pick(jobs, "jobs", strict_int))
-    noise_override = pick(noise_grid, "noise_grid", _float_list)
-    if cfg_file:
-        raise click.UsageError(f"unknown config key(s): {', '.join(sorted(cfg_file))}")
-    cfg = xp.ExperimentConfig(master_seed=seed, **given)
+    texts = _parse_config_file(config_path) if config_path else {}
+    texts.update(_given(**flags))  # a flag replaces the file's text before it is parsed
+    values = {key: parse(texts.pop(key)) for key, parse in _CONFIG_KEYS.items()
+              if key in texts}
+    if texts:  # what no key of the table took
+        raise click.UsageError(f"unknown config key(s): {', '.join(sorted(texts))}")
+    noise_override = values.pop("noise_grid", None)
+    cfg = xp.ExperimentConfig(master_seed=seed, **values)
     if noise_override is not None:
         cfg = replace(cfg, noise_grids={**cfg.noise_grids,
                                         **{d: noise_override for d in cfg.designs}})

@@ -505,21 +505,26 @@ def replace_file(path, newline=None):
     It is a new file beside `path` (through a symbolic link, beside its
     target): on an error it is removed and `path` keeps its old bytes.  It
     takes the mode of the file it replaces, or the mode a plain ``open``
-    gives a new file.  A device or pipe is written in place."""
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", newline=newline) as fh:
+    gives a new file.  A device or pipe is written in place.  An error in
+    opening it names `path`, not the temporary file."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        with open(real, "w", newline=newline) as fh:
             yield fh
         return
-    head, tail = os.path.split(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "x", newline=newline)  # never an existing file; mode 0o666 less the umask
+    try:
+        fh = open(tmp, "x", newline=newline)  # never an existing file; mode 0o666 less the umask
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
     try:
         with fh:
-            if os.path.exists(path):
-                os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+            if os.path.exists(real):
+                os.chmod(tmp, stat.S_IMODE(os.stat(real).st_mode))
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         os.remove(tmp)
         raise

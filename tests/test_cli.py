@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import treeselect.cli
 import treeselect.verify
 from treeselect import experiment as xp
 from treeselect.cli import main
-from treeselect import Dataset, load_dataset, save_dataset, tree_from_text
+from treeselect import (Dataset, MarginAdaptivePenalty, MinCombinedPenalty, VCPenalty,
+                        load_dataset, save_dataset, select_tree, tree_from_text, tree_to_text)
 
 from conftest import NEIGHBOUR_CASES
 
@@ -127,7 +129,8 @@ def test_experiment_makes_its_out_dir_before_any_replication(tmp_path, monkeypat
     blocker = tmp_path / "taken"
     blocker.write_text("a file, not a directory\n")
     result = CliRunner().invoke(main, grid + [str(blocker)])
-    assert isinstance(result.exception, FileExistsError)
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == f"Error: [Errno 17] File exists: {str(blocker)!r}"
     assert started == [] and blocker.read_text() == "a file, not a directory\n"
     run(*grid, str(tmp_path / "run"))
     assert len(started) == 4 and (tmp_path / "run" / "results.csv").exists()
@@ -235,6 +238,8 @@ def test_repeated_header_name_is_a_usage_error(tmp_path):
     (["--penalty", "linear", "--kappa", "9"], "--penalty linear does not read --kappa"),
     (["--penalty", "gey", "--c1", "2"], "--penalty gey does not read --c1"),
     (["--penalty", "vc", "--kappa", "2"], "--penalty vc does not read --kappa"),
+    (["--penalty", "min", "--alpha", "5"], "--penalty min does not read --alpha"),
+    (["--penalty", "min", "--kappa", "2", "--alpha", "5"], "--penalty min does not read --alpha"),
 ])
 def test_select_rejects_a_flag_its_penalty_does_not_read(tmp_path, flags, message):
     data = _make_data(tmp_path)
@@ -347,3 +352,88 @@ def test_simulate_reads_numbers_strictly(tmp_path, flags, message):
     assert result.exit_code == 2
     assert result.output.splitlines()[-1] == f"Error: {message}"
     assert not (tmp_path / "d.csv").exists()
+
+
+def _path_cases(tmp_path):
+    """(arguments, the path the error must name) of each path the OS refuses."""
+    data = _make_data(tmp_path)
+    (tmp_path / "a dir").mkdir()
+    (tmp_path / "a file").write_text("a file, not a directory\n")
+    folder, missing = str(tmp_path / "a dir"), str(tmp_path / "missing" / "x.txt")
+    sim = ["simulate", "--design", "1", "--n", "40", "--p", "4", "--noise", "0.1", "--seed", "3"]
+    return {"simulate --out": (sim + ["--out", missing], missing),
+            "grow --out": (["grow", "--data", str(data), "--out", missing], missing),
+            "grow --data": (["grow", "--data", folder], folder),
+            "prune --tree": (["prune", "--data", str(data), "--tree", folder,
+                              "--out", str(tmp_path / "seq.csv")], folder),
+            "experiment --config": (["experiment", "--config", folder, "--seed", "1"], folder),
+            "experiment --out-dir": (["experiment", "--seed", "1", "--replications", "1",
+                                      "--n-grid", "30", "--p-grid", "5,10",
+                                      "--out-dir", str(tmp_path / "a file")],
+                                     str(tmp_path / "a file"))}
+
+
+@pytest.mark.parametrize("case", ["simulate --out", "grow --out", "grow --data", "prune --tree",
+                                  "experiment --config", "experiment --out-dir"])
+def test_a_path_the_os_refuses_is_a_usage_error(tmp_path, monkeypatch, case):
+    args, path = _path_cases(tmp_path)[case]
+    before = sorted(os.listdir(tmp_path))
+    started = []
+    monkeypatch.setattr(xp, "_run_replication", lambda *args: started.append(args))
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2 and "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].endswith(f": {path!r}")  # the path asked for
+    assert sorted(os.listdir(tmp_path)) == before and os.listdir(tmp_path / "a dir") == []
+    assert started == []
+
+
+@pytest.mark.parametrize("flags,spec", [
+    ([], MinCombinedPenalty()),
+    (["--kappa", "2"], MinCombinedPenalty(MarginAdaptivePenalty(kappa=2.0), VCPenalty())),
+    (["--c2", "0.25"], MinCombinedPenalty(MarginAdaptivePenalty(c2=0.25), VCPenalty(c2=0.25))),
+    (["--kappa", "3", "--c1", "0.5", "--c2", "4"],
+     MinCombinedPenalty(MarginAdaptivePenalty(3.0, 0.5, 4.0), VCPenalty(0.5, 4.0))),
+])
+def test_select_min_reads_the_margin_flags_and_hands_c1_c2_to_vc(tmp_path, monkeypatch,
+                                                                 flags, spec):
+    data = _make_data(tmp_path)
+    specs = []
+    library_select = treeselect.cli.select_tree
+    monkeypatch.setattr(treeselect.cli, "select_tree",
+                        lambda data, spec, limits: specs.append(spec)
+                        or library_select(data, spec, limits))
+    res = run("select", "--data", str(data), "--penalty", "min", *flags)
+    assert specs == [spec]
+    tree, cost = select_tree(load_dataset(data), spec)
+    assert res.output.splitlines() == [tree_to_text(tree),
+                                       f"leaves={tree.n_leaves} penalized_cost={cost!r}"]
+
+
+def _experiment_with(tmp_path, config, *flags):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(config)
+    return CliRunner().invoke(main, ["experiment", "--config", str(cfg), "--seed", "1",
+                                     *flags, "--out-dir", str(tmp_path / "run")])
+
+
+def test_config_keys_are_parsed_in_table_order(tmp_path):
+    result = _experiment_with(tmp_path, "p_grid=5_0\nn_grid=4_0\n")
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: '4_0' is not an integer"  # n_grid's
+
+
+def test_a_file_value_its_flag_overrides_is_never_parsed(tmp_path):
+    result = _experiment_with(tmp_path, "n_grid=4_0\np_grid=5,10\nnoise_grid=0.1\n"
+                              "replications=1\nfolds=2\ntest_samples=100\n",
+                              "--n-grid", "20")
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "run" / "results.csv").read_text().splitlines()[1].split(",")[1] == "20"
+
+
+def test_a_bad_value_is_reported_before_an_unknown_key(tmp_path):
+    result = _experiment_with(tmp_path, "bogus=1\nfolds=x\n")
+    assert result.exit_code == 2
+    assert result.output.splitlines()[-1] == "Error: 'x' is not an integer"
+    result = _experiment_with(tmp_path, "bogus=1\nfolds=2\nn_grid=1\n", "--p-grid", "5,10")
+    assert result.output.splitlines()[-1] == "Error: unknown config key(s): bogus"

@@ -381,6 +381,36 @@ def test_designs_2_3_fail_ma2():
         assert not margin_holds(spec, MarginSpec("MA2", h=0.1))
 
 
+@pytest.mark.parametrize("C0,holds", [(1.3, True), (1.2, False)])
+def test_design1_ma1_needs_c0_of_one_over_its_gap(C0, holds):
+    # the mass steps from 0 to 1 at t = |2q - 1| = 0.8, and MA1 with kappa = 2
+    # bounds it by C0 t, so it holds from C0 = 1 / 0.8 = 1.25 on
+    spec = DesignSpec(1, 10, 5, 0.1)
+    assert margin_holds(spec, MarginSpec("MA1", C0=C0, kappa=2)) is holds
+
+
+@pytest.mark.parametrize("C0,holds", [(1, False), (10, True)])
+def test_design2_ma1_at_unit_variance(C0, holds):
+    assert margin_holds(_D2, MarginSpec("MA1", C0=C0, kappa=2)) is holds
+
+
+@pytest.mark.parametrize("did,noise", [(d, q) for d, grid in DEFAULT_NOISE_GRIDS.items()
+                                       for q in grid])
+def test_every_design_fails_ma1_with_c0_below_one(did, noise):
+    spec = DesignSpec(did, 10, 5, noise)
+    assert margin_mass(spec, 1.0) == 1.0  # above C0 * 1 ** expo for any kappa
+    for kappa in (1.5, 2, 4):
+        assert margin_holds(spec, MarginSpec("MA1", C0=0.99, kappa=kappa)) is False
+
+
+@pytest.mark.parametrize("did,noise", [(1, 0.1), (2, 1.0), (3, 0.5), (4, 0.2)])
+def test_bayes_predict_of_a_single_point_is_an_int_of_the_batch_rule(did, noise):
+    X = generate(DesignSpec(did, 30, 4, noise, seed=2)).X
+    batch = bayes_predict(DesignSpec(did, 30, 4, noise), X)
+    singles = [bayes_predict(DesignSpec(did, 30, 4, noise), x) for x in X]
+    assert all(type(v) is int for v in singles) and singles == batch.tolist()
+
+
 def test_csv_round_trip(tmp_path):
     d = generate(DesignSpec(3, 25, 4, 1.0, seed=5))
     path = tmp_path / "data.csv"
@@ -474,6 +504,23 @@ def test_csv_requires_label_column(tmp_path):
     path.write_text("x1,x2,label\n1.0,2.0,0\n")
     with pytest.raises(ValueError):
         load_dataset(path)
+
+
+def _load_text(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return load_dataset(path)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda tmp_path: MarginSpec("MA3"), "kind must be 'MA1' or 'MA2'"),
+    (lambda tmp_path: MarginSpec("ma1"), "kind must be 'MA1' or 'MA2'"),
+    (lambda tmp_path: _load_text(tmp_path, ""), "empty CSV file"),
+])
+def test_designs_rejections(tmp_path, call, message):
+    with pytest.raises(ValueError) as err:
+        call(tmp_path)
+    assert str(err.value) == message
 
 
 def test_dataset_invariants():

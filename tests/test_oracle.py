@@ -201,6 +201,18 @@ def test_class_variables_must_be_positive_integers():
 
 
 @pytest.mark.parametrize("configuration,variables", [
+    (LEAF_SHAPE, (1,)),
+    ((LEAF_SHAPE, LEAF_SHAPE), ()),
+    ((LEAF_SHAPE, LEAF_SHAPE), (1, 2)),
+    (((LEAF_SHAPE, LEAF_SHAPE), LEAF_SHAPE), (1,)),
+])
+def test_class_variables_must_match_the_internal_node_count(configuration, variables):
+    with pytest.raises(ValueError) as err:
+        ClassDescriptor(configuration, variables)
+    assert str(err.value) == "variable list length must equal internal-node count"
+
+
+@pytest.mark.parametrize("configuration,variables", [
     (((), (), ()), (1, 1)),      # a ternary node, which would count as a stump
     ((1, 2), (1,)),              # int nodes
     ([(), ()], (1,)),            # a list node

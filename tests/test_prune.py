@@ -62,6 +62,22 @@ def test_sequence_rejects_labels_and_steps_out_of_range(three_leaf, field, value
     assert replace(seq).steps == seq.steps  # the unchanged fields construct
 
 
+@pytest.mark.parametrize("fields,message", [
+    (dict(sizes=(3,)), "sequence fields must have equal length"),
+    (dict(alphas=(), error_counts=(), sizes=()), "sequence must be nonempty"),
+    (dict(steps=(0, 0, 1, 0)), "steps and labels need one entry per node"),
+    (dict(alphas=(Fraction(1, 8), Fraction(1, 4))), "first critical alpha must be 0"),
+    (dict(alphas=(Fraction(0), Fraction(0))), "critical alphas must strictly increase"),
+    (dict(sizes=(1, 3)), "leaf counts must strictly decrease"),
+])
+def test_sequence_rejections(three_leaf, fields, message):
+    _, seq = three_leaf
+    assert (seq.sizes, seq.alphas, len(seq.steps)) == ((3, 1), (0, Fraction(1, 4)), 5)
+    with pytest.raises(ValueError) as err:
+        replace(seq, **fields)
+    assert str(err.value) == message
+
+
 def test_prune_zero_penalty_gives_maximal(three_leaf):
     _, seq = three_leaf
     assert best_in_sequence(seq, lambda k: 0.0)[0] == 0
