@@ -137,7 +137,10 @@ def sweep_records(cfg: ExperimentConfig):
     triples once they are done; closing it cancels the replications not yet started."""
     cells, reps = zip(*product(cfg.cells(), range(cfg.replications)))
     run = partial(_run_replication, cfg)
-    pool = ProcessPoolExecutor(max_workers=cfg.jobs) if cfg.jobs > 1 else None
+    # the pool forks all its workers at the first submit, so it gets no more
+    # than there are tasks, or CPUs this process may run on
+    workers = min(cfg.jobs, len(cells), len(os.sched_getaffinity(0)))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         triples = map(run, cells, reps) if pool is None else pool.map(run, cells, reps, chunksize=4)
         for cell in cfg.cells():

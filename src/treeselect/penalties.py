@@ -177,15 +177,33 @@ def _picks(seq: PrunedSequence, alphas: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CVCurve:
-    """Q-fold CV risk curve of the linear penalty weight.  `candidates` are
-    increasing, and element c of the full-data `sequence` is its pick at
-    candidates[c].  fold_errors[f, c] counts fold f's held-out rows that the
-    fold-f tree's pick at candidates[c] misclassifies, of fold_sizes[f]."""
+    """Q-fold CV risk curve of the linear penalty weight.  fold_errors[f, c]
+    counts fold f's held-out rows that the fold-f tree's pick at
+    candidates[c] misclassifies, of fold_sizes[f].  `candidates` are derived
+    from the full-data `sequence`: they increase, and element c of the
+    sequence is its pick at candidates[c]."""
 
     sequence: PrunedSequence
-    candidates: tuple[float, ...]
     fold_errors: np.ndarray
     fold_sizes: np.ndarray
+    candidates: tuple[float, ...] = field(init=False)
+
+    def __post_init__(self):
+        errors, sizes = self.fold_errors, self.fold_sizes
+        if not (isinstance(sizes, np.ndarray) and sizes.ndim == 1
+                and np.issubdtype(sizes.dtype, np.integer)):
+            raise ValueError("fold_sizes must be a 1-D integer array")
+        if sizes.size < 2:
+            raise ValueError("a CV curve needs at least two folds")
+        if (sizes < 1).any():
+            raise ValueError("every fold must hold at least one row")
+        shape = (sizes.size, len(self.sequence.alphas))
+        if not (isinstance(errors, np.ndarray) and errors.shape == shape
+                and np.issubdtype(errors.dtype, np.integer)):
+            raise ValueError(f"fold_errors must be an integer array of shape {shape}")
+        if (errors < 0).any() or (errors > sizes[:, None]).any():
+            raise ValueError("fold errors must lie between 0 and the fold's size")
+        object.__setattr__(self, "candidates", tuple(_candidate_alphas(self.sequence)))
 
     def pick(self, rule: str) -> int:
         """Index of the last candidate (the largest alpha, i.e. the simplest
@@ -217,7 +235,7 @@ def cv_curve(data: Dataset, cfg: CVConfig) -> CVCurve:
         fold_errors[f] = np.array(seq.errors_on(data.subset(held)))[_picks(seq, alphas)]
     fold_sizes = np.array([held.size for held in folds], dtype=np.int64)
     fold_errors.flags.writeable = fold_sizes.flags.writeable = False
-    return CVCurve(sequence, tuple(alphas.tolist()), fold_errors, fold_sizes)
+    return CVCurve(sequence, fold_errors, fold_sizes)
 
 
 def cv_select_alpha(data: Dataset, cfg: CVConfig) -> tuple[float, TreeClassifier]:

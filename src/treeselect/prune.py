@@ -2,31 +2,32 @@
 
 Risks are kept as exact misclassification counts.  A link strength g(t)
 is the integer pair (error increase, leaves saved); two strengths are
-compared by cross-multiplying, exactly, and a Fraction is built only for
-each step's minimum, so the critical alphas are exact rationals.  Ties in
+compared by cross-multiplying, exactly, and each critical alpha is an exact
+Fraction: its step's error increase over n times its leaves saved.  Ties in
 g(t) collapse all tied nodes in one step, which preserves the classical
 guarantee that for every alpha in [alpha_k, alpha_{k+1}) the k-th subtree
 minimizes P_n f + alpha |T| over all pruned subtrees.
 
 The nested sequence (Breiman et al. 1984, ch. 10) is stored as one collapse
 schedule: the maximal tree and, per node, the first element in which it is
-a leaf.  Every per-element quantity is read from that schedule; an
-element's tree is the maximal tree with a majority-labelled ``Leaf`` in
-place of each collapsed node, laid out again by ``tree.preorder_tree``.
+a leaf, beside each element's training errors.  Every other per-element
+quantity, such as each element's size and critical alpha, is derived from
+these, once, by the constructor, so it cannot disagree with them.  An element's
+tree is the maximal tree with a majority-labelled ``Leaf`` in place of each
+collapsed node, laid out again by ``tree.preorder_tree``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
 from .designs import Dataset, check_real, write_csv
-from .tree import (Internal, Leaf, TreeClassifier, is_pruned_subtree, node_counts,
-                   preorder_tree)
+from .tree import Internal, Leaf, TreeClassifier, node_counts, preorder_tree
 
 __all__ = ["PrunedSequence", "weakest_link", "best_in_sequence", "subtree_at_alpha",
            "sequence_to_csv"]
@@ -38,34 +39,55 @@ class PrunedSequence:
     a collapse schedule: steps[i] is the first element in which node i of
     `tree` is a leaf (0 for its leaves and zero-gain collapses; a node
     collapsed with an ancestor gets the ancestor's step), and labels[i] is
-    node i's training majority label."""
+    node i's training majority label.  error_counts[k] is element k's
+    training misclassification count, of n rows.
+
+    `sizes` and `alphas` are derived from these.  Element k keeps as
+    internal nodes those with steps[i] > k, so
+    sizes[k] = 1 + #{internal i : steps[i] > k}.  Every node collapsed in
+    step k has the same link strength, so alphas[0] = 0 and alphas[k] is
+    the step's error increase over n times its leaves saved:
+    (error_counts[k] - error_counts[k-1]) / (n * (sizes[k-1] - sizes[k]))."""
 
     tree: TreeClassifier  # the maximal tree
     steps: tuple[int, ...]
     labels: tuple[int, ...]
-    alphas: tuple[Fraction, ...]  # critical values, alphas[0] == 0
     error_counts: tuple[int, ...]  # training misclassification counts
-    sizes: tuple[int, ...]  # leaf counts
     n: int
+    sizes: tuple[int, ...] = field(init=False)  # leaf counts
+    alphas: tuple[Fraction, ...] = field(init=False)  # critical values
 
     def __post_init__(self):
-        k = len(self.alphas)
-        if not (k == len(self.error_counts) == len(self.sizes)):
-            raise ValueError("sequence fields must have equal length")
+        steps, errors = self.steps, self.error_counts
+        k = len(errors)
         if k == 0:
             raise ValueError("sequence must be nonempty")
-        if not (len(self.steps) == len(self.labels) == len(self.tree.nodes)):
+        if not (len(steps) == len(self.labels) == len(self.tree.nodes)):
             raise ValueError("steps and labels need one entry per node")
         if not set(self.labels) <= {0, 1}:
             raise ValueError("node labels must be 0 or 1")
-        if not set(self.steps) <= set(range(k)):
+        if not set(steps) <= set(range(k)):
             raise ValueError(f"steps must be integers in [0, {k})")
-        if self.alphas[0] != 0:
-            raise ValueError("first critical alpha must be 0")
-        if any(a >= b for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError("critical alphas must strictly increase")
-        if any(a <= b for a, b in zip(self.sizes, self.sizes[1:])):
+        collapsed = [0] * k  # internal nodes collapsed in each step
+        for nd, step in zip(self.tree.nodes, steps):
+            if isinstance(nd, Leaf):
+                if step:
+                    raise ValueError("a leaf's step must be 0")
+            elif steps[nd.left] > step or steps[nd.right] > step:
+                raise ValueError("a child's step must not exceed its parent's")
+            else:
+                collapsed[step] += 1
+        # step j saves one leaf per internal node it collapses
+        if 0 in collapsed[1:]:
             raise ValueError("leaf counts must strictly decrease")
+        sizes = tuple(accumulate(collapsed[:0:-1], initial=1))[::-1]
+        # int() keeps numpy-typed counts from giving numpy-typed Fractions
+        alphas = (Fraction(0), *(Fraction(int(b - a), int(self.n * saved)) for a, b, saved
+                                 in zip(errors, errors[1:], collapsed[1:])))
+        if any(a >= b for a, b in zip(alphas, alphas[1:])):
+            raise ValueError("critical alphas must strictly increase")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "alphas", alphas)
 
     def subtree(self, k: int) -> TreeClassifier:
         """Element k as a tree: every node collapsed by step k (steps[i] <= k)
@@ -114,7 +136,7 @@ def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
     steps = [0 if isinstance(nd, Leaf) else None for nd in nodes]
     leaves = [1] * len(nodes)  # leaves and errors of each node's current subtree
     errs = list(err)
-    alphas, errors, sizes = [Fraction(0)], [], []
+    errors = []  # training errors of each element
     while True:
         # children come after parents, so one reverse sweep refreshes every
         # live subtree and finds the weakest links; (1, 0) stands for +inf
@@ -128,17 +150,15 @@ def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
                 ga, gb, weakest = a, b, [i]
             elif a * gb == ga * b:
                 weakest.append(i)
-        if ga == 0 and not sizes:
+        if ga == 0 and not errors:
             # zero-gain links collapse into the first element, so it is the
             # smallest optimizer at alpha = 0
             step = 0
         else:
             errors.append(errs[0])
-            sizes.append(leaves[0])
             if not weakest:
                 break
-            step = len(alphas)
-            alphas.append(Fraction(ga, n * gb))
+            step = len(errors)
         for i in weakest:
             steps[i] = step
             leaves[i], errs[i] = 1, err[i]
@@ -153,8 +173,7 @@ def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:
                     steps[i] = steps[parent[i]]
         live = kept
 
-    return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(alphas),
-                          tuple(errors), tuple(sizes), n)
+    return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(errors), n)
 
 
 def best_in_sequence(seq: PrunedSequence, pen: Callable[[int], float]) -> tuple[int, float]:
@@ -182,7 +201,3 @@ def sequence_to_csv(seq: PrunedSequence, path) -> None:
     write_csv(path, ["size", "risk", "alpha"],
               ([size, err / seq.n, float(alpha)]
                for size, alpha, err in zip(seq.sizes, seq.alphas, seq.error_counts)))
-
-
-def check_nested(seq: PrunedSequence) -> bool:
-    return all(is_pruned_subtree(b, a) for a, b in zip(seq.subtrees, seq.subtrees[1:]))

@@ -52,6 +52,43 @@ def test_sweep_records_yield_each_cell_in_order_with_the_same_triples_at_any_job
     assert list(sweep_records(dataclasses.replace(SMALL, jobs=2))) == records
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+# (jobs, p_grid, replications, usable CPUs) -> the pool size, or None for no pool
+@pytest.mark.parametrize("jobs,p_grid,replications,cpus,workers", [
+    (10 ** 6, (5,), 2, 64, 2),
+    (10 ** 6, (5, 10), 2, 3, 3),
+    (3, (5, 10), 2, 64, 3),
+    (10 ** 6, (5, 10), 2, 1, None),
+    (4, (5,), 1, 64, None),
+    (1, (5, 10), 2, 64, None),
+])
+def test_the_pool_is_no_larger_than_jobs_tasks_or_cpus(monkeypatch, jobs, p_grid,
+                                                        replications, cpus, workers):
+    # a real pool forks all its workers at the first submit, so none is started here
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(xp, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    cfg = dataclasses.replace(SMALL, p_grid=p_grid, replications=replications,
+                              test_samples=50, jobs=jobs)
+    records = list(sweep_records(cfg))
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+    assert records == list(sweep_records(dataclasses.replace(cfg, jobs=1)))
+
+
 def test_aggregate_gives_run_sweeps_rows():
     records = list(sweep_records(SMALL))
     rows = run_sweep(SMALL)

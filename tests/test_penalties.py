@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treeselect import (CVConfig, Dataset, DesignSpec, GeyPenalty, GrowLimits,
+from treeselect import (CVConfig, CVCurve, Dataset, DesignSpec, GeyPenalty, GrowLimits,
                         LinearPenalty, MarginAdaptivePenalty, MinCombinedPenalty,
                         NobelPenalty, VCPenalty, cv_curve, cv_select_alpha, generate,
                         loss_estimate, penalty_value, select_tree)
@@ -394,6 +395,69 @@ def test_cv_curve_is_the_curve_cv_select_alpha_picks_from(data):
         c = curve.pick(rule)
         assert alpha == cands[c]
         assert tree_to_text(tree) == tree_to_text(seq.subtree(c))
+
+
+@pytest.fixture
+def three_fold_curve():
+    curve = cv_curve(random_dataset(np.random.default_rng(43), 30, 2), CVConfig(folds=3))
+    assert curve.fold_errors.shape == (3, 5) and curve.fold_sizes.tolist() == [10, 10, 10]
+    return curve
+
+
+def _edited(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+# (fold_errors, fold_sizes) from the curve's own, and the message
+@pytest.mark.parametrize("arrays,message", [
+    (lambda e, s: (e, s.tolist()), "fold_sizes must be a 1-D integer array"),
+    (lambda e, s: (e, s.astype(float)), "fold_sizes must be a 1-D integer array"),
+    (lambda e, s: (e, s[:, None]), "fold_sizes must be a 1-D integer array"),
+    (lambda e, s: (e[:1], s[:1]), "a CV curve needs at least two folds"),
+    (lambda e, s: (np.zeros_like(e), _edited(s, 0, 0)), "every fold must hold at least one row"),
+    (lambda e, s: (e.astype(float), s), "fold_errors must be an integer array of shape (3, 5)"),
+    (lambda e, s: (e.tolist(), s), "fold_errors must be an integer array of shape (3, 5)"),
+    (lambda e, s: (e[:, 1:], s), "fold_errors must be an integer array of shape (3, 5)"),
+    (lambda e, s: (e[:2], s), "fold_errors must be an integer array of shape (3, 5)"),
+    (lambda e, s: (_edited(e, (1, 2), -1), s),
+     "fold errors must lie between 0 and the fold's size"),
+    (lambda e, s: (_edited(e, (2, 0), 11), s),
+     "fold errors must lie between 0 and the fold's size"),
+])
+def test_cv_curve_rejections(three_fold_curve, arrays, message):
+    errors, sizes = arrays(three_fold_curve.fold_errors, three_fold_curve.fold_sizes)
+    with pytest.raises(ValueError) as err:
+        replace(three_fold_curve, fold_errors=errors, fold_sizes=sizes)
+    assert str(err.value) == message
+
+
+def test_cv_curve_accepts_errors_at_both_bounds(three_fold_curve):
+    edge = _edited(_edited(three_fold_curve.fold_errors, (0, 0), 10), (1, 4), 0)
+    assert replace(three_fold_curve, fold_errors=edge).fold_errors.tolist() == edge.tolist()
+
+
+def test_cv_curve_stores_only_what_it_is_computed_from(three_fold_curve):
+    assert [f.name for f in fields(CVCurve) if f.init] == \
+        ["sequence", "fold_errors", "fold_sizes"]
+    assert three_fold_curve.candidates == tuple(_candidate_alphas(three_fold_curve.sequence))
+    with pytest.raises(ValueError, match="^field candidates is declared with init=False"):
+        replace(three_fold_curve, candidates=(0.0, 1.0, 2.0, 3.0, 4.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_datasets(), leaf_budgets, st.integers(2, 4), st.randoms(use_true_random=False))
+def test_every_library_built_sequence_and_curve_constructs(data, max_leaves, folds, rnd):
+    # a tree pruned on the rows it was grown on, and on rows it was not, as in CV
+    rows = data.subset(sorted(rnd.sample(range(data.n), rnd.randint(1, data.n))))
+    tree = grow_maximal(rows, GrowLimits(max_leaves=max_leaves))
+    for pruned_on in (rows, data):
+        seq = weakest_link(tree, pruned_on)
+        assert replace(seq) == seq
+    if folds <= data.n:
+        curve = cv_curve(data, CVConfig(folds=folds))
+        assert replace(curve).candidates == curve.candidates
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +11,8 @@ from treeselect import (GrowLimits, best_in_sequence, empirical_risk,
                         grow_maximal, leaf, sequence_to_csv, subtree_at_alpha,
                         weakest_link)
 from treeselect.oracle import brute_force_best_subtree
-from treeselect.prune import PrunedSequence, check_nested
-from treeselect.tree import Internal, Leaf, node_counts
+from treeselect.prune import PrunedSequence
+from treeselect.tree import Internal, Leaf, is_pruned_subtree, node_counts
 
 from conftest import breadth_first, leaf_budgets, random_dataset, tied_datasets
 
@@ -20,6 +20,13 @@ from conftest import breadth_first, leaf_budgets, random_dataset, tied_datasets
 @pytest.fixture
 def three_leaf(line_dataset):
     d = line_dataset([0, 1, 1, 0])
+    return d, weakest_link(grow_maximal(d), d)
+
+
+@pytest.fixture
+def three_step(line_dataset):
+    # the root (node 0) collapses in step 2 and its left child (node 1) in step 1
+    d = line_dataset([1, 0, 0, 0, 0, 1, 1, 1])
     return d, weakest_link(grow_maximal(d), d)
 
 
@@ -42,7 +49,7 @@ def test_sequence_invariants_random():
         d = random_dataset(np.random.default_rng(seed), 20, 2)
         tree = grow_maximal(d)
         seq = weakest_link(tree, d)
-        assert check_nested(seq)
+        assert all(is_pruned_subtree(b, a) for a, b in zip(seq.subtrees, seq.subtrees[1:]))
         assert all(a < b for a, b in zip(seq.alphas, seq.alphas[1:]))
         assert all(a <= b for a, b in zip(seq.error_counts, seq.error_counts[1:]))
         assert seq.subtrees[-1].n_leaves == 1
@@ -63,19 +70,35 @@ def test_sequence_rejects_labels_and_steps_out_of_range(three_leaf, field, value
 
 
 @pytest.mark.parametrize("fields,message", [
-    (dict(sizes=(3,)), "sequence fields must have equal length"),
-    (dict(alphas=(), error_counts=(), sizes=()), "sequence must be nonempty"),
-    (dict(steps=(0, 0, 1, 0)), "steps and labels need one entry per node"),
-    (dict(alphas=(Fraction(1, 8), Fraction(1, 4))), "first critical alpha must be 0"),
-    (dict(alphas=(Fraction(0), Fraction(0))), "critical alphas must strictly increase"),
-    (dict(sizes=(1, 3)), "leaf counts must strictly decrease"),
+    (dict(steps=(2, 1, 1, 0, 0)), "a leaf's step must be 0"),
+    (dict(error_counts=()), "sequence must be nonempty"),
+    (dict(steps=(2, 1, 0, 0)), "steps and labels need one entry per node"),
+    (dict(steps=(1, 2, 0, 0, 0)), "a child's step must not exceed its parent's"),
+    # derived alphas 0, 3/8, 1/8
+    (dict(error_counts=(0, 3, 4)), "critical alphas must strictly increase"),
+    (dict(steps=(0, 0, 0, 0, 0)), "leaf counts must strictly decrease"),
+    # the child collapses with its parent, so no node collapses in step 1
+    (dict(steps=(2, 2, 0, 0, 0)), "leaf counts must strictly decrease"),
+    # derived alphas 0, 0, 3/8
+    (dict(error_counts=(1, 1, 4)), "critical alphas must strictly increase"),
 ])
-def test_sequence_rejections(three_leaf, fields, message):
-    _, seq = three_leaf
-    assert (seq.sizes, seq.alphas, len(seq.steps)) == ((3, 1), (0, Fraction(1, 4)), 5)
+def test_sequence_rejections(three_step, fields, message):
+    _, seq = three_step
+    assert (seq.steps, seq.error_counts) == ((2, 1, 0, 0, 0), (0, 1, 4))
+    assert (seq.sizes, seq.alphas) == ((3, 2, 1), (0, Fraction(1, 8), Fraction(3, 8)))
     with pytest.raises(ValueError) as err:
         replace(seq, **fields)
     assert str(err.value) == message
+
+
+def test_sequence_stores_only_its_schedule(three_step):
+    assert [f.name for f in fields(PrunedSequence) if f.init] == \
+        ["tree", "steps", "labels", "error_counts", "n"]
+    _, seq = three_step
+    # a stored copy could disagree with the schedule, so none can be passed in
+    for name, value in (("sizes", (4, 3, 2)), ("alphas", (0, 1, 2))):
+        with pytest.raises(ValueError, match=f"^field {name} is declared with init=False"):
+            replace(seq, **{name: value})
 
 
 def test_prune_zero_penalty_gives_maximal(three_leaf):
@@ -157,7 +180,10 @@ def test_schedule_matches_materialised_elements(data, max_leaves, rnd):
 def _reference_weakest_link(tree, data):
     """The Fraction-valued weakest link weakest_link replaced: every step
     recomputes g(t) of every internal node as a Fraction, collapses the
-    nodes tied at the minimum and propagates over all internal nodes."""
+    nodes tied at the minimum and propagates over all internal nodes.
+    Returns the sequence with the alphas (each step's minimum g) and sizes
+    (the leaves of each element) found on the way, independently of those
+    that PrunedSequence derives."""
     nodes, n = tree.nodes, data.n
     n0, n1 = node_counts(tree, data)
     err = [min(a, b) for a, b in zip(n0, n1)]
@@ -197,8 +223,8 @@ def _reference_weakest_link(tree, data):
         alphas.append(gmin)
         errors.append(total)
         sizes.append(size)
-    return PrunedSequence(tree, tuple(steps), tuple(labels), tuple(alphas),
-                          tuple(errors), tuple(sizes), n)
+    seq = PrunedSequence(tree, tuple(steps), tuple(labels), tuple(errors), n)
+    return seq, tuple(alphas), tuple(sizes)
 
 
 def test_breadth_first_layout_is_the_same_tree():
@@ -222,4 +248,7 @@ def test_weakest_link_matches_reference(data, max_leaves):
     other = data.subset(np.arange(data.n) % 2 == 0)
     for arena in (tree, breadth_first(tree)):
         for rows in (data, other):
-            assert weakest_link(arena, rows) == _reference_weakest_link(arena, rows)
+            seq = weakest_link(arena, rows)
+            reference, alphas, sizes = _reference_weakest_link(arena, rows)
+            assert (seq.alphas, seq.sizes) == (alphas, sizes)
+            assert seq == reference

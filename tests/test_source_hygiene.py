@@ -15,7 +15,8 @@ limit.  The oracle reads none of the router, node counts, split search,
 growing, pruning and risk names of the code it checks, so it keeps its own
 routing.  The tree classes are the oracle's alone: no other module but the
 package's ``__init__`` reads them.  Every name in a module's ``__all__`` is
-one that the module defines.
+one that the module defines.  Only ``prune`` constructs a ``PrunedSequence``
+and only ``penalties`` a ``CVCurve``, so each result type has one builder.
 """
 
 import ast
@@ -179,6 +180,20 @@ def undefined_exports(sources: dict[str, str]) -> list[str]:
     return found
 
 
+def calls_of(sources: dict[str, str], names) -> list[str]:
+    """'module:line: calls name' for each call of one of `names`, by its bare
+    name or as an attribute, in {module name: source}."""
+    names = set(names)
+    found = []
+    for module, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in names:
+                    found.append(f"{module}:{node.lineno}: calls {name}")
+    return found
+
+
 # what the oracle checks, so it must not use it
 CHECKED_NAMES = ("leaf_assignment", "predict_batch", "node_counts", "best_split",
                  "grow_maximal", "weakest_link", "preorder_tree", "empirical_risk")
@@ -315,3 +330,23 @@ def test_guard_flags_an_export_the_module_does_not_define():
         "c": "def f():\n    __all__ = ['nothing']\n",
     }
     assert undefined_exports(sources) == ["a: exports g", "b: exports h"]
+
+
+def test_each_result_type_has_one_builder():
+    sources = _package_sources()
+    for name, builder in (("PrunedSequence", "prune"), ("CVCurve", "penalties")):
+        found = calls_of(sources, [name])
+        assert found and {line.split(":")[0] for line in found} == {builder}, found
+
+
+def test_guard_flags_every_way_to_call_a_constructor():
+    sources = {
+        "a": "from .prune import PrunedSequence\nseq = PrunedSequence(t, s, l, e, n)\n",
+        "b": "from . import penalties\ncurve = penalties.CVCurve(seq, e, s)\n",
+        "c": ("from .prune import PrunedSequence\n"
+              "def f(seq: PrunedSequence) -> PrunedSequence:\n"
+              "    return seq.sizes\n"
+              "kind = CVCurve\n"),
+    }
+    assert calls_of(sources, ["PrunedSequence", "CVCurve"]) == [
+        "a:2: calls PrunedSequence", "b:2: calls CVCurve"]
