@@ -138,8 +138,11 @@ def sweep_records(cfg: ExperimentConfig):
     cells, reps = zip(*product(cfg.cells(), range(cfg.replications)))
     run = partial(_run_replication, cfg)
     # the pool forks all its workers at the first submit, so it gets no more
-    # than there are tasks, or CPUs this process may run on
-    workers = min(cfg.jobs, len(cells), len(os.sched_getaffinity(0)))
+    # than there are tasks, or CPUs this process may run on: its affinity
+    # where the platform has one (Linux), else every CPU
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(cfg.jobs, len(cells), cpus)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         triples = map(run, cells, reps) if pool is None else pool.map(run, cells, reps, chunksize=4)

@@ -32,7 +32,8 @@ errors at each leaf count.  The last table is memoized by weak references,
 so a tree asked about at many penalties is walked and enumerated once.
 Each penalty then scores, with exact integers when its values are ints or
 Fractions, one pair per leaf count, and otherwise every distinct pair; each
-distinct winner is built once, labelled from the counts.
+distinct winner is built once, labelled from the counts, in the
+breadth-first layout of every other tree the oracle returns.
 """
 
 from __future__ import annotations
@@ -433,25 +434,18 @@ def _prunings(tree: TreeClassifier, errors: list) -> list:
 
 
 def _materialize(tree: TreeClassifier, pattern, labels: list) -> TreeClassifier:
-    """Build the pruned subtree in pre-order; a collapsed node becomes a
-    leaf with labels[node]."""
+    """Build the pruned subtree in breadth-first layout, as tree_from_class
+    lays out a class member; a collapsed node becomes a leaf with labels[node]."""
     nodes: list = []
-    # (tree index, pattern, arena parent, child slot)
-    stack = [(0, pattern, None, 0)]
-    while stack:
-        idx, pat, parent, slot = stack.pop()
-        if parent is not None:
-            nodes[parent][slot] = len(nodes)
+    queue = [(0, pattern)]  # (tree index, pattern) of every node met so far, in arena order
+    for idx, pat in queue:  # children appended below are visited in turn
         if pat is None:
             nodes.append(Leaf(labels[idx]))
         else:
             nd = tree.nodes[idx]
-            # right is pushed first so the left subtree is laid out first
-            stack.append((nd.right, pat[1], len(nodes), 3))
-            stack.append((nd.left, pat[0], len(nodes), 2))
-            nodes.append([nd.var, nd.threshold, None, None])
-    return TreeClassifier(tuple(nd if isinstance(nd, Leaf) else Internal(*nd)
-                                for nd in nodes))
+            nodes.append(Internal(nd.var, nd.threshold, len(queue), len(queue) + 1))
+            queue += [(nd.left, pat[0]), (nd.right, pat[1])]
+    return TreeClassifier(tuple(nodes))
 
 
 # the last pruning table built: (weak tree, weak Dataset, pairs, fewest,

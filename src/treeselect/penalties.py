@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .designs import Dataset, check_integer, check_real
+from .designs import Dataset, _set_read_only, check_integer, check_real
 from .grow import GrowLimits, grow_maximal
 from .prune import PrunedSequence, best_in_sequence, weakest_link
 from .tree import TreeClassifier
@@ -179,7 +179,8 @@ def _picks(seq: PrunedSequence, alphas: np.ndarray) -> np.ndarray:
 class CVCurve:
     """Q-fold CV risk curve of the linear penalty weight.  fold_errors[f, c]
     counts fold f's held-out rows that the fold-f tree's pick at
-    candidates[c] misclassifies, of fold_sizes[f].  `candidates` are derived
+    candidates[c] misclassifies, of fold_sizes[f]; both are kept as read-only
+    copies, as a Dataset keeps its arrays.  `candidates` are derived
     from the full-data `sequence`: they increase, and element c of the
     sequence is its pick at candidates[c]."""
 
@@ -203,6 +204,7 @@ class CVCurve:
             raise ValueError(f"fold_errors must be an integer array of shape {shape}")
         if (errors < 0).any() or (errors > sizes[:, None]).any():
             raise ValueError("fold errors must lie between 0 and the fold's size")
+        _set_read_only(self, fold_errors=errors.copy(), fold_sizes=sizes.copy())
         object.__setattr__(self, "candidates", tuple(_candidate_alphas(self.sequence)))
 
     def pick(self, rule: str) -> int:
@@ -234,7 +236,6 @@ def cv_curve(data: Dataset, cfg: CVConfig) -> CVCurve:
         seq = weakest_link(grow_maximal(train), train)
         fold_errors[f] = np.array(seq.errors_on(data.subset(held)))[_picks(seq, alphas)]
     fold_sizes = np.array([held.size for held in folds], dtype=np.int64)
-    fold_errors.flags.writeable = fold_sizes.flags.writeable = False
     return CVCurve(sequence, fold_errors, fold_sizes)
 
 

@@ -12,7 +12,10 @@ The nested sequence (Breiman et al. 1984, ch. 10) is stored as one collapse
 schedule: the maximal tree and, per node, the first element in which it is
 a leaf, beside each element's training errors.  Every other per-element
 quantity, such as each element's size and critical alpha, is derived from
-these, once, by the constructor, so it cannot disagree with them.  An element's
+these, once, by the constructor, so it cannot disagree with them.  One
+accumulation gives each element's sum of a per-node value over its leaves,
+as collapsing a node trades its children's values for its own: of ones it
+is the element's size, and of held-out misses its held-out errors.  An element's
 tree is the maximal tree with a majority-labelled ``Leaf`` in place of each
 collapsed node, laid out again by ``tree.preorder_tree``.
 """
@@ -26,7 +29,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Callable
 
-from .designs import Dataset, check_real, write_csv
+from .designs import Dataset, check_integer, check_real, is_integer, write_csv
 from .tree import Internal, Leaf, TreeClassifier, node_counts, preorder_tree
 
 __all__ = ["PrunedSequence", "weakest_link", "best_in_sequence", "subtree_at_alpha",
@@ -42,9 +45,10 @@ class PrunedSequence:
     node i's training majority label.  error_counts[k] is element k's
     training misclassification count, of n rows.
 
-    `sizes` and `alphas` are derived from these.  Element k keeps as
-    internal nodes those with steps[i] > k, so
-    sizes[k] = 1 + #{internal i : steps[i] > k}.  Every node collapsed in
+    `sizes` and `alphas` are derived from these.  sizes[k] counts element
+    k's leaves, by the one accumulation that also gives `errors_on`'s
+    held-out errors.  n is an integer of at least 1, and each error count
+    an integer in [0, n].  Every node collapsed in
     step k has the same link strength, so alphas[0] = 0 and alphas[k] is
     the step's error increase over n times its leaves saved:
     (error_counts[k] - error_counts[k-1]) / (n * (sizes[k-1] - sizes[k]))."""
@@ -62,32 +66,41 @@ class PrunedSequence:
         k = len(errors)
         if k == 0:
             raise ValueError("sequence must be nonempty")
+        check_integer("n", self.n, least=1)
+        if not all(is_integer(e) and 0 <= e <= self.n for e in errors):
+            raise ValueError(f"error counts must be integers in [0, {self.n}]")
         if not (len(steps) == len(self.labels) == len(self.tree.nodes)):
             raise ValueError("steps and labels need one entry per node")
         if not set(self.labels) <= {0, 1}:
             raise ValueError("node labels must be 0 or 1")
         if not set(steps) <= set(range(k)):
             raise ValueError(f"steps must be integers in [0, {k})")
-        collapsed = [0] * k  # internal nodes collapsed in each step
         for nd, step in zip(self.tree.nodes, steps):
             if isinstance(nd, Leaf):
                 if step:
                     raise ValueError("a leaf's step must be 0")
             elif steps[nd.left] > step or steps[nd.right] > step:
                 raise ValueError("a child's step must not exceed its parent's")
-            else:
-                collapsed[step] += 1
-        # step j saves one leaf per internal node it collapses
-        if 0 in collapsed[1:]:
+        sizes = tuple(self._totals([1] * len(steps)))
+        if any(a <= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError("leaf counts must strictly decrease")
-        sizes = tuple(accumulate(collapsed[:0:-1], initial=1))[::-1]
         # int() keeps numpy-typed counts from giving numpy-typed Fractions
-        alphas = (Fraction(0), *(Fraction(int(b - a), int(self.n * saved)) for a, b, saved
-                                 in zip(errors, errors[1:], collapsed[1:])))
+        alphas = (Fraction(0), *(Fraction(int(b - a), int(self.n * (s - t))) for a, b, s, t
+                                 in zip(errors, errors[1:], sizes, sizes[1:])))
         if any(a >= b for a, b in zip(alphas, alphas[1:])):
             raise ValueError("critical alphas must strictly increase")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "alphas", alphas)
+
+    def _totals(self, per_node) -> list:
+        """Each element's sum of per_node over its leaves: collapsing node i
+        trades its children's values for its own."""
+        trade = [0] * len(self.error_counts)
+        for nd, step, value in zip(self.tree.nodes, self.steps, per_node):
+            if isinstance(nd, Internal):
+                value -= per_node[nd.left] + per_node[nd.right]
+            trade[step] += value
+        return list(accumulate(trade))
 
     def subtree(self, k: int) -> TreeClassifier:
         """Element k as a tree: every node collapsed by step k (steps[i] <= k)
@@ -101,15 +114,9 @@ class PrunedSequence:
         return tuple(self.subtree(k) for k in range(len(self.alphas)))
 
     def errors_on(self, data: Dataset) -> list[int]:
-        """Misclassification count of every element on `data`, from one routing:
-        collapsing node i trades its children's errors for its own."""
+        """Misclassification count of every element on `data`, from one routing."""
         n0, n1 = node_counts(self.tree, data)
-        miss = [b if label == 0 else a for a, b, label in zip(n0, n1, self.labels)]
-        trade = [0] * len(self.alphas)
-        for i, nd in enumerate(self.tree.nodes):
-            kids = miss[nd.left] + miss[nd.right] if isinstance(nd, Internal) else 0
-            trade[self.steps[i]] += miss[i] - kids
-        return list(accumulate(trade))
+        return self._totals([b if label == 0 else a for a, b, label in zip(n0, n1, self.labels)])
 
 
 def weakest_link(tree: TreeClassifier, data: Dataset) -> PrunedSequence:

@@ -67,6 +67,11 @@ class _RecordingPool:
         pass
 
 
+class _NoAffinity(tuple):
+    """Usable CPUs on a platform without os.sched_getaffinity (macOS,
+    Windows): (what os.cpu_count() returns,)."""
+
+
 # (jobs, p_grid, replications, usable CPUs) -> the pool size, or None for no pool
 @pytest.mark.parametrize("jobs,p_grid,replications,cpus,workers", [
     (10 ** 6, (5,), 2, 64, 2),
@@ -75,13 +80,20 @@ class _RecordingPool:
     (10 ** 6, (5, 10), 2, 1, None),
     (4, (5,), 1, 64, None),
     (1, (5, 10), 2, 64, None),
+    (10 ** 6, (5, 10), 2, _NoAffinity((3,)), 3),
+    # os.cpu_count() returns None when the count is unknown
+    (10 ** 6, (5, 10), 2, _NoAffinity((None,)), None),
 ])
 def test_the_pool_is_no_larger_than_jobs_tasks_or_cpus(monkeypatch, jobs, p_grid,
                                                         replications, cpus, workers):
     # a real pool forks all its workers at the first submit, so none is started here
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(xp, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if isinstance(cpus, _NoAffinity):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus[0])
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     cfg = dataclasses.replace(SMALL, p_grid=p_grid, replications=replications,
                               test_samples=50, jobs=jobs)
     records = list(sweep_records(cfg))

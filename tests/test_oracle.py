@@ -21,7 +21,7 @@ from treeselect.oracle import CLASS_CAP, LEAF_SHAPE, enumerate_shapes, tree_from
 from treeselect.designs import BLOCK_CELLS
 from treeselect.tree import Internal, Leaf, TreeClassifier, leaf
 
-from conftest import NEIGHBOUR_CASES, random_dataset, tied_datasets
+from conftest import NEIGHBOUR_CASES, breadth_first, random_dataset, tied_datasets
 
 STUMP = ClassDescriptor((LEAF_SHAPE, LEAF_SHAPE), (1,))
 SINGLE = ClassDescriptor(LEAF_SHAPE, ())
@@ -698,6 +698,18 @@ def test_brute_force_matches_the_per_pruning_scan(case):
         want, want_cost = _reference_brute_force(tree, data, pen)
         assert tree_to_text(got) == tree_to_text(want)
         assert cost == want_cost and repr(cost) == repr(want_cost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_on_tied_data() | grown_trees(), st.integers(1, 3), st.integers(0, 8), st.data())
+def test_every_oracle_tree_is_laid_out_breadth_first(case, k, weight, draw):
+    tree, data = case
+    desc = draw.draw(st.sampled_from(enumerate_classes(data.p, k)))
+    trees = [erm_in_class(desc, data)[0],
+             exhaustive_select(data, LinearPenalty(weight / 40), k)[0],
+             brute_force_best_subtree(tree, data, lambda leaves: Fraction(weight * leaves, 40))[0]]
+    for got in trees:
+        assert got.nodes == breadth_first(got).nodes
 
 
 @settings(max_examples=100, deadline=None)

@@ -438,6 +438,18 @@ def test_cv_curve_accepts_errors_at_both_bounds(three_fold_curve):
     assert replace(three_fold_curve, fold_errors=edge).fold_errors.tolist() == edge.tolist()
 
 
+def test_cv_curve_keeps_read_only_copies_of_its_arrays(three_fold_curve):
+    errors, sizes = three_fold_curve.fold_errors.copy(), three_fold_curve.fold_sizes.copy()
+    curve = replace(three_fold_curve, fold_errors=errors, fold_sizes=sizes)
+    picks = [curve.pick(rule) for rule in ("min", "1se")]
+    errors[:] = 99
+    sizes[:] = 1
+    assert [curve.pick(rule) for rule in ("min", "1se")] == picks
+    assert curve.fold_errors.tolist() == three_fold_curve.fold_errors.tolist()
+    assert curve.fold_sizes.tolist() == [10, 10, 10]
+    assert not (curve.fold_errors.flags.writeable or curve.fold_sizes.flags.writeable)
+
+
 def test_cv_curve_stores_only_what_it_is_computed_from(three_fold_curve):
     assert [f.name for f in fields(CVCurve) if f.init] == \
         ["sequence", "fold_errors", "fold_sizes"]

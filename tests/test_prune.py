@@ -81,6 +81,12 @@ def test_sequence_rejects_labels_and_steps_out_of_range(three_leaf, field, value
     (dict(steps=(2, 2, 0, 0, 0)), "leaf counts must strictly decrease"),
     # derived alphas 0, 0, 3/8
     (dict(error_counts=(1, 1, 4)), "critical alphas must strictly increase"),
+    # n = 0 would divide by zero, and 2.5 would be truncated, in the alphas
+    (dict(n=0), "n must be >= 1"),
+    (dict(n=2.5), "n must be an integer, got 2.5"),
+    (dict(error_counts=(-5, -4, -1)), "error counts must be integers in [0, 8]"),
+    (dict(error_counts=(0, 1, 40)), "error counts must be integers in [0, 8]"),
+    (dict(error_counts=(0, 1.0, 4)), "error counts must be integers in [0, 8]"),
 ])
 def test_sequence_rejections(three_step, fields, message):
     _, seq = three_step

@@ -17,6 +17,8 @@ routing.  The tree classes are the oracle's alone: no other module but the
 package's ``__init__`` reads them.  Every name in a module's ``__all__`` is
 one that the module defines.  Only ``prune`` constructs a ``PrunedSequence``
 and only ``penalties`` a ``CVCurve``, so each result type has one builder.
+In ``prune`` only ``PrunedSequence._totals`` calls ``accumulate``, so a
+sequence's per-element totals over leaves have one home.
 """
 
 import ast
@@ -194,6 +196,27 @@ def calls_of(sources: dict[str, str], names) -> list[str]:
     return found
 
 
+def callers_of(sources: dict[str, str], name: str) -> list[str]:
+    """'module:line: caller calls name' for each call of `name`, by its bare
+    name or as an attribute, in {module name: source}, where caller is the
+    innermost function, method or lambda around the call, or <module>."""
+    found = []
+    for module, text in sorted(sources.items()):
+        calls, stack = [], [(ast.parse(text), "<module>")]
+        while stack:
+            node, caller = stack.pop()
+            if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                       getattr(node.func, "attr", None)):
+                calls.append((node.lineno, caller))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                caller = node.name
+            elif isinstance(node, ast.Lambda):
+                caller = "<lambda>"
+            stack += [(child, caller) for child in ast.iter_child_nodes(node)]
+        found += [f"{module}:{line}: {caller} calls {name}" for line, caller in sorted(calls)]
+    return found
+
+
 # what the oracle checks, so it must not use it
 CHECKED_NAMES = ("leaf_assignment", "predict_batch", "node_counts", "best_split",
                  "grow_maximal", "weakest_link", "preorder_tree", "empirical_risk")
@@ -350,3 +373,32 @@ def test_guard_flags_every_way_to_call_a_constructor():
     }
     assert calls_of(sources, ["PrunedSequence", "CVCurve"]) == [
         "a:2: calls PrunedSequence", "b:2: calls CVCurve"]
+
+
+def test_only_totals_accumulates_in_prune():
+    found = callers_of({"prune": _package_sources()["prune"]}, "accumulate")
+    assert found and {line.split(": ")[1] for line in found} == {"_totals calls accumulate"}, found
+
+
+def test_guard_names_the_caller_of_every_call():
+    sources = {
+        "a": ("from itertools import accumulate\n"
+              "sizes = list(accumulate(xs))\n"
+              "class S:\n"
+              "    def _totals(self, v):\n"
+              "        return list(accumulate(v))\n"
+              "    def errors_on(self, d):\n"
+              "        total = lambda v: itertools.accumulate(v)\n"
+              "        def inner(v):\n"
+              "            return accumulate(v, initial=0)\n"
+              "        return total(d), inner(d)\n"),
+        "b": ("import itertools\n"
+              "sum_ = itertools.accumulate\n"
+              "keep = accumulate_all(x)\n"
+              "def f():\n"
+              "    return itertools.accumulate(x)\n"),
+    }
+    assert callers_of(sources, "accumulate") == [
+        "a:2: <module> calls accumulate", "a:5: _totals calls accumulate",
+        "a:7: <lambda> calls accumulate", "a:9: inner calls accumulate",
+        "b:5: f calls accumulate"]
