@@ -702,9 +702,9 @@ def test_brute_force_matches_the_per_pruning_scan(case):
 
 @settings(max_examples=100, deadline=None)
 @given(trees_on_tied_data() | grown_trees(), st.integers(1, 3), st.integers(0, 8), st.data())
-def test_every_oracle_tree_is_laid_out_breadth_first(case, k, weight, draw):
+def test_every_oracle_tree_is_laid_out_breadth_first(case, k, weight, pick):
     tree, data = case
-    desc = draw.draw(st.sampled_from(enumerate_classes(data.p, k)))
+    desc = pick.draw(st.sampled_from(enumerate_classes(data.p, k)))
     trees = [erm_in_class(desc, data)[0],
              exhaustive_select(data, LinearPenalty(weight / 40), k)[0],
              brute_force_best_subtree(tree, data, lambda leaves: Fraction(weight * leaves, 40))[0]]
