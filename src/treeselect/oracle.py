@@ -16,9 +16,9 @@ node counts and split search that it checks.  The classes of one shape are
 searched together: their threshold assignments, class by class, are routed
 in blocks of at most BLOCK_CELLS (assignment, row) cells, one _route walk
 of the shape per block, and in-class ERM counts a whole block's leaves
-with one matrix product.  Each split variable's candidate thresholds and
-comparison matrix are computed once per search and shared by all of its
-classes.  Exhaustive selection prices each size before searching it: the
+with one matrix product.  Each split variable's candidate thresholds are
+computed once per search, and its comparison matrix once per shape
+searched.  Exhaustive selection prices each size before searching it: the
 risk is never negative, so a size whose penalty alone reaches the
 incumbent's cost cannot win and is skipped.  It takes a searched size's
 classes from a memoized layout and builds only the overall winner as a
@@ -161,50 +161,34 @@ def _class_layout(p: int, k: int) -> tuple:
     return tuple((shape, lists) for shape in enumerate_shapes(k))
 
 
-class _Candidates(dict):
-    """Each split variable's candidate thresholds on the sample X, computed
-    on first use and kept, so that the classes of one search share them:
-    one per pair of consecutive distinct sorted values lo < hi, bracketed
-    by -inf and +inf so degenerate splits can route everything one way.
-    The candidate is the midpoint when lo <= mid < hi, else lo: the
-    midpoint of neighbouring doubles may round onto hi, and that of huge
-    values may overflow, and either would lose the cut between them.
-    stack lays the candidates and comparison matrices of several variables
-    out together, for the classes of one shape to index."""
+def _cuts(column: np.ndarray) -> np.ndarray:
+    """One variable's candidate thresholds on a finite sample column: one per
+    pair of consecutive distinct values lo < hi, bracketed by -inf and +inf
+    so degenerate splits can route everything one way.  The candidate is
+    the midpoint when lo <= mid < hi, else lo: the midpoint of neighbouring
+    doubles may round onto hi, and that of huge values may overflow, and
+    either would lose the cut between them.  The distinct values come by
+    np.unique's own steps for floats, a sort of its kind, which orders tied
+    -0.0 and 0.0 as it does, then the first value of each run, without the
+    numpy.ma import that np.unique's first call makes."""
+    s = np.sort(column)
+    vals = s[np.concatenate(([True], s[1:] != s[:-1]))]
+    lo, hi = vals[:-1], vals[1:]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.concatenate(([-math.inf], np.where((lo <= mid) & (mid < hi), mid, lo),
+                           [math.inf]))
 
-    def __init__(self, X: np.ndarray):
-        super().__init__()
-        self.X = X
-        self._stacks: dict = {}
 
-    def __missing__(self, v: int) -> np.ndarray:
-        # np.unique's own steps for floats, without the numpy.ma import its
-        # first call makes: a sort of its kind, which orders tied -0.0 and
-        # 0.0 as it does, then the first value of each run and the first NaN
-        s = np.sort(self.X[:, v - 1])
-        vals = s[np.concatenate(([True], (s[1:] != s[:-1]) & (s[:-1] == s[:-1])))]
-        lo, hi = vals[:-1], vals[1:]
-        with np.errstate(over="ignore"):
-            mid = (lo + hi) / 2.0
-        cuts = np.where((lo <= mid) & (mid < hi), mid, lo)
-        self[v] = np.concatenate(([-math.inf], cuts, [math.inf]))
-        return self[v]
-
-    def stack(self, used: tuple) -> tuple:
-        """(base, size, cuts, right) for the sorted variables used: cuts
-        stacks their candidates and right their (candidates, n) comparison
-        matrices X[:, v - 1] > cut, variable v's size[v] rows starting at
-        base[v].  Built once per set of variables, so once per search."""
-        if used not in self._stacks:
-            n, p = self.X.shape
-            cuts = [self[v] for v in used]
-            size = np.zeros(p + 1, dtype=np.int64)
-            size[list(used)] = [c.size for c in cuts]
-            right = [self.X[:, v - 1] > c[:, None] for v, c in zip(used, cuts)]
-            self._stacks[used] = (np.cumsum(size) - size, size,
-                                  np.concatenate([np.empty(0)] + cuts),
-                                  np.concatenate([np.empty((0, n), dtype=bool)] + right))
-        return self._stacks[used]
+def _stack(X: np.ndarray, cuts: dict, used: list) -> tuple:
+    """(base, size, stacked, right) for the sorted variables used: stacked
+    stacks their candidates cuts[v] and right their (candidates, n) comparison
+    matrices X[:, v - 1] > cut, variable v's size[v] rows starting at base[v]."""
+    size = np.zeros(X.shape[1] + 1, dtype=np.int64)
+    size[used] = [cuts[v].size for v in used]
+    return (np.cumsum(size) - size, size, np.concatenate([np.empty(0)] + [cuts[v] for v in used]),
+            np.concatenate([np.empty((0, X.shape[0]), dtype=bool)]
+                           + [X[:, v - 1] > cuts[v][:, None] for v in used]))
 
 
 def _one_class(desc: ClassDescriptor, p: int) -> np.ndarray:
@@ -216,7 +200,7 @@ def _one_class(desc: ClassDescriptor, p: int) -> np.ndarray:
     return np.array(desc.variables, dtype=np.int64).reshape(1, desc.size - 1)
 
 
-def _assignments(shape, variables: np.ndarray, candidates: _Candidates, variants: int,
+def _assignments(shape, variables: np.ndarray, X: np.ndarray, cuts: dict, variants: int,
                  what: str):
     """Yield (first, runs, thresholds, reach) blocks covering every
     threshold assignment of the classes of one shape, class by class in the
@@ -229,15 +213,18 @@ def _assignments(shape, variables: np.ndarray, candidates: _Candidates, variants
 
     Raises ResourceCapError for the first class whose assignments *
     variants exceed COMBO_CAP, before any comparison matrix is built or
-    anything routed.  The candidates and comparison matrices then come
-    from candidates.stack, and every block is routed by one _route call."""
-    n = candidates.X.shape[0]
+    anything routed.  Each variable's candidates on the sample X are
+    cuts[v], added by _cuts on first use and kept for the search; _stack
+    lays out their comparison matrices, and one _route call routes a block."""
+    n = X.shape[0]
     lists = variables.tolist()
-    counts = [math.prod(candidates[v].size for v in row) for row in lists]
+    used = sorted({v for row in lists for v in row})
+    cuts.update({v: _cuts(X[:, v - 1]) for v in used if v not in cuts})
+    counts = [math.prod(cuts[v].size for v in row) for row in lists]
     for count in counts:
         if count * variants > COMBO_CAP:
             raise ResourceCapError(f"{count * variants} {what} exceeds the cap of {COMBO_CAP}")
-    base, size, cuts, right = candidates.stack(tuple(sorted({v for row in lists for v in row})))
+    base, size, stacked, right = _stack(X, cuts, used)
     offsets, sizes = base[variables], size[variables]
     bounds = np.array([0, *itertools.accumulate(counts)])
     starts, ends, total = bounds[:-1], bounds[1:], int(bounds[-1])
@@ -256,7 +243,7 @@ def _assignments(shape, variables: np.ndarray, candidates: _Candidates, variants
         for j in range(variables.shape[1] - 1, -1, -1):
             local, digit = np.divmod(local, radix[:, j])
             rows[:, j] += digit
-        yield (first, runs, cuts[rows],
+        yield (first, runs, stacked[rows],
                _route(shape, [right.take(r, axis=0) for r in rows.T], (flat.size, n)))
 
 
@@ -303,16 +290,16 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
     errors, thresholds, labels = _erm_in_class(
-        desc.configuration, _one_class(desc, data.p), data, _Candidates(data.X))
+        desc.configuration, _one_class(desc, data.p), data, {})
     return (tree_from_class(desc, thresholds[0].tolist(), labels[0].tolist()),
             Fraction(int(errors[0]), data.n))
 
 
-def _erm_in_class(shape, variables: np.ndarray, data: Dataset, candidates: _Candidates
+def _erm_in_class(shape, variables: np.ndarray, data: Dataset, cuts: dict
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The minimizer of each class of one shape, one per row of variables
     (m, k-1), as the arrays of their errors (m,), thresholds (m, k-1) and
-    labels (m, k).  A leaf has one assignment and nothing to route."""
+    labels (m, k); cuts is _assignments'.  A leaf has nothing to route."""
     k = variables.shape[1] + 1
     if k == 1:
         n1 = int(data.y.sum())
@@ -323,7 +310,7 @@ def _erm_in_class(shape, variables: np.ndarray, data: Dataset, candidates: _Cand
     labelled = np.eye(2)[data.y]
     fits: list = []  # per block, [errors, thresholds, labels] of its classes
     done = 0  # classes begun in earlier blocks
-    for first, runs, thresholds, reach in _assignments(shape, variables, candidates, 1,
+    for first, runs, thresholds, reach in _assignments(shape, variables, data.X, cuts, 1,
                                                        "threshold combinations"):
         b = reach.shape[1]
         counts = (reach.reshape(k * b, data.n) @ labelled).reshape(k, b, 2)
@@ -359,13 +346,13 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
     searched together, and only the winner is built."""
     check_integer("k_max", k_max, least=1)
     best = best_cost = None
-    candidates = _Candidates(data.X)
+    cuts: dict = {}  # each variable's candidates, for every shape searched
     for k in range(1, k_max + 1):
         pen = penalty_value(spec, k, data.n, data.p)
         if best_cost is not None and pen >= best_cost:
             continue
         for shape, variables in _class_layout(data.p, k):
-            errors, thresholds, labels = _erm_in_class(shape, variables, data, candidates)
+            errors, thresholds, labels = _erm_in_class(shape, variables, data, cuts)
             # e / n is rounded once, as float(Fraction(e, n)) is; the first
             # least cost of the shape is its first class of least cost
             costs = [e / data.n + pen for e in errors.tolist()]
@@ -386,7 +373,7 @@ def shattering_count(desc: ClassDescriptor, sample: np.ndarray) -> int:
     labelings = np.array(list(itertools.product((False, True), repeat=desc.size)))
     seen: set[bytes] = set()
     for *_, reach in _assignments(desc.configuration, _one_class(desc, X.shape[1]),
-                                    _Candidates(X), len(labelings), "classifier variants"):
+                                    X, {}, len(labelings), "classifier variants"):
         cells = reach.argmax(axis=0)  # the BFS leaf each row reaches
         for labels in labelings:
             # each assignment's set under this labeling, as a packed row bitmask

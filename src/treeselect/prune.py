@@ -71,6 +71,11 @@ class PrunedSequence:
             raise ValueError(f"error counts must be integers in [0, {self.n}]")
         if not (len(steps) == len(self.labels) == len(self.tree.nodes)):
             raise ValueError("steps and labels need one entry per node")
+        # a bool or an integral float would pass the set tests below as 0 or 1
+        for what, values in (("node labels", self.labels), ("steps", steps)):
+            odd = [v for v in values if not is_integer(v)]
+            if odd:
+                raise ValueError(f"{what} must be integers, got {odd[0]!r}")
         if not set(self.labels) <= {0, 1}:
             raise ValueError("node labels must be 0 or 1")
         if not set(steps) <= set(range(k)):

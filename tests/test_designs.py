@@ -332,6 +332,7 @@ def test_oracle_loads_no_numpy_ma():
             "np.array([0, 1, 1])); "
             "ts.exhaustive_select(d, ts.LinearPenalty(0.1), k_max=2); "
             "ts.shattering_count(ts.enumerate_classes(2, 2)[0], d.X); "
+            "ts.erm_in_class(ts.enumerate_classes(2, 3)[0], d); "
             "print('numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout

@@ -325,16 +325,13 @@ def _unique_candidates(column):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 1.0, math.nan]),
-                min_size=1, max_size=40))
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 1.0]), min_size=1, max_size=40))
 def test_candidates_match_np_unique(column):
     # tied signed zeros must keep the sign np.unique keeps, because a
-    # candidate can be the lower value itself; a sample of shattering_count
-    # may hold NaN, of which np.unique keeps one
-    X = np.column_stack([column, column[::-1]])
-    candidates = oracle._Candidates(X)
-    for v in (1, 2):
-        assert candidates[v].tobytes() == _unique_candidates(X[:, v - 1]).tobytes()
+    # candidate can be the lower value itself; no NaN is drawn, because
+    # Dataset and feature_matrix reject one before the oracle sees a sample
+    for x in (np.array(column), np.array(column[::-1])):
+        assert oracle._cuts(x).tobytes() == _unique_candidates(x).tobytes()
 
 
 class _DipPenalty:
@@ -532,6 +529,22 @@ def test_shattering_count_checks_the_sample_as_a_dataset_does(sample, match):
 def test_shattering_count_accepts_a_sample_whose_sum_overflows():
     assert shattering_count(STUMP, np.full((3, 2), 1e308)) == 2
     assert shattering_count(STUMP, [[True, False], [False, False]]) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([c for k in range(1, 4) for c in enumerate_classes(2, k)]),
+       st.lists(st.lists(st.integers(-2, 2).map(float), min_size=2, max_size=2),
+                min_size=1, max_size=5))
+def test_shattering_count_matches_a_count_over_every_member(desc, rows):
+    # x > t splits the sample as the candidate between t and the next larger
+    # value does, so -inf and the sample's own values give every partition
+    # that the candidates give, and no other
+    X = np.array(rows)
+    cuts = [[-math.inf, *sorted(set(X[:, v - 1].tolist()))] for v in desc.variables]
+    seen = {tree_from_class(desc, thresholds, labels).predict_batch(X).tobytes()
+            for thresholds in itertools.product(*cuts)
+            for labels in itertools.product((0, 1), repeat=desc.size)}
+    assert shattering_count(desc, X) == len(seen)
 
 
 def test_entropy_bound_all_small_classes():
@@ -836,7 +849,7 @@ def test_assignment_caps(monkeypatch):
     # the caps must be checked before any comparison matrix is built or
     # any assignment routed
     monkeypatch.setattr(oracle, "_route", None)
-    monkeypatch.setattr(oracle._Candidates, "stack", None)
+    monkeypatch.setattr(oracle, "_stack", None)
     with pytest.raises(ResourceCapError, match="226981"):
         erm_in_class(desc, d)
     with pytest.raises(ResourceCapError, match="476656"):  # 31^3 * 2^4 classifiers

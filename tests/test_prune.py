@@ -87,6 +87,13 @@ def test_sequence_rejects_labels_and_steps_out_of_range(three_leaf, field, value
     (dict(error_counts=(-5, -4, -1)), "error counts must be integers in [0, 8]"),
     (dict(error_counts=(0, 1, 40)), "error counts must be integers in [0, 8]"),
     (dict(error_counts=(0, 1.0, 4)), "error counts must be integers in [0, 8]"),
+    # set membership would take True and 1.0 as 1, and False as 0
+    (dict(steps=(2, True, 0, 0, 0)), "steps must be integers, got True"),
+    (dict(steps=(2, 1.0, 0, 0, 0)), "steps must be integers, got 1.0"),
+    (dict(labels=(False, False, True, False, True)), "node labels must be integers, got False"),
+    (dict(labels=(0, 0, 1.0, 0, 1)), "node labels must be integers, got 1.0"),
+    (dict(steps=(2, True, 0, 0, 0), labels=(False, False, True, False, True)),
+     "node labels must be integers, got False"),
 ])
 def test_sequence_rejections(three_step, fields, message):
     _, seq = three_step
@@ -95,6 +102,13 @@ def test_sequence_rejections(three_step, fields, message):
     with pytest.raises(ValueError) as err:
         replace(seq, **fields)
     assert str(err.value) == message
+
+
+def test_sequence_accepts_numpy_integer_steps_and_labels(three_step):
+    _, seq = three_step
+    same = replace(seq, steps=tuple(np.int64(s) for s in seq.steps),
+                   labels=tuple(np.int8(v) for v in seq.labels))
+    assert (same.sizes, same.alphas) == (seq.sizes, seq.alphas)
 
 
 def test_sequence_stores_only_its_schedule(three_step):

@@ -18,7 +18,8 @@ package's ``__init__`` reads them.  Every name in a module's ``__all__`` is
 one that the module defines.  Only ``prune`` constructs a ``PrunedSequence``
 and only ``penalties`` a ``CVCurve``, so each result type has one builder.
 In ``prune`` only ``PrunedSequence._totals`` calls ``accumulate``, so a
-sequence's per-element totals over leaves have one home.
+sequence's per-element totals over leaves have one home, and in ``oracle``
+only ``_cuts`` calls ``sort``, so each variable's candidate thresholds do.
 """
 
 import ast
@@ -378,6 +379,26 @@ def test_guard_flags_every_way_to_call_a_constructor():
 def test_only_totals_accumulates_in_prune():
     found = callers_of({"prune": _package_sources()["prune"]}, "accumulate")
     assert found and {line.split(": ")[1] for line in found} == {"_totals calls accumulate"}, found
+
+
+def test_only_cuts_sorts_in_the_oracle():
+    found = callers_of({"oracle": _package_sources()["oracle"]}, "sort")
+    assert found and {line.split(": ")[1] for line in found} == {"_cuts calls sort"}, found
+
+
+def test_guard_names_every_sort_in_the_oracle():
+    sources = {
+        "oracle": ("import numpy as np\n"
+                   "def _cuts(column):\n"
+                   "    return np.sort(column)\n"
+                   "def _erm_in_class(X, cuts):\n"
+                   "    order = sorted(cuts)\n"
+                   "    X[:, 0].sort()\n"
+                   "    return np.sort(X, axis=0), order\n"),
+    }
+    assert callers_of(sources, "sort") == [
+        "oracle:3: _cuts calls sort", "oracle:6: _erm_in_class calls sort",
+        "oracle:7: _erm_in_class calls sort"]
 
 
 def test_guard_names_the_caller_of_every_call():
