@@ -202,14 +202,13 @@ def _one_class(desc: ClassDescriptor, p: int) -> np.ndarray:
 
 def _assignments(shape, variables: np.ndarray, X: np.ndarray, cuts: dict, variants: int,
                  what: str):
-    """Yield (first, runs, thresholds, reach) blocks covering every
-    threshold assignment of the classes of one shape, class by class in the
-    order of the rows of variables (m, k-1), and within a class in
-    lexicographic (itertools.product) order.  A block of b assignments
-    holds those of classes first, first + 1, ..., whose runs start at the
-    positions runs; its thresholds (b, k-1) are in BFS internal-node order
-    and reach (k, b, n) is _route's, with b * n at most BLOCK_CELLS
-    (b >= 1).
+    """Yield (classes, thresholds, reach) blocks covering every threshold
+    assignment of the classes of one shape, class by class in the order of
+    the rows of variables (m, k-1), and within a class in lexicographic
+    (itertools.product) order.  A block of b assignments gives each one's
+    class as its row index into variables, classes (b,); its thresholds
+    (b, k-1) are in BFS internal-node order and reach (k, b, n) is
+    _route's, with b * n at most BLOCK_CELLS (b >= 1).
 
     Raises ResourceCapError for the first class whose assignments *
     variants exceed COMBO_CAP, before any comparison matrix is built or
@@ -232,9 +231,6 @@ def _assignments(shape, variables: np.ndarray, X: np.ndarray, cuts: dict, varian
     for start in range(0, total, step):
         flat = np.arange(start, min(start + step, total))
         classes = ends.searchsorted(flat, side="right")
-        first = int(classes[0])
-        runs = starts[first:classes[-1] + 1] - start
-        runs[0] = 0  # the first class may have begun in an earlier block
         local = flat - starts[classes]
         # each assignment's row of the stack at every node: its class's
         # offsets plus the mixed-radix digits of its index in the class,
@@ -243,7 +239,7 @@ def _assignments(shape, variables: np.ndarray, X: np.ndarray, cuts: dict, varian
         for j in range(variables.shape[1] - 1, -1, -1):
             local, digit = np.divmod(local, radix[:, j])
             rows[:, j] += digit
-        yield (first, runs, stacked[rows],
+        yield (classes, stacked[rows],
                _route(shape, [right.take(r, axis=0) for r in rows.T], (flat.size, n)))
 
 
@@ -289,48 +285,37 @@ def erm_in_class(desc: ClassDescriptor, data: Dataset) -> tuple[TreeClassifier, 
     """Exact empirical risk minimizer over all threshold assignments and
     leaf labelings of the class; ties go to the lexicographically smallest
     threshold vector."""
-    errors, thresholds, labels = _erm_in_class(
+    _, errors, thresholds, labels = _erm_in_class(
         desc.configuration, _one_class(desc, data.p), data, {})
-    return (tree_from_class(desc, thresholds[0].tolist(), labels[0].tolist()),
-            Fraction(int(errors[0]), data.n))
+    return (tree_from_class(desc, thresholds.tolist(), labels.tolist()),
+            Fraction(errors, data.n))
 
 
-def _erm_in_class(shape, variables: np.ndarray, data: Dataset, cuts: dict
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The minimizer of each class of one shape, one per row of variables
-    (m, k-1), as the arrays of their errors (m,), thresholds (m, k-1) and
-    labels (m, k); cuts is _assignments'.  A leaf has nothing to route."""
+def _erm_in_class(shape, variables: np.ndarray, data: Dataset, cuts: dict) -> tuple:
+    """The first minimizer over every class of one shape, the rows of
+    variables (m, k-1), and their threshold assignments, in _assignments'
+    order, as (row of variables, errors, thresholds, labels); cuts is
+    _assignments'.  Each block's first minimum replaces the running one
+    only when it has strictly fewer errors.  A leaf has nothing to route."""
     k = variables.shape[1] + 1
     if k == 1:
         n1 = int(data.y.sum())
-        return (np.array([min(n1, data.n - n1)]), np.empty((1, 0)),
-                np.array([[int(n1 > data.n - n1)]]))
+        return variables[0], min(n1, data.n - n1), np.empty(0), np.array([int(n1 > data.n - n1)])
     # each row's indicators of label 0 and label 1: one product then counts
     # every leaf's rows of either label, exactly as floats
     labelled = np.eye(2)[data.y]
-    fits: list = []  # per block, [errors, thresholds, labels] of its classes
-    done = 0  # classes begun in earlier blocks
-    for first, runs, thresholds, reach in _assignments(shape, variables, data.X, cuts, 1,
-                                                       "threshold combinations"):
+    best = None
+    for classes, thresholds, reach in _assignments(shape, variables, data.X, cuts, 1,
+                                                   "threshold combinations"):
         b = reach.shape[1]
         counts = (reach.reshape(k * b, data.n) @ labelled).reshape(k, b, 2)
-        errs = np.minimum(counts[..., 0], counts[..., 1]).sum(axis=0).astype(np.int64)
-        # each class's first minimum in the block, its smallest thresholds
-        # here: the least errs * b + position over the class's run
-        err, at = np.divmod(np.minimum.reduceat(errs * b + np.arange(b), runs), b)
-        # a tied leaf is labelled 0, as in growing
-        fit = [err, thresholds[at], (counts[:, at, 1] > counts[:, at, 0]).T]
-        if first < done:
-            # the first class began in an earlier block, whose minimum wins a tie
-            if err[0] < fits[-1][0][-1]:
-                for kept, found in zip(fits[-1], fit):
-                    kept[-1] = found[0]
-            fit = [part[1:] for part in fit]
-        if fit[0].size:  # a block inside one class adds no class
-            fits.append(fit)
-        done = first + runs.size
-    errors, thresholds, labels = (np.concatenate(part) for part in zip(*fits))
-    return errors, thresholds, labels.astype(np.int64)
+        errs = np.minimum(counts[..., 0], counts[..., 1]).sum(axis=0)
+        at = int(errs.argmin())
+        if best is None or errs[at] < best[1]:
+            # a tied leaf is labelled 0, as in growing
+            best = (variables[classes[at]], int(errs[at]), thresholds[at],
+                    (counts[:, at, 1] > counts[:, at, 0]).astype(np.int64))
+    return best
 
 
 def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, float]:
@@ -352,13 +337,11 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
         if best_cost is not None and pen >= best_cost:
             continue
         for shape, variables in _class_layout(data.p, k):
-            errors, thresholds, labels = _erm_in_class(shape, variables, data, cuts)
-            # e / n is rounded once, as float(Fraction(e, n)) is; the first
-            # least cost of the shape is its first class of least cost
-            costs = [e / data.n + pen for e in errors.tolist()]
-            i = costs.index(min(costs))
-            if best_cost is None or costs[i] < best_cost:
-                best, best_cost = (shape, variables[i], thresholds[i], labels[i]), costs[i]
+            row, errors, thresholds, labels = _erm_in_class(shape, variables, data, cuts)
+            # e / n is rounded once, as float(Fraction(e, n)) is
+            cost = errors / data.n + pen
+            if best_cost is None or cost < best_cost:
+                best, best_cost = (shape, row, thresholds, labels), cost
     shape, variables, thresholds, labels = best
     return (tree_from_class(ClassDescriptor(shape, tuple(variables.tolist())),
                             thresholds.tolist(), labels.tolist()), best_cost)
