@@ -16,13 +16,15 @@ node counts and split search that it checks.  The classes of one shape are
 searched together: their threshold assignments, class by class, are routed
 in blocks of at most BLOCK_CELLS (assignment, row) cells, one _route walk
 of the shape per block, and in-class ERM counts a whole block's leaves
-with one matrix product.  Each split variable's candidate thresholds are
-computed once per search, and its comparison matrix once per shape
-searched.  Exhaustive selection prices each size before searching it: the
-risk is never negative, so a size whose penalty alone reaches the
-incumbent's cost cannot win and is skipped.  It takes a searched size's
-classes from a memoized layout and builds only the overall winner as a
-tree.
+with one matrix product.  A block gives each assignment's class as its
+index, and the search keeps one running winner, which a block's first
+minimum replaces only with strictly fewer errors.  Each split variable's
+candidate thresholds are computed once per search, and its comparison
+matrix once per shape searched.  Exhaustive selection prices each size
+before searching it: the risk is never negative, so a size whose penalty
+alone reaches the incumbent's cost cannot win and is skipped.  It takes a
+searched size's classes from a memoized layout, keeps each shape's one
+winner, and builds only the overall winner as a tree.
 
 Brute-force pruning builds a penalty-free table once per (tree, Dataset):
 each row walks down the tree once for every node's label counts, and every
@@ -128,8 +130,12 @@ def class_count(p: int, k: int) -> int:
 
 
 def enumerate_shapes(k: int) -> list:
-    """Every shape with k leaves, by left subtree size, then left, then right shape."""
-    check_integer("k", k, least=1)
+    """Every shape with k leaves, by left subtree size, then left, then right
+    shape.  More than CLASS_CAP shapes raise ResourceCapError before any is
+    listed."""
+    count = catalan(k)
+    if count > CLASS_CAP:
+        raise ResourceCapError(f"{count} shapes exceeds the cap of {CLASS_CAP}")
     shapes = [None, [LEAF_SHAPE]]  # shapes[j]: every shape with j leaves
     for j in range(2, k + 1):
         shapes.append([(left, right) for i in range(1, j)
@@ -328,7 +334,11 @@ def exhaustive_select(data: Dataset, spec, k_max: int) -> tuple[TreeClassifier, 
     COMBO_CAP: the risk is never negative and only a strictly smaller
     cost replaces the incumbent, so the result is that of the full search
     for any penalty, monotone in k or not.  The classes of one shape are
-    searched together, and only the winner is built."""
+    searched together, for their first class of fewest errors, and only
+    the winner is built.  Rounding is monotone, so that class's cost is
+    the least of the shape's; it is the first class of least cost unless
+    e / n + pen rounds two error counts to one float, which needs pen above
+    about 2**52 / n, and then the class with fewer errors wins."""
     check_integer("k_max", k_max, least=1)
     best = best_cost = None
     cuts: dict = {}  # each variable's candidates, for every shape searched

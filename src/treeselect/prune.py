@@ -109,7 +109,12 @@ class PrunedSequence:
 
     def subtree(self, k: int) -> TreeClassifier:
         """Element k as a tree: every node collapsed by step k (steps[i] <= k)
-        becomes Leaf(labels[i]), and the nodes below it drop out."""
+        becomes Leaf(labels[i]), and the nodes below it drop out.  k must be
+        an integer in [0, len(alphas)), else ValueError: a negative index
+        would not count from the end, nor a bool or float pick an element."""
+        check_integer("element index", k, least=0)
+        if k >= len(self.alphas):
+            raise ValueError(f"element index {k} is past the last element, {len(self.alphas) - 1}")
         return preorder_tree([Leaf(label) if step <= k else nd for nd, step, label
                               in zip(self.tree.nodes, self.steps, self.labels)])
 

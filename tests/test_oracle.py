@@ -44,6 +44,14 @@ def _recursive_shapes(k):
             for left in _recursive_shapes(i) for right in _recursive_shapes(k - i)]
 
 
+def test_shape_enumeration_is_capped():
+    # catalan(13) = 208012 shapes is above the class cap, and is refused
+    # before any shape is listed
+    assert len(enumerate_shapes(12)) == catalan(12) <= CLASS_CAP
+    with pytest.raises(ResourceCapError, match="208012"):
+        enumerate_shapes(13)
+
+
 def test_shape_order():
     # exhaustive selection keeps the first minimum, so this order decides its ties
     assert enumerate_shapes(3) == [((), ((), ())), (((), ()), ())]

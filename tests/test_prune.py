@@ -111,6 +111,24 @@ def test_sequence_accepts_numpy_integer_steps_and_labels(three_step):
     assert (same.sizes, same.alphas) == (seq.sizes, seq.alphas)
 
 
+@pytest.mark.parametrize("k,message", [
+    # a negative index would count from the end, a large one give the root
+    # leaf, and a bool or float pick element 1
+    (-1, "element index must be >= 0"),
+    (3, "element index 3 is past the last element, 2"),
+    (99, "element index 99 is past the last element, 2"),
+    (1.5, "element index must be an integer, got 1.5"),
+    (True, "element index must be an integer, got True"),
+])
+def test_subtree_rejects_an_index_that_is_not_an_element(three_step, k, message):
+    _, seq = three_step
+    assert len(seq.alphas) == 3
+    with pytest.raises(ValueError) as err:
+        seq.subtree(k)
+    assert str(err.value) == message
+    assert seq.subtree(np.int64(1)) == seq.subtrees[1]
+
+
 def test_sequence_stores_only_its_schedule(three_step):
     assert [f.name for f in fields(PrunedSequence) if f.init] == \
         ["tree", "steps", "labels", "error_counts", "n"]
