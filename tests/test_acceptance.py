@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 report.  Criteria 1-5 run the oracle checks of `treeselect.verify`, the
-same ones `treeselect verify` runs, and pin the detail each one prints.  The Figure-3 reproduction
-(criterion 8) dominates the runtime; it runs on up to two worker processes.
+same ones `treeselect verify` runs, and pin the detail each one prints.
+The Figure-3 reproduction (criterion 8) dominates the runtime; it runs on
+up to two worker processes.
 """
 
 import math
