@@ -21,20 +21,23 @@ search could only return None for it.
 The search reads labels as signs +1/-1: with s the signed sum left of a
 cut and S that of the node, the cut leaves (m - max(|S|, |2s - S|)) / 2
 errors.  One cumulative sum of twice the signs along the order, whose
-last entry is 2S, is overwritten in place with |2s - S|; it scores the cut
-after every one of the m positions, and its first row-major maximum is the
-best cut.  Rows with equal values may sit in any order within their run:
-only the last position of a run is a valid cut, and s there is the same
-for every order of the run, so the chosen split does not depend on how
-ties were ordered.  Only columns that hold equal values need that check;
-``best_split`` reads them from ``Dataset.tied``, cached with the presort.  Called without a node's order, it searches
-``data.subset(rows)``, so ``Dataset`` is the only place that sorts.
+last entry is 2S, gives 2s after every one of the m positions.  The best
+cut, the first row-major maximum of |2s - S|, is the first maximum or the
+first minimum of 2s, whichever lies farther from S, so no second (p, m)
+array is made; 2s at the cut also counts the left child's ones.  Rows
+with equal values may sit in any order within their run: only the last
+position of a run is a valid cut, and s there is the same for every order
+of the run, so the chosen split does not depend on how ties were ordered.
+Only columns that hold equal values need that check; ``best_split`` reads
+them from ``Dataset.tied``, cached with the presort.  Called without a
+node's order, it searches ``data.subset(rows)``, so ``Dataset`` is the
+only place that sorts.
 
 The ``Split`` of a node is the one source of its children's label
-counts: ``grow_maximal`` records them as it creates the children, puts
-each child into its arena as a ``Leaf`` of their majority label, and the
-tree it returns carries them for ``tree.node_counts``, so pruning on the
-training rows routes nothing.
+counts: ``grow_maximal`` records them as it creates the children, builds
+each leaf once, after growing, with the majority label of its counts, and
+the tree it returns carries them for ``tree.node_counts``, so pruning on
+the training rows routes nothing.
 """
 
 from __future__ import annotations
@@ -85,12 +88,16 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
     (m - |S|) / 2 for the majority leaf.  One in-place cumulative sum of
     twice the signs gives 2s at every one of the m positions of every
     variable; its last entry is 2S, so the node is label-pure when
-    |S| = m.  Each position is then scored |2s - S| in place, and the best
-    cut is the first row-major maximum; it is a split exactly when that
-    maximum exceeds |S|.  The last position (nothing right of it) scores
-    |S|, and a cut that is not allowed (inside a run of equal values, or
-    fewer than ``min_node_size`` rows from either end) scores 0, so neither
-    can win.
+    |S| = m.  Each position scores |2s - S|, and the best cut is the first
+    row-major maximum of that score: the first maximum or the first
+    minimum of 2s, whichever lies farther from S, and the earlier of the
+    two when they are as far.  It is a split exactly when its score
+    exceeds |S|.  The last position (nothing right of it) scores |S|, and
+    a cut that is not allowed (inside a run of equal values, or fewer than
+    ``min_node_size`` rows from either end) has its 2s set to S, so it
+    scores 0; neither can win.  The i + 1 rows left of the cut after
+    position i hold (i + 1 + s) / 2 ones.  ``min_node_size`` must be an
+    integer of at least 1, as in ``GrowLimits``.
 
     ``order`` is the (p, m) presort of ``rows`` (each row of it sorts one
     feature over the node's rows), so with it ``rows`` must be the m rows
@@ -101,6 +108,7 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
     lo <= mid < hi, else lo, so ``x > threshold`` routes exactly the
     partition scored, which ``Split.left_size`` and ``left_ones`` count:
     the first ``left_size`` rows of the split variable's order."""
+    check_integer("min_node_size", min_node_size, least=1)
     if order is None:
         data = data.subset(rows)
         order = data.order
@@ -110,33 +118,33 @@ def best_split(data: Dataset, rows, min_node_size: int = GrowLimits.min_node_siz
     if m < 2 * min_node_size:
         return None  # too small for two children
 
-    # 2s after each of the m positions of each variable, then |2s - S|
-    score = _TWICE_SIGNS.take(data.y).take(order)
-    np.add.accumulate(score, axis=1, out=score)
-    S = score.item(m - 1) // 2
+    # 2s after each of the m positions of each variable
+    cum = _TWICE_SIGNS.take(data.y).take(order)
+    np.add.accumulate(cum, axis=1, out=cum)
+    S = cum.item(m - 1) // 2
     if abs(S) == m:
         return None  # label-pure
-    score -= S
-    np.abs(score, out=score)
     tied = data.tied
     if tied.size:
         svals = np.take_along_axis(data.X.T[tied], order[tied], 1)
         var, pos = np.nonzero(svals[:, 1:] == svals[:, :-1])
-        score[tied[var], pos] = 0
+        cum[tied[var], pos] = S
     if min_node_size > 1:
-        score[:, :min_node_size - 1] = 0
-        score[:, m - min_node_size:] = 0
+        cum[:, :min_node_size - 1] = S
+        cum[:, m - min_node_size:] = S
 
-    # the first maximum is the smallest variable index, and within it the
-    # smallest cut position, i.e. threshold
-    best = int(score.argmax())
-    g = score.item(best)
+    # the first row-major maximum of |2s - S| is the smallest variable
+    # index, and within it the smallest cut position, i.e. threshold
+    best, low = int(cum.argmax()), int(cum.argmin())
+    g, g_low = cum.item(best) - S, S - cum.item(low)
+    if g_low > g or (g_low == g and low < best):
+        best, g = low, g_low
     if g <= abs(S):
         return None
     var0, i = divmod(best, m)
     lo, hi = data.X.item(order.item(var0, i), var0), data.X.item(order.item(var0, i + 1), var0)
     mid = (lo + hi) / 2.0
-    ones_left = int(np.count_nonzero(data.y.take(order[var0, :i + 1])))
+    ones_left = (i + 1 + cum.item(best) // 2) // 2
     return Split(var0 + 1, mid if lo <= mid < hi else lo, i + 1, ones_left, (m - g) // 2)
 
 
@@ -148,36 +156,37 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
     label counts on `data` (see ``tree.node_counts``)."""
     if limits is None:
         limits = GrowLimits()
+    min_size, p = limits.min_node_size, data.p
+    # each split adds one leaf and two nodes, so k leaves take 2k - 1 nodes
+    max_nodes = float("inf") if limits.max_leaves is None else 2 * limits.max_leaves - 1
     n1 = int(data.y.sum())
     n0s, n1s = [data.n - n1], [n1]  # training rows of each label at each node
-    # growth-order arena: a split node becomes Internal and its two children,
-    # leaves of their majority label, are appended after it
-    nodes: list = [Leaf(int(n1 > n0s[0]))]
+    # growth-order arena: None until a node is split, when it becomes
+    # Internal and its two children are appended after it
+    nodes: list = [None]
     heap: list = []  # (-error reduction, node index, split, node's order)
     goes_right = np.zeros(data.n, dtype=bool)
 
-    def searchable(i: int) -> bool:
-        """False when node i's counts show that best_split finds no split."""
-        return min(n0s[i], n1s[i]) > 0 and n0s[i] + n1s[i] >= 2 * limits.min_node_size
-
     def consider(i: int, order: np.ndarray):
-        split = best_split(data, order[0], limits.min_node_size, order)
+        split = best_split(data, order[0], min_size, order)
         if split is not None:
-            reduction = min(n0s[i], n1s[i]) - split.err_count
-            heapq.heappush(heap, (-reduction, i, split, order))
+            heapq.heappush(heap, (split.err_count - min(n0s[i], n1s[i]), i, split, order))
 
-    if searchable(0):
+    # a node is searched unless its counts show that best_split finds no
+    # split there: label-pure, or too small for two children
+    if 0 < n1 < data.n and data.n >= 2 * min_size:
         consider(0, data.order)
-    # each split adds one leaf and two nodes, so k leaves take 2k - 1 nodes
-    while heap and (limits.max_leaves is None or len(nodes) < 2 * limits.max_leaves - 1):
+    while heap and len(nodes) < max_nodes:
         _, i, split, order = heapq.heappop(heap)
         left = len(nodes)
         nodes[i] = Internal(split.var, split.threshold, left, left + 1)
+        nodes += [None, None]
         size, ones = split.left_size, split.left_ones
-        n0s += [size - ones, n0s[i] - size + ones]
-        n1s += [ones, n1s[i] - ones]
-        nodes += [Leaf(int(b > a)) for a, b in zip(n0s[left:], n1s[left:])]
-        search_left, search_right = searchable(left), searchable(left + 1)
+        rsize, rones = n0s[i] + n1s[i] - size, n1s[i] - ones
+        n0s += [size - ones, rsize - rones]
+        n1s += [ones, rones]
+        search_left = 0 < ones < size and size >= 2 * min_size
+        search_right = 0 < rones < rsize and rsize >= 2 * min_size
         if search_left or search_right:
             # the threshold lies in [lo, hi), so the rows it routes left are
             # the first `size` of the split variable's order
@@ -186,8 +195,10 @@ def grow_maximal(data: Dataset, limits: GrowLimits | None = None) -> TreeClassif
             # a stable filter of a sorted row keeps it sorted
             to_right, flat = goes_right.take(order).ravel(), order.ravel()
             if search_left:
-                consider(left, flat.compress(~to_right).reshape(data.p, size))
+                consider(left, flat.compress(~to_right).reshape(p, size))
             if search_right:
-                consider(left + 1, flat.compress(to_right).reshape(data.p, -1))
+                consider(left + 1, flat.compress(to_right).reshape(p, rsize))
 
+    # each node never split is a leaf of its majority label
+    nodes = [Leaf(int(b > a)) if nd is None else nd for nd, a, b in zip(nodes, n0s, n1s)]
     return preorder_tree(nodes, counts=(data, n0s, n1s))

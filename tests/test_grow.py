@@ -1,6 +1,7 @@
 import copy
 import gc
 import pickle
+import re
 import weakref
 from dataclasses import fields
 from unittest import mock
@@ -452,6 +453,110 @@ def test_best_split_edge_cases_hold_splits_and_no_splits():
     assert [s is not None for s in splits] == [True, True, True, True, False,
                                                False, False, True]
     assert (splits[0].var, splits[0].threshold, splits[0].err_count) == (1, 1.5, 1)
+
+
+def _on_line(labels, x=None):
+    """x1 = x (1..m by default) beside a constant x2, whose every cut is
+    inside a tie."""
+    x = np.arange(1.0, len(labels) + 1) if x is None else np.array(x, dtype=float)
+    return Dataset(np.column_stack([x, np.zeros(len(labels))]), np.array(labels))
+
+
+# the search reads the first row-major maximum of |2s - S| off the first
+# maximum and the first minimum of the cumulative sum 2s; each case names
+# 2s and S, and the expected split as (threshold, left_size, left_ones,
+# err_count) on x1, or None
+_TIE_RULE_CASES = [
+    # the maximum and the minimum of 2s are as far from S; the earlier wins
+    ([1, 0, 0, 1], None, 1, (1.5, 1, 1, 1)),  # 2s = 2, 0, -2, 0; S = 0
+    ([0, 1, 1, 0], None, 1, (1.5, 1, 0, 1)),  # 2s = -2, 0, 2, 0; S = 0
+    ([0, 1, 0, 1, 0, 1], None, 2, (3.5, 3, 1, 2)),  # 2s = -2, 0, -2, 0, -2, 0; S = 0
+    # the last position holds the maximum or the minimum of 2s, which
+    # scores |S|, so the other extreme wins or there is no split
+    ([0, 1, 1, 1], None, 1, (1.5, 1, 0, 0)),  # 2s = -2, 0, 2, 4; S = 2
+    ([1, 0, 0, 0], None, 1, (1.5, 1, 1, 0)),  # 2s = 2, 0, -2, -4; S = -2
+    ([1, 0, 1, 1], None, 1, None),  # 2s = 2, 0, 2, 4; S = 2: both extremes score |S|
+    ([0, 0, 1, 0], None, 1, None),  # 2s = -2, -4, -2, -4; S = -2
+    # a cut at a min_node_size edge holds the extreme of 2s that would win
+    ([0, 1, 0, 1, 1], None, 2, (3.5, 3, 1, 1)),  # 2s = -2, 0, -2, 0, 2; S = 1
+    ([0, 1, 0, 1, 1, 1], None, 2, (3.5, 3, 1, 1)),  # 2s = -2, 0, -2, 0, 2, 4; S = 2
+    ([0, 0, 0, 0, 1, 1], None, 3, (3.5, 3, 0, 1)),  # 2s = -2, -4, -6, -8, -6, -4; S = -2
+    # the cut after position 1 lies inside a run of equal x1 values and
+    # holds the maximum (then the minimum) of 2s; the first allowed cut wins
+    ([1, 1, 0, 0], [1, 2, 2, 3], 1, (1.5, 1, 1, 1)),  # 2s = 2, 4, 2, 0; S = 0
+    ([0, 0, 1, 1], [1, 2, 2, 3], 1, (1.5, 1, 0, 1)),  # 2s = -2, -4, -2, 0; S = 0
+    # the one cut that beats the leaf, after position 0, lies inside a run
+    ([1, 0, 0, 0], [1, 1, 2, 3], 1, None),  # 2s = 2, 0, -2, -4; S = -2
+]
+
+
+@pytest.mark.parametrize("labels,x,min_node_size,expected", _TIE_RULE_CASES)
+def test_first_maximum_or_minimum_of_the_cumulative_sum_is_the_reference_cut(
+        labels, x, min_node_size, expected):
+    d = _on_line(labels, x)
+    rows = np.arange(d.n)
+    split = best_split(d, rows, min_node_size)
+    assert split == (None if expected is None else Split(1, *expected))
+    assert split == best_split(d, rows, min_node_size, d.order)
+    assert split == _reference_best_split(d, rows, min_node_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_datasets(), st.integers(1, 3))
+def test_split_left_ones_count_the_left_rows_labels(data, min_node_size):
+    # left_ones is read off the cumulative sum, not counted
+    split = best_split(data, np.arange(data.n), min_node_size)
+    if split is None:
+        return
+    left = data.order[split.var - 1, :split.left_size]
+    assert split.left_ones == int(np.count_nonzero(data.y[left]))
+    assert split.left_ones == int(data.y[data.X[:, split.var - 1] <= split.threshold].sum())
+
+
+@pytest.mark.parametrize("min_node_size,message", [
+    (0, "min_node_size must be >= 1"),
+    (-3, "min_node_size must be >= 1"),
+    (True, "min_node_size must be an integer, got True"),
+    (1.5, "min_node_size must be an integer, got 1.5"),
+    (2.0, "min_node_size must be an integer, got 2.0"),
+    ("2", "min_node_size must be an integer, got '2'"),
+])
+def test_best_split_rejects_the_min_node_size_that_grow_limits_rejects(min_node_size,
+                                                                       message):
+    d = _on_line([0, 1, 1, 0])
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        GrowLimits(min_node_size=min_node_size)
+    with pytest.raises(ValueError, match=pattern):
+        best_split(d, np.arange(d.n), min_node_size)
+    with pytest.raises(ValueError, match=pattern):
+        best_split(d, np.arange(d.n), min_node_size, d.order)
+
+
+@pytest.mark.parametrize("max_leaves", [None, 1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grow_builds_one_leaf_per_leaf_of_the_tree(monkeypatch, max_leaves, seed):
+    # no throwaway Leaf per child: each leaf is built once, from its counts
+    from treeselect import grow
+    from treeselect.tree import Leaf
+    d = _rounded_columns(random_dataset(np.random.default_rng(seed), 60, 3), [1])
+    limits = GrowLimits(max_leaves=max_leaves)
+    expected = grow_maximal(d, limits)
+    built = []
+
+    def counting_leaf(label):
+        built.append(label)
+        return Leaf(label)
+
+    monkeypatch.setattr(grow, "Leaf", counting_leaf)
+    tree = grow_maximal(d, limits)
+    assert tree == expected
+    assert len(built) == tree.n_leaves
+    # the budget binds, and without one the tree is larger than it
+    if max_leaves is None:
+        assert tree.n_leaves > 3
+    else:
+        assert tree.n_leaves == max_leaves
 
 
 def _routed_counts(tree, data):
